@@ -12,10 +12,10 @@ golden digest far from the real bug starts flaking.
 
 This module is TSan for the DES.  Two mechanisms, both opt-in:
 
-* **Schedule perturbation** — ``Environment(sanitize=SanitizeOptions(seed))``
-  builds a :class:`SanitizedEnvironment` whose tie-breaks among
-  same-timestamp events are drawn from a seeded RNG instead of the
-  arrival sequence.  Same-tick events are logically *concurrent*: any
+* **Schedule perturbation** — a :class:`SanitizedEnvironment` (built
+  explicitly, or by every ``Environment()`` inside :func:`sanitized`)
+  breaks ties among same-timestamp events with a seeded RNG instead of
+  the arrival sequence.  Same-tick events are logically *concurrent*: any
   dispatch order is a legal execution, so if two perturbation seeds
   produce different scenario digests, a scheduling race is **proven** —
   no false positives.  Each dispatch is logged with the event's
@@ -49,8 +49,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
 
-from ..netsim import engine as _engine
-from ..netsim.engine import Environment, Event, Process, SimulationError, Timeout
+from ..netsim.engine import (
+    Environment,
+    Event,
+    InstrumentedEnvironment,
+    Process,
+    SimulationError,
+    Timeout,
+    instrumented,
+)
 from .diagnostics import Diagnostic, SourceLocation, code_info
 
 __all__ = [
@@ -120,7 +127,7 @@ def _event_label(event: Event) -> str:
     return type(event).__name__
 
 
-class SanitizedEnvironment(Environment):
+class SanitizedEnvironment(InstrumentedEnvironment):
     """An :class:`Environment` with seeded-random same-tick tie-breaks.
 
     Heap entries are ``(time, (perturbation, seq), event)`` — the seeded
@@ -133,30 +140,35 @@ class SanitizedEnvironment(Environment):
     Every dispatch is appended to :attr:`dispatch_log`; every scheduled
     event's scheduling stack is captured so a divergence can be
     explained, not just detected.
+
+    ``options`` defaults to the active :func:`sanitized` session's, or
+    to ``SanitizeOptions()`` outside one.
     """
 
     __slots__ = ("options", "dispatch_log", "_pert", "_meta", "_session")
 
+    #: outranks the profiler when both sessions are active
+    precedence = 1
+
     def __init__(self, initial_time: float = 0.0,
-                 sanitize: Optional[SanitizeOptions] = None):
-        options = sanitize
+                 options: Optional[SanitizeOptions] = None):
+        session = _ACTIVE_SESSION
         if options is None:
-            options = getattr(_engine, "_AMBIENT_SANITIZE", None)
-        if options is None:
-            options = SanitizeOptions()
+            options = (session.options if session is not None
+                       else SanitizeOptions())
         super().__init__(initial_time)
         self.options = options
         self.dispatch_log: list[DispatchRecord] = []
         self._pert = random.Random(("perturb", options.seed).__repr__())
         #: Event -> (label, site, stack), captured at schedule time
         self._meta: dict[Event, tuple[str, str, tuple[str, ...]]] = {}
-        self._session = _ACTIVE_SESSION
-        if self._session is not None:
-            self._session.envs.append(self)
+        self._session = session
+        if session is not None:
+            session.envs.append(self)
 
     # -- scheduling with perturbed tie-breaks ------------------------------
     _INTERNAL_FRAMES = frozenset(
-        {"_capture", "_schedule", "timeout_batch", "step", "run"})
+        {"_capture", "_schedule", "timeout_batch", "step"})
 
     def _capture(self) -> tuple[str, tuple[str, ...]]:
         """(site, stack) of the schedule call, machinery frames dropped."""
@@ -223,34 +235,6 @@ class SanitizedEnvironment(Environment):
         self.events_dispatched += 1
         for cb in callbacks:
             cb(event)
-
-    def run(self, until: Optional[float | Event] = None) -> Any:
-        # Same semantics as the base loop, routed through the recording
-        # step(); sanitized runs trade raw speed for observability.
-        step = self.step
-        if isinstance(until, Event):
-            stop_event = until
-            while not stop_event._triggered:
-                if stop_event._cancelled:
-                    raise SimulationError(
-                        "run(until=...) awaits a cancelled event, "
-                        "which can never trigger"
-                    )
-                if not self._queue:
-                    raise SimulationError(
-                        "simulation ran out of events before the awaited "
-                        "event triggered"
-                    )
-                step()
-            if stop_event._ok:
-                return stop_event._value
-            raise stop_event._value
-        deadline = float("inf") if until is None else float(until)
-        while self._queue and self._queue[0][0] <= deadline:
-            step()
-        if deadline != float("inf"):
-            self._now = max(self._now, deadline)
-        return None
 
 
 # -- the session: traps + write log -----------------------------------------------
@@ -424,17 +408,16 @@ def sanitized(options: Optional[SanitizeOptions] = None,
     session = SanitizerSession(opts)
     prev_session = _ACTIVE_SESSION
     _ACTIVE_SESSION = session
-    prev_ambient = _engine.set_ambient_sanitize(opts)
     if opts.traps:
         session._install_traps()
     for cls in watch:
         session.watch(cls)
     try:
-        yield session
+        with instrumented(SanitizedEnvironment):
+            yield session
     finally:
         session._unwatch_all()
         session._remove_traps()
-        _engine.set_ambient_sanitize(prev_ambient)
         _ACTIVE_SESSION = prev_session
 
 

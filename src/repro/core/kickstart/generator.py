@@ -197,27 +197,6 @@ class KickstartGenerator:
         )
         return analyze_config(ctx)
 
-    #: diagnostic codes the legacy string API covered; the shim reports
-    #: exactly these so pre-engine callers see unchanged behaviour
-    _LEGACY_LINT_CODES = ("RK101", "RK102", "RK106", "RK110")
-
-    def lint(self, dist_name: str, arches: tuple[str, ...] = ("i386",)) -> list[str]:
-        """Back-compat shim: legacy flat strings over the typed engine.
-
-        Messages and ordering match the original linter (missing node
-        files, then orphans, then unresolvable packages, then an unknown
-        distribution last); new defect classes are only visible through
-        :meth:`lint_diagnostics` or ``repro lint``.
-        """
-        diags = [
-            d
-            for d in self.lint_diagnostics(dist_name, arches)
-            if d.code in self._LEGACY_LINT_CODES
-        ]
-        # Legacy order was by check, not by location: code order matches.
-        diags.sort(key=lambda d: (d.code, d.sort_key))
-        return [d.message for d in diags]
-
     def profile_for_row(self, row: NodeRow, db: ClusterDatabase) -> InstallProfile:
         """Per-node generation: appliance/arch/dist come from the database."""
         appliance, root_node = db.appliance_for_membership(row.membership)

@@ -4,10 +4,7 @@ One :class:`MetricAggregator` joins the gmond multicast group on the
 frontend's NIC and builds the live cluster view: the last packet per
 host, per-host staleness ages, and a :class:`~.rrd.RoundRobinStore`
 holding every numeric series as ``<host>/<metric>``.  An attached
-:class:`~.alerts.AlertEngine` is evaluated on a fixed tick, and any
-number of ``on_packet`` listeners (the legacy
-:class:`~repro.services.monitor.ClusterMonitor`, tests, dashboards)
-see every packet as it lands.
+:class:`~.alerts.AlertEngine` is evaluated on a fixed tick.
 
 The aggregator is a :class:`~repro.services.base.Service`, so the fault
 injector can kill it like any other daemon — a dead gmetad drops
@@ -16,7 +13,7 @@ packets on the floor, and its view goes uniformly stale.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from ..netsim import Environment, MulticastGroup
 from ..services.base import Service
@@ -24,9 +21,6 @@ from .agent import MetricPacket
 from .rrd import RoundRobinStore, feed_series
 
 __all__ = ["MetricAggregator"]
-
-#: fn(packet) — called for every accepted packet, in arrival order.
-PacketListener = Callable[[MetricPacket], None]
 
 
 class MetricAggregator(Service):
@@ -55,7 +49,6 @@ class MetricAggregator(Service):
         )
         self.engine = engine
         self.packets_received = 0
-        self.on_packet: list[PacketListener] = []
         #: hosts that *should* be reporting (dict-as-set, insertion order)
         self._expected: dict[str, None] = {}
         #: last packet per host, in first-heard order
@@ -106,8 +99,6 @@ class MetricAggregator(Service):
             ]
             self._series_cache[key] = series
         feed_series(series, t, metrics)
-        for listener in self.on_packet:
-            listener(packet)
 
     # -- the live view ------------------------------------------------------
     def last_packet(self, host: str) -> Optional[MetricPacket]:
@@ -141,7 +132,7 @@ class MetricAggregator(Service):
     def _tick(self):
         while True:
             # Fixed-period tick: share the heap entry with anything else
-            # due at the same instant (e.g. lockstep monitor daemons).
+            # due at the same instant.
             yield self.env.slotted_timeout(self.interval)
             if self.running and self.engine is not None:
                 self.engine.evaluate(self, self.env.now)

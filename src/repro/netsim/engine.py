@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Iterable, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 
 from ..telemetry import NULL_TRACER
 
@@ -35,8 +36,8 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "SimulationError",
-    "set_ambient_sanitize",
-    "set_ambient_profile",
+    "InstrumentedEnvironment",
+    "instrumented",
 ]
 
 
@@ -328,60 +329,43 @@ class Process(Event):
             nxt.callbacks.append(self._resume)
 
 
-#: ambient sanitize options (see :func:`set_ambient_sanitize`).  ``None``
-#: means plain environments — the only value with hot-path code attached.
-_AMBIENT_SANITIZE: Any = None
-
-#: ambient profile options (see :func:`set_ambient_profile`); same
-#: construction-time swap, to :class:`repro.netsim.profiler.ProfiledEnvironment`.
-_AMBIENT_PROFILE: Any = None
+#: the subclass a plain ``Environment()`` builds inside an
+#: :func:`instrumented` block; ``None`` builds the base class — the only
+#: value with hot-path code attached.
+_AMBIENT_CLASS: Optional[type] = None
 
 
-def set_ambient_sanitize(options: Any) -> Any:
-    """Set the sanitize options newly built Environments default to.
+@contextmanager
+def instrumented(cls: type) -> Iterator[None]:
+    """Make every plain ``Environment()`` built inside the block a ``cls``.
 
-    This is the hook `repro sanitize` uses to reach environments that
+    The one hook instrumentation uses to reach environments that
     scenarios construct internally (``build_cluster``, ``run_storm``):
-    with an ambient option set, every ``Environment()`` created without
-    an explicit ``sanitize=`` argument becomes a sanitized environment.
-    Returns the previous value so callers can restore it; the
-    :func:`repro.analysis.sanitizer.sanitized` context manager does the
-    set/restore pairing.
+    the sanitizer's ``sanitized()`` and the profiler's ``profiled()``
+    sessions both enter it with their :class:`InstrumentedEnvironment`
+    subclass.  When blocks nest, the class with the higher
+    ``precedence`` is built whichever block is outer — the sanitizer
+    outranks the profiler, because its verdict relies on owning the
+    dispatch order.
     """
-    global _AMBIENT_SANITIZE
-    previous = _AMBIENT_SANITIZE
-    _AMBIENT_SANITIZE = options
-    return previous
-
-
-def set_ambient_profile(options: Any) -> Any:
-    """Set the profile options newly built Environments default to.
-
-    The engine self-profiler's ambient hook (see
-    :mod:`repro.netsim.profiler`): with one set, every plain
-    ``Environment()`` becomes a ``ProfiledEnvironment``.  An ambient
-    *sanitize* option takes precedence — the sanitizer's verdict relies
-    on owning the dispatch loop.  Returns the previous value; the
-    :func:`repro.netsim.profiler.profiled` context manager does the
-    set/restore pairing.
-    """
-    global _AMBIENT_PROFILE
-    previous = _AMBIENT_PROFILE
-    _AMBIENT_PROFILE = options
-    return previous
+    global _AMBIENT_CLASS
+    previous = _AMBIENT_CLASS
+    if previous is None or cls.precedence >= previous.precedence:
+        _AMBIENT_CLASS = cls
+    try:
+        yield
+    finally:
+        _AMBIENT_CLASS = previous
 
 
 class Environment:
     """Holds simulated time and the pending event queue.
 
-    ``sanitize`` opts one environment into the schedule-perturbation
-    sanitizer (see :mod:`repro.analysis.sanitizer`): pass a
-    ``SanitizeOptions`` and the constructor returns a
-    ``SanitizedEnvironment`` whose tie-breaks among same-timestamp
-    events are seeded-randomly perturbed and whose dispatches are
-    logged.  The default (``None``, unless an ambient option is set)
-    builds this class unchanged — the sanitizer adds **zero** code to
-    the default scheduling and dispatch paths.
+    Construction builds this class unchanged unless an
+    :func:`instrumented` block is active, in which case it returns that
+    block's subclass (a sanitized or profiled environment).  To build
+    one explicitly, construct the subclass itself.  Instrumentation adds
+    **zero** code to the default scheduling and dispatch paths.
     """
 
     __slots__ = (
@@ -395,21 +379,12 @@ class Environment:
         "tracer",
     )
 
-    def __new__(cls, initial_time: float = 0.0, sanitize: Any = None,
-                profile: Any = None):
-        if cls is Environment:
-            options = sanitize if sanitize is not None else _AMBIENT_SANITIZE
-            if options is not None:
-                from ..analysis.sanitizer import SanitizedEnvironment
-
-                return object.__new__(SanitizedEnvironment)
-            if profile is not None or _AMBIENT_PROFILE is not None:
-                from .profiler import ProfiledEnvironment
-
-                return object.__new__(ProfiledEnvironment)
+    def __new__(cls, *args: Any, **kwargs: Any):
+        if cls is Environment and _AMBIENT_CLASS is not None:
+            cls = _AMBIENT_CLASS
         return object.__new__(cls)
 
-    def __init__(self, initial_time: float = 0.0, sanitize: Any = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
@@ -623,3 +598,45 @@ class Environment:
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf when the queue is empty."""
         return self._queue[0][0] if self._queue else float("inf")
+
+
+class InstrumentedEnvironment(Environment):
+    """Base of the opt-in instrumented environments (sanitizer, profiler).
+
+    Subclasses observe scheduling and dispatch by overriding
+    ``_schedule`` and ``step``; :meth:`run` drives that ``step()`` with
+    the base loop's exact semantics, trading raw dispatch speed for
+    observability.  Build one explicitly, or for a whole region with
+    :func:`instrumented`.
+    """
+
+    __slots__ = ()
+
+    #: nested :func:`instrumented` blocks build the higher-ranked class
+    precedence = 0
+
+    def run(self, until: Optional[float | Event] = None) -> Any:
+        step = self.step
+        if isinstance(until, Event):
+            stop_event = until
+            while not stop_event._triggered:
+                if stop_event._cancelled:
+                    raise SimulationError(
+                        "run(until=...) awaits a cancelled event, "
+                        "which can never trigger"
+                    )
+                if not self._queue:
+                    raise SimulationError(
+                        "simulation ran out of events before the awaited "
+                        "event triggered"
+                    )
+                step()
+            if stop_event._ok:
+                return stop_event._value
+            raise stop_event._value
+        deadline = float("inf") if until is None else float(until)
+        while self._queue and self._queue[0][0] <= deadline:
+            step()
+        if deadline != float("inf"):
+            self._now = max(self._now, deadline)
+        return None

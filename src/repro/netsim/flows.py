@@ -165,17 +165,14 @@ class TransferAborted(Exception):
 class FlowNetwork:
     """Tracks active flows and keeps their max-min fair rates current.
 
-    ``incremental=True`` (the default) recomputes only the bottleneck
-    components touched by a change; ``incremental=False`` refills every
-    component on every change — the legacy full recompute, kept for
-    differential testing.  Crediting, completion sweeps and wakeup
-    scheduling follow the exact same code path in both modes, so the two
-    must produce bit-identical rates and completion times.
+    A change recomputes only the bottleneck components it touches.  The
+    test suite keeps a full-recompute subclass that refills every
+    component on every change as a differential oracle: the two must
+    produce bit-identical rates and completion times.
     """
 
     __slots__ = (
         "env",
-        "_incremental",
         "_flows",
         "_flow_seq_counter",
         "_dirty",
@@ -189,9 +186,8 @@ class FlowNetwork:
         "_epoch",
     )
 
-    def __init__(self, env: Environment, incremental: bool = True):
+    def __init__(self, env: Environment):
         self.env = env
-        self._incremental = incremental
         # Construction-time only: a profiled environment wants refill
         # counts, so hand it this network (plain envs have no .profile).
         profiler = getattr(env, "profile", None)
@@ -386,11 +382,7 @@ class FlowNetwork:
         dirtied link.  Returns ``(affected, components)`` where
         ``affected`` is every dirty-closure flow in start order (the
         order credits are applied) and ``components`` are the flow
-        groups to refill.  In full (non-incremental) mode the remaining,
-        untouched components are appended to ``components`` too — their
-        refill reproduces the same rates from the same inputs — while
-        ``affected`` is identical in both modes, keeping crediting
-        cadence mode-independent.
+        groups to refill.
 
         The sets below are membership filters only, never iterated; all
         iteration is over insertion-ordered dicts and lists, so closure
@@ -433,13 +425,6 @@ class FlowNetwork:
                 for flow in link._flows:
                     if flow not in seen_flows:
                         affected.extend(explore(flow))
-        if not self._incremental:
-            # Full mode: also refill every untouched component (producing
-            # identical rates from identical inputs) — but do not credit
-            # them, so both modes credit at the exact same instants.
-            for flow in self._flows:
-                if flow not in seen_flows:
-                    explore(flow)
         affected.sort(key=_flow_seq)
         return affected, comps
 

@@ -8,13 +8,13 @@ wall-clock time spent inside event callbacks to the *simulation code
 site* that consumed it (the process generator a ``Process._resume``
 drives, or the function a raw callback points at).
 
-Opt-in and zero-overhead-when-off, by the same construction-time
-class-swap the schedule sanitizer uses: the default ``Environment()``
-hot paths (``_schedule``/``step``/``run``/``timeout_batch``) carry no
-profiler branch at all — ``bench_scaling_10k.py --quick``'s overhead
-guard asserts exactly that.  Profiling swaps in this subclass either
-explicitly (``ProfiledEnvironment()``) or ambiently for scenarios that
-build their environments internally::
+Opt-in and zero-overhead-when-off, through the engine's one
+instrumentation hook (:func:`~repro.netsim.engine.instrumented`), which
+the schedule sanitizer uses too: the default ``Environment()`` hot paths
+(``_schedule``/``step``/``run``/``timeout_batch``) carry no profiler
+branch at all — ``bench_scaling_10k.py --quick``'s overhead guard
+asserts exactly that.  Build a ``ProfiledEnvironment()`` explicitly, or
+profile scenarios that build their environments internally::
 
     with profiled() as session:
         result = run_storm(opts)
@@ -34,8 +34,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
-from . import engine as _engine
-from .engine import Environment, Event, Process, SimulationError, Timeout
+from .engine import (
+    Event,
+    InstrumentedEnvironment,
+    Process,
+    SimulationError,
+    Timeout,
+    instrumented,
+)
 
 __all__ = [
     "ProfileOptions",
@@ -155,28 +161,27 @@ class EngineProfiler:
         return "\n".join(lines)
 
 
-class ProfiledEnvironment(Environment):
+class ProfiledEnvironment(InstrumentedEnvironment):
     """An :class:`Environment` whose scheduling and dispatch are counted.
 
     Semantically identical to the base environment — same event order,
     same sequence numbers, same simulated results — it only adds
     counters and (optionally) a ``perf_counter`` pair around each
     callback.  The overhead lives entirely in this subclass; plain
-    environments never pay it.
+    environments never pay it.  ``options`` defaults to the active
+    :func:`profiled` session's, or to ``ProfileOptions()`` outside one.
     """
 
     __slots__ = ("profile",)
 
-    def __init__(self, initial_time: float = 0.0, sanitize: Any = None,
-                 profile: Optional[ProfileOptions] = None):
-        options = profile
+    def __init__(self, initial_time: float = 0.0,
+                 options: Optional[ProfileOptions] = None):
+        session = _ACTIVE_SESSION
         if options is None:
-            options = getattr(_engine, "_AMBIENT_PROFILE", None)
-        if options is None:
-            options = ProfileOptions()
+            options = (session.options if session is not None
+                       else ProfileOptions())
         super().__init__(initial_time)
         self.profile = EngineProfiler(options, initial_time)
-        session = _ACTIVE_SESSION
         if session is not None:
             session.envs.append(self)
 
@@ -228,34 +233,6 @@ class ProfiledEnvironment(Environment):
             for cb in callbacks:
                 cb(event)
 
-    def run(self, until: Optional[float | Event] = None) -> Any:
-        # Same semantics as the base loop, routed through the counting
-        # step(); profiled runs trade raw dispatch speed for visibility.
-        step = self.step
-        if isinstance(until, Event):
-            stop_event = until
-            while not stop_event._triggered:
-                if stop_event._cancelled:
-                    raise SimulationError(
-                        "run(until=...) awaits a cancelled event, "
-                        "which can never trigger"
-                    )
-                if not self._queue:
-                    raise SimulationError(
-                        "simulation ran out of events before the awaited "
-                        "event triggered"
-                    )
-                step()
-            if stop_event._ok:
-                return stop_event._value
-            raise stop_event._value
-        deadline = float("inf") if until is None else float(until)
-        while self._queue and self._queue[0][0] <= deadline:
-            step()
-        if deadline != float("inf"):
-            self._now = max(self._now, deadline)
-        return None
-
 
 class ProfileSession:
     """Collects the profilers of every environment built inside a
@@ -282,21 +259,18 @@ _ACTIVE_SESSION: Optional[ProfileSession] = None
 def profiled(options: Optional[ProfileOptions] = None):
     """Ambiently profile every Environment built inside the block.
 
-    Mirrors :func:`repro.analysis.sanitizer.sanitized`: sets the ambient
-    profile option so internally-constructed environments
-    (``build_cluster``, ``run_storm``) come out as
-    :class:`ProfiledEnvironment`, and yields a session holding their
-    profilers.  If an ambient *sanitize* option is also active, the
-    sanitizer wins — its subclass carries the diagnostic machinery.
+    Mirrors :func:`repro.analysis.sanitizer.sanitized`: internally
+    constructed environments (``build_cluster``, ``run_storm``) come out
+    as :class:`ProfiledEnvironment`, and the yielded session holds their
+    profilers.  If a sanitizer session is also active, the sanitizer
+    wins — its subclass carries the diagnostic machinery.
     """
     global _ACTIVE_SESSION
-    opts = options or ProfileOptions()
-    session = ProfileSession(opts)
-    prev_option = _engine.set_ambient_profile(opts)
+    session = ProfileSession(options or ProfileOptions())
     prev_session = _ACTIVE_SESSION
     _ACTIVE_SESSION = session
     try:
-        yield session
+        with instrumented(ProfiledEnvironment):
+            yield session
     finally:
         _ACTIVE_SESSION = prev_session
-        _engine.set_ambient_profile(prev_option)

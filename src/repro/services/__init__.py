@@ -1,12 +1,6 @@
 """Simulated cluster services: syslog, DHCP, HTTP install server, NIS, NFS."""
 
 from .base import Faultable, Service, ServiceError, ServiceState
-from .monitor import (
-    ClusterMonitor,
-    HeartbeatMetrics,
-    MonitorDaemon,
-    enable_monitoring,
-)
 from .dhcpd import DhcpBinding, DhcpLease, DhcpServer
 from .httpd import KICKSTART_CGI_PATH, InstallReplicaSet, InstallServer, rpms_prefix
 from .nfs import NfsMount, NfsServer, StaleFileHandle
@@ -16,10 +10,6 @@ from .syslogd import Syslog, SyslogMessage
 __all__ = [
     "Faultable",
     "Service",
-    "ClusterMonitor",
-    "HeartbeatMetrics",
-    "MonitorDaemon",
-    "enable_monitoring",
     "ServiceError",
     "ServiceState",
     "DhcpBinding",
@@ -38,13 +28,3 @@ __all__ = [
     "Syslog",
     "SyslogMessage",
 ]
-
-
-def __getattr__(name: str):
-    # Deprecated: ``Metrics`` here is the heartbeat payload, renamed to
-    # HeartbeatMetrics; the monitor module's shim owns the warning.
-    if name == "Metrics":
-        from . import monitor
-
-        return monitor.Metrics
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -67,9 +67,12 @@ def test_default_environment_is_untouched():
 
 
 def test_explicit_sanitize_swaps_class():
-    env = Environment(sanitize=SanitizeOptions(seed=3))
+    env = SanitizedEnvironment(options=SanitizeOptions(seed=3))
     assert type(env) is SanitizedEnvironment
     assert env.options.seed == 3
+    # the base constructor takes no instrumentation keywords
+    with pytest.raises(TypeError):
+        Environment(sanitize=SanitizeOptions(seed=3))
 
 
 def test_ambient_sanitize_reaches_nested_constructors():
@@ -79,19 +82,20 @@ def test_ambient_sanitize_reaches_nested_constructors():
     with sanitized(SanitizeOptions(seed=5)) as session:
         env = build()
     assert type(env) is SanitizedEnvironment
+    assert env.options.seed == 5  # read from the active session
     assert session.envs == [env]
     assert type(build()) is Environment  # restored on exit
 
 
 def test_sanitized_environment_has_no_instance_dict():
-    env = Environment(sanitize=SanitizeOptions())
+    env = SanitizedEnvironment()
     assert not hasattr(env, "__dict__")
 
 
 def test_sanitized_run_semantics_match_base():
     """Timers, process values, and run(until=...) behave identically."""
-    for opts in (None, SanitizeOptions(seed=9)):
-        env = Environment(sanitize=opts)
+    for env in (Environment(),
+                SanitizedEnvironment(options=SanitizeOptions(seed=9))):
         log = []
 
         def proc():
@@ -108,7 +112,7 @@ def test_sanitized_run_semantics_match_base():
 
 
 def test_sanitized_run_until_cancelled_event_raises():
-    env = Environment(sanitize=SanitizeOptions())
+    env = SanitizedEnvironment()
     stop = Event(env)  # pending: never triggers once cancelled
     env.timeout(1.0)
     env.cancel(stop)
@@ -119,7 +123,7 @@ def test_sanitized_run_until_cancelled_event_raises():
 def test_sanitized_timeout_batch_ties_are_heap_safe():
     """Batch entries share due times with singles; perturbed keys must
     stay mutually comparable (the base class pushes raw int keys)."""
-    env = Environment(sanitize=SanitizeOptions(seed=11))
+    env = SanitizedEnvironment(options=SanitizeOptions(seed=11))
     batch = env.timeout_batch([2.0, 2.0, 2.0], value="b")
     single = env.timeout(2.0, value="s")
     seen = []
@@ -138,7 +142,7 @@ def test_sanitized_timeout_batch_ties_are_heap_safe():
 
 
 def test_dispatch_log_records_labels_and_sites():
-    env = Environment(sanitize=SanitizeOptions(seed=1))
+    env = SanitizedEnvironment(options=SanitizeOptions(seed=1))
 
     def proc():
         yield env.timeout(4.0)

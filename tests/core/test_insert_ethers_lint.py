@@ -98,14 +98,19 @@ def make_gen(extra_edges=(), extra_files=(), drop_files=()):
     return KickstartGenerator(graph, files, lambda d: repo)
 
 
+def problems(gen, dist_name="rocks-dist", arches=("i386",)):
+    return [(d.code, d.message) for d in gen.lint_diagnostics(dist_name, arches)]
+
+
 def test_lint_clean_default_set():
-    assert make_gen().lint("rocks-dist") == []
+    assert problems(make_gen()) == []
 
 
 def test_lint_missing_node_file():
     gen = make_gen(extra_edges=[("compute", "ghost")])
-    problems = gen.lint("rocks-dist")
-    assert any("undefined node file 'ghost'" in p for p in problems)
+    assert problems(gen) == [
+        ("RK101", "graph references undefined node file 'ghost'")
+    ]
 
 
 def test_lint_orphan_node_file():
@@ -113,8 +118,9 @@ def test_lint_orphan_node_file():
         "orphan", "<kickstart><package>wget</package></kickstart>"
     )
     gen = make_gen(extra_files=[orphan])
-    problems = gen.lint("rocks-dist")
-    assert any("'orphan' is not reachable" in p for p in problems)
+    assert problems(gen) == [
+        ("RK102", "node file 'orphan' is not reachable from any appliance")
+    ]
 
 
 def test_lint_unresolvable_package():
@@ -122,8 +128,9 @@ def test_lint_unresolvable_package():
         "site-bad", "<kickstart><package>flux-capacitor</package></kickstart>"
     )
     gen = make_gen(extra_edges=[("compute", "site-bad")], extra_files=[bad])
-    problems = gen.lint("rocks-dist")
-    assert any("flux-capacitor" in p for p in problems)
+    assert problems(gen) == [
+        ("RK106", "compute/i386: package 'flux-capacitor' not in rocks-dist")
+    ]
 
 
 def test_lint_multi_arch():
@@ -133,17 +140,16 @@ def test_lint_multi_arch():
         repo.add_all(community_packages(arch))
     repo.add_all(npaci_packages())
     gen = KickstartGenerator(default_graph(), default_node_files(), lambda d: repo)
-    assert gen.lint("rocks-dist", arches=("i386", "ia64")) == []
+    assert problems(gen, arches=("i386", "ia64")) == []
 
 
 def test_lint_unknown_distribution():
     gen = make_gen()
     gen.dist_resolver = lambda d: (_ for _ in ()).throw(KeyError(f"no dist {d}"))
-    problems = gen.lint("nonesuch")
-    assert problems and "nonesuch" in problems[-1]
+    assert problems(gen, "nonesuch") == [("RK110", "'no dist nonesuch'")]
 
 
-# -- arch-conditional lint (the typed engine behind the shim) -----------------
+# -- arch-conditional lint ------------------------------------------------------
 
 
 def make_multiarch_gen(extra_edges=(), extra_files=(), i386_only=()):
@@ -177,10 +183,10 @@ def test_lint_clean_for_i386_but_broken_for_ia64_is_arch_tagged():
         extra_files=[nf],
         i386_only=["x86tool"],
     )
-    assert gen.lint("rocks-dist", arches=("i386",)) == []
-
-    problems = gen.lint("rocks-dist", arches=("ia64",))
-    assert any("x86tool" in p and "ia64" in p for p in problems)
+    assert problems(gen, arches=("i386",)) == []
+    assert problems(gen, arches=("ia64",)) == [
+        ("RK106", "compute/ia64: package 'x86tool' not in rocks-dist")
+    ]
 
     diags = gen.lint_diagnostics("rocks-dist", arches=("ia64",))
     rk106 = [d for d in diags if d.code == "RK106"]

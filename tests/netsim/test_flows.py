@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from repro.netsim import Environment, Flow, FlowNetwork, Link, TransferAborted
 
+from .full_recompute import FullRecomputeNetwork
+
 
 def make_net():
     env = Environment()
@@ -289,11 +291,11 @@ def test_shared_link_completion_conserves_work(sizes, cap):
     assert env.now == pytest.approx(expect, rel=1e-6)
 
 
-# -- full-recompute mode (kept for differential testing) --------------------
+# -- the full-recompute oracle (differential testing) -----------------------
 
 def make_full_net():
     env = Environment()
-    return env, FlowNetwork(env, incremental=False)
+    return env, FullRecomputeNetwork(env)
 
 
 def test_full_mode_two_flows_share_equally():
@@ -320,7 +322,7 @@ def test_full_mode_departure_redistributes():
 
 def test_full_mode_refills_untouched_components():
     # Two disjoint links: a change on one must still leave the other's
-    # flow correct (full mode refills it; rates are reproduced exactly).
+    # flow correct (the oracle refills it; rates are reproduced exactly).
     env, net = make_full_net()
     a, b = Link("a", 100.0), Link("b", 40.0)
     fa = net.transfer([a], 1000.0)
@@ -337,7 +339,7 @@ def test_incremental_change_preserves_other_components_rates():
     fa = net.transfer([a], 1000.0)
     fb = net.transfer([b], 1000.0)
     fa2 = net.transfer([a], 1000.0)
-    # Incremental mode never even visited fb's component.
+    # The incremental network never even visited fb's component.
     assert fa.rate == fa2.rate == 50.0
     assert fb.rate == 40.0
     env.run()

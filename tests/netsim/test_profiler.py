@@ -52,7 +52,7 @@ def test_by_site_attributes_wall_time_to_the_generator():
 
 
 def test_by_site_off_skips_wall_timing():
-    env = drive(ProfiledEnvironment(profile=ProfileOptions(by_site=False)))
+    env = drive(ProfiledEnvironment(options=ProfileOptions(by_site=False)))
     assert env.profile.by_site == {}
     assert env.profile.callback_wall_s == 0.0
     assert env.profile.events_dispatched > 0
@@ -94,8 +94,8 @@ def test_profiled_context_swaps_internally_built_environments():
     assert report["events_dispatched"] > 0
     assert report["fair_share_refills"] > 0  # FlowNetwork self-registered
     assert "engine profile:" in session.render()
-    # the ambient option does not leak past the block
-    assert _engine._AMBIENT_PROFILE is None
+    # the ambient class does not leak past the block
+    assert _engine._AMBIENT_CLASS is None
     assert type(Environment()) is Environment
 
 
@@ -109,14 +109,40 @@ def test_profiled_render_lists_hottest_sites():
 
 
 def test_sanitizer_wins_over_ambient_profile():
-    """When both ambient options are set the sanitizer's subclass is
+    """When both sessions are active the sanitizer's subclass is
     constructed — its diagnostics outrank profiling."""
-    from repro.analysis import sanitized
+    from repro.analysis import SanitizedEnvironment, sanitized
 
     with profiled():
         with sanitized():
             env = Environment()
-            assert type(env).__name__ == "SanitizedEnvironment"
+            assert type(env) is SanitizedEnvironment
+        assert type(Environment()) is ProfiledEnvironment
+    assert type(Environment()) is Environment
+
+
+def test_sanitizer_outer_still_wins_over_inner_profile():
+    from repro.analysis import SanitizedEnvironment, sanitized
+
+    with sanitized() as san:
+        with profiled() as prof:
+            env = Environment()
+            assert type(env) is SanitizedEnvironment
+        assert type(Environment()) is SanitizedEnvironment
+    assert type(Environment()) is Environment
+    assert prof.envs == []
+    assert len(san.envs) == 2
+
+
+def test_profiled_env_reads_options_from_its_session():
+    with profiled(ProfileOptions(by_site=False)):
+        env = drive(Environment())
+    assert env.profile.options.by_site is False
+    assert env.profile.by_site == {}
+    # an explicit option still beats the session's
+    with profiled(ProfileOptions(by_site=False)):
+        env = ProfiledEnvironment(options=ProfileOptions())
+    assert env.profile.options.by_site is True
 
 
 def test_profile_session_empty_render():

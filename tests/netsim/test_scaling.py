@@ -1,11 +1,11 @@
 """Scaling-path tests: incremental fair-share vs the full recompute.
 
-The incremental allocator must be *indistinguishable* from the legacy
-full recompute — not approximately, but bit-for-bit: crediting,
+The incremental allocator must be *indistinguishable* from the full
+recompute oracle — not approximately, but bit-for-bit: crediting,
 completion sweeps and wakeup scheduling share one code path, and the
-full mode merely refills components the incremental mode proves
-untouched.  The differential tests here drive both modes through the
-same randomized workload and assert exact float equality.
+oracle merely refills components the incremental network proves
+untouched.  The differential tests here drive both through the same
+randomized workload and assert exact float equality.
 """
 
 import random
@@ -23,6 +23,8 @@ from repro.netsim import (
 )
 from repro.netsim.engine import Environment as _Env
 from repro.telemetry.tracer import Span
+
+from .full_recompute import FullRecomputeNetwork
 
 
 # -- differential: incremental vs full recompute --------------------------
@@ -54,9 +56,9 @@ def _random_script(seed, n_links=8, n_ops=80):
     return caps, ops
 
 
-def _run_world(incremental, caps, ops):
+def _run_world(network_cls, caps, ops):
     env = Environment()
-    net = FlowNetwork(env, incremental=incremental)
+    net = network_cls(env)
     links = [Link(f"l{i}", c) for i, c in enumerate(caps)]
     created = []
     snapshots = []
@@ -95,8 +97,8 @@ def _run_world(incremental, caps, ops):
 @pytest.mark.parametrize("seed", range(6))
 def test_incremental_matches_full_recompute_exactly(seed):
     caps, ops = _random_script(seed)
-    incr = _run_world(True, caps, ops)
-    full = _run_world(False, caps, ops)
+    incr = _run_world(FlowNetwork, caps, ops)
+    full = _run_world(FullRecomputeNetwork, caps, ops)
     # Exact equality, not approx: completion instants, every mid-run rate
     # snapshot, per-link byte counters, and the global moved total.
     assert incr == full
