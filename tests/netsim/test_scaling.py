@@ -8,6 +8,7 @@ untouched.  The differential tests here drive both through the same
 randomized workload and assert exact float equality.
 """
 
+import math
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from repro.netsim import (
     Timeout,
 )
 from repro.netsim.engine import Environment as _Env
+from repro.telemetry import NULL_TRACER, Tracer
 from repro.telemetry.tracer import Span
 
 from .full_recompute import FullRecomputeNetwork
@@ -56,8 +58,43 @@ def _random_script(seed, n_links=8, n_ops=80):
     return caps, ops
 
 
+def _random_corner_script(seed, n_links=6, n_ops=70):
+    """Like :func:`_random_script`, but aimed at the fill's corner cases.
+
+    Paths may list one link twice (the fill must count it once), caps
+    may be ``math.inf``, and most flows carry one of several caps below
+    their fair share, so a component's caps freeze in different rounds.
+    """
+    rng = random.Random(("netsim-diff-corners", seed).__repr__())
+    caps = [rng.choice([60.0, 120.0, 240.0, None]) for _ in range(n_links)]
+    caps[0] = 240.0  # one loaded link every flow may share
+    ops = []
+    t = 0.0
+    n_started = 0
+    for _ in range(n_ops):
+        t += rng.uniform(0.05, 1.5)
+        roll = rng.random()
+        if roll < 0.7 or n_started == 0:
+            idxs = [0] if rng.random() < 0.6 else []
+            idxs += rng.sample(range(1, n_links), rng.randint(0, 2))
+            if not idxs or rng.random() < 0.25:
+                idxs.append(rng.choice(idxs or range(n_links)))  # a repeat
+            rng.shuffle(idxs)
+            size = rng.uniform(20.0, 600.0)
+            max_rate = rng.choice([None, math.inf, 4.0, 9.0, 17.0, 33.0, 33.0])
+            ops.append((t, "start", (tuple(idxs), size, max_rate)))
+            n_started += 1
+        elif roll < 0.85:
+            ops.append((t, "cancel", (rng.randrange(n_started),)))
+        else:
+            j = rng.randrange(n_links)
+            ops.append((t, "setcap", (j, rng.choice([30.0, 90.0, 180.0]))))
+    return caps, ops
+
+
 def _run_world(network_cls, caps, ops):
     env = Environment()
+    tracer = Tracer().attach(env)
     net = network_cls(env)
     links = [Link(f"l{i}", c) for i, c in enumerate(caps)]
     created = []
@@ -81,6 +118,9 @@ def _run_world(network_cls, caps, ops):
                 (j,) = params
                 if created[j].finished_at is None:
                     created[j].cancel()
+            elif op == "tracing":
+                (on,) = params
+                (tracer if on else NULL_TRACER).attach(env)
             else:
                 j, cap = params
                 links[j].capacity = cap
@@ -91,7 +131,13 @@ def _run_world(network_cls, caps, ops):
     env.run()
     outcomes = [(f.label, f.finished_at, f.remaining) for f in created]
     carried = [link.bytes_carried for link in links]
-    return outcomes, snapshots, carried, net._bytes_moved
+    metrics = tracer.metrics
+    utilization = {
+        name: metrics.samples(name)
+        for name in metrics.gauge_names()
+        if name.startswith("link.util/")
+    }
+    return outcomes, snapshots, carried, net._bytes_moved, utilization
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -100,8 +146,37 @@ def test_incremental_matches_full_recompute_exactly(seed):
     incr = _run_world(FlowNetwork, caps, ops)
     full = _run_world(FullRecomputeNetwork, caps, ops)
     # Exact equality, not approx: completion instants, every mid-run rate
-    # snapshot, per-link byte counters, and the global moved total.
+    # snapshot, per-link byte counters, the global moved total, and every
+    # link.util/* gauge series.
     assert incr == full
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_incremental_matches_full_recompute_on_fill_corners(seed):
+    caps, ops = _random_corner_script(seed)
+    incr = _run_world(FlowNetwork, caps, ops)
+    full = _run_world(FullRecomputeNetwork, caps, ops)
+    assert incr == full
+
+
+def test_utilization_matches_full_recompute_when_tracing_pauses():
+    """Links that drain or fill while tracing is off are sampled at the
+    first fill after tracing resumes, even when that fill is elsewhere."""
+    caps = [100.0, 100.0, 100.0]
+    ops = [
+        (0.0, "start", ((0,), 1000.0, None)),
+        (0.0, "start", ((1,), 1000.0, None)),
+        (1.0, "tracing", (False,)),
+        (1.0, "cancel", (1,)),
+        (1.5, "start", ((2,), 1000.0, None)),
+        (2.0, "tracing", (True,)),
+        (3.0, "start", ((0,), 1000.0, None)),
+    ]
+    incr = _run_world(FlowNetwork, caps, ops)
+    assert incr == _run_world(FullRecomputeNetwork, caps, ops)
+    util = incr[4]
+    assert util["link.util/l1"][-1] == (3.0, 0.0)
+    assert util["link.util/l2"][0] == (3.0, 1.0)
 
 
 # -- satellite 1: completions must not leave stale allocation state -------
@@ -153,6 +228,42 @@ def test_reentrant_completion_rebuilds_membership(monkeypatch):
     assert f2.finished_at == pytest.approx(4.0)
     assert chained[0].finished_at == pytest.approx(6.0)
     assert f2.remaining == 0.0 and chained[0].remaining == 0.0
+
+
+def test_reentrant_completion_samples_links_drained_after_it(monkeypatch):
+    """A fill re-entered from completion handling samples the links
+    touched so far and clears them; a link drained later in the same
+    completion sweep must still be sampled at the next fill."""
+    links = {}
+    orig_complete = FlowNetwork._complete
+
+    def complete_and_chain(self, flow):
+        orig_complete(self, flow)
+        if flow.label == "a":
+            self.transfer([links["c"]], 300.0, label="chained")
+
+    monkeypatch.setattr(FlowNetwork, "_complete", complete_and_chain)
+
+    def world(network_cls):
+        env = Environment()
+        tracer = Tracer().attach(env)
+        net = network_cls(env)
+        links.update((name, Link(name, 100.0)) for name in "abc")
+        # a and b drain in one sweep at t=1; a's completion re-enters.
+        net.transfer([links["a"]], 100.0, label="a")
+        net.transfer([links["b"]], 100.0, label="b")
+
+        def late():
+            yield env.timeout(2.0)
+            net.transfer([links["c"]], 100.0, label="late")
+
+        env.process(late())
+        env.run()
+        return {name: tracer.metrics.samples(f"link.util/{name}") for name in links}
+
+    incr = world(FlowNetwork)
+    assert incr == world(FullRecomputeNetwork)
+    assert incr["b"][-1] == (2.0, 0.0)
 
 
 # -- satellite 3: wakeup storms must not grow the event heap --------------
