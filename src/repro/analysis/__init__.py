@@ -1,6 +1,6 @@
 """repro.analysis — typed static analysis for the Rocks description layer.
 
-Four analyzer families over one diagnostics core:
+Three analyzer families over one diagnostics core:
 
 * **config analyzers** (:mod:`repro.analysis.config_passes`): semantic
   checks over the kickstart graph, node files, and rocks-dist stack —
@@ -9,11 +9,9 @@ Four analyzer families over one diagnostics core:
 * **determinism self-linter** (:mod:`repro.analysis.selfcheck`): AST
   passes over ``src/repro`` itself that flag the wall-clock / unseeded
   RNG / unordered-iteration / leaked-span bug classes earlier PRs fixed
-  by hand;
-* **deep dataflow passes** (:mod:`repro.analysis.deepcheck`): a
-  project-wide symbol table + call graph feeding the RK3xx determinism
-  analyses (unseeded-RNG taint, yield-straddling staleness, unbounded
-  wait loops, order-sensitive float accumulation);
+  by hand (RK2xx), plus the hazards the sanitizer cannot prove (RK301
+  unseeded ``Random()``, RK302 yield-straddling staleness, RK303
+  unbounded wait loops, RK304 set-order float sums);
 * **dynamic sanitizer** (:mod:`repro.analysis.sanitizer`): a runtime
   race detector that perturbs same-tick scheduling order under a seeded
   RNG and proves races by digest divergence.
@@ -27,29 +25,23 @@ Entry points::
     from repro.analysis import analyze_self, default_self_context
     diags = analyze_self(default_self_context())
 
-    from repro.analysis import analyze_deep, default_deep_context
-    diags = analyze_deep(default_deep_context())
-
     from repro.analysis import run_scenario, diagnose_divergence
     race = diagnose_divergence(run_scenario("table1", 1),
                                run_scenario("table1", 2))
 
-or ``python -m repro lint [--self] [--deep] [--strict]`` and
+or ``python -m repro lint [--self] [--strict]`` and
 ``python -m repro sanitize table1``.
 """
 
 from .baseline import Baseline, BaselineEntry
 from .config_passes import PROVIDED_ATTRIBUTES, ConfigContext, analyze_config
-from .deepcheck import DeepContext, analyze_deep, default_deep_context
 from .diagnostics import CODES, CodeInfo, Diagnostic, Severity, SourceLocation, code_info
 from .passes import (
     CONFIG_PASSES,
-    DEEP_PASSES,
     SELF_PASSES,
     Pass,
     filter_codes,
     register_config,
-    register_deep,
     register_self,
     run_passes,
 )
@@ -72,8 +64,6 @@ __all__ = [
     "CodeInfo",
     "ConfigContext",
     "CONFIG_PASSES",
-    "DeepContext",
-    "DEEP_PASSES",
     "Diagnostic",
     "JSON_SCHEMA_VERSION",
     "Pass",
@@ -87,15 +77,12 @@ __all__ = [
     "Severity",
     "SourceLocation",
     "analyze_config",
-    "analyze_deep",
     "analyze_self",
     "code_info",
-    "default_deep_context",
     "default_self_context",
     "diagnose_divergence",
     "filter_codes",
     "register_config",
-    "register_deep",
     "register_self",
     "render_json",
     "render_text",

@@ -20,7 +20,8 @@ a future regression at the same (code, path).  :meth:`Baseline.stale`
 names those dead entries after an :meth:`~Baseline.apply`, scoped to
 the codes the run could actually have emitted so a config-only run
 never condemns self-lint entries; ``repro lint --prune-baseline``
-rewrites the file without them.
+rewrites the file without them, keeping every other line (comments,
+section headings, blank lines) byte-for-byte.
 """
 
 from __future__ import annotations
@@ -55,12 +56,24 @@ class BaselineEntry:
 
 
 class Baseline:
-    """A parsed suppression file applied to a diagnostic list."""
+    """A parsed suppression file applied to a diagnostic list.
+
+    It keeps every line of the text it was parsed from, each paired
+    with the entry it holds (None for a comment or blank line), so
+    :meth:`render` reproduces the file and :meth:`pruned` drops only
+    entry lines.
+    """
 
     def __init__(self, entries: Iterable[BaselineEntry] = ()):
-        self.entries = list(entries)
+        self._lines: list[tuple[str, Optional[BaselineEntry]]] = [
+            (e.render() + "\n", e) for e in entries
+        ]
         #: entries that matched at least one diagnostic in the last apply()
         self.used: list[BaselineEntry] = []
+
+    @property
+    def entries(self) -> list[BaselineEntry]:
+        return [e for _, e in self._lines if e is not None]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -68,20 +81,23 @@ class Baseline:
     # -- parsing -----------------------------------------------------------
     @classmethod
     def from_text(cls, text: str) -> "Baseline":
-        entries = []
-        for raw in text.splitlines():
+        lines: list[tuple[str, Optional[BaselineEntry]]] = []
+        for raw in text.splitlines(keepends=True):
             line = raw.strip()
             if not line or line.startswith("#"):
+                lines.append((raw, None))
                 continue
             body, _, comment = line.partition("#")
             parts = body.split()
             if len(parts) != 2:
-                raise ValueError(f"bad baseline line: {raw!r} "
+                raise ValueError(f"bad baseline line: {raw.rstrip()!r} "
                                  "(want 'CODE PATH  # justification')")
-            entries.append(
-                BaselineEntry(parts[0], parts[1], comment.strip())
+            lines.append(
+                (raw, BaselineEntry(parts[0], parts[1], comment.strip()))
             )
-        return cls(entries)
+        baseline = cls()
+        baseline._lines = lines
+        return baseline
 
     @classmethod
     def from_file(cls, path) -> "Baseline":
@@ -135,13 +151,13 @@ class Baseline:
         ]
 
     def pruned(self, stale: Iterable[BaselineEntry]) -> "Baseline":
-        """A new baseline without the given (stale) entries."""
+        """A new baseline without the given (stale) entries' lines."""
         drop = set(stale)
-        return Baseline(e for e in self.entries if e not in drop)
+        baseline = Baseline()
+        baseline._lines = [
+            (text, e) for text, e in self._lines if e not in drop
+        ]
+        return baseline
 
     def render(self) -> str:
-        header = [
-            "# repro lint suppression baseline",
-            "# one entry per line: CODE PATH  # justification",
-        ]
-        return "\n".join(header + [e.render() for e in self.entries]) + "\n"
+        return "".join(text for text, _ in self._lines)

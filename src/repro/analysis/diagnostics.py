@@ -171,10 +171,9 @@ CODES: dict[str, CodeInfo] = {
         CodeInfo("RK208", Severity.WARNING,
                  "span opened without a parent= in instrumented simulation "
                  "code (breaks causal attribution)"),
-        # -- dataflow determinism passes (RK30x, `repro lint --deep`) ------
+        # -- self-linter hazards the sanitizer cannot prove (RK30x) --------
         CodeInfo("RK301", Severity.ERROR,
-                 "random.Random() constructed without a seed flows into "
-                 "simulation code"),
+                 "random.Random() constructed without a seed"),
         CodeInfo("RK302", Severity.WARNING,
                  "snapshot of shared mutable state captured before a yield "
                  "and consumed after it"),
@@ -182,8 +181,8 @@ CODES: dict[str, CodeInfo] = {
                  "polling wait loop with no timeout, deadline or attempt "
                  "bound on the path"),
         CodeInfo("RK304", Severity.WARNING,
-                 "order-sensitive float accumulation over an unordered "
-                 "iterable in a hot path"),
+                 "order-sensitive float sum() over an unordered set in a "
+                 "hot path"),
         # -- dynamic sanitizer (RK31x, `repro sanitize`) -------------------
         CodeInfo("RK310", Severity.ERROR,
                  "scheduling race: digests diverge across perturbation "

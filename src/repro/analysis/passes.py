@@ -2,15 +2,13 @@
 
 A :class:`Pass` is one analyzer: it declares the codes it may emit and
 produces :class:`~repro.analysis.diagnostics.Diagnostic` objects from a
-context.  Three families are registered here:
+context.  Two families are registered here:
 
 * ``CONFIG_PASSES`` run over a :class:`~repro.analysis.config_passes.ConfigContext`
   (graph + node files + distribution) — the §6.1 XML infrastructure;
 * ``SELF_PASSES`` run over a :class:`~repro.analysis.selfcheck.SelfLintContext`
-  (parsed ASTs of our own source) — the determinism linter;
-* ``DEEP_PASSES`` run over a :class:`~repro.analysis.deepcheck.DeepContext`
-  (project-wide symbol table + call graph) — the RK3xx dataflow
-  determinism passes behind ``repro lint --deep``.
+  (one parse of our own source) — the determinism linter, RK2xx and
+  RK301–RK304.
 
 ``run_passes`` is the only execution path: it runs every selected pass,
 sorts the result deterministically, and applies ``--select``/``--ignore``
@@ -28,10 +26,8 @@ __all__ = [
     "Pass",
     "CONFIG_PASSES",
     "SELF_PASSES",
-    "DEEP_PASSES",
     "register_config",
     "register_self",
-    "register_deep",
     "run_passes",
     "filter_codes",
 ]
@@ -62,7 +58,6 @@ class _FunctionPass(Pass):
 
 CONFIG_PASSES: list[Pass] = []
 SELF_PASSES: list[Pass] = []
-DEEP_PASSES: list[Pass] = []
 
 
 def _register(registry: list[Pass], codes: Sequence[str]):
@@ -85,17 +80,6 @@ def register_config(*codes: str):
 def register_self(*codes: str):
     """Register a determinism self-lint analyzer emitting ``codes``."""
     return _register(SELF_PASSES, codes)
-
-
-def register_deep(*codes: str):
-    """Register a dataflow determinism analyzer emitting ``codes``.
-
-    Deep passes run over a :class:`~repro.analysis.deepcheck.DeepContext`
-    (project-wide symbol table + call graph), not the per-file ASTs the
-    self-linter sees, so they live in their own registry and behind
-    ``repro lint --deep``.
-    """
-    return _register(DEEP_PASSES, codes)
 
 
 def _match_any(code: str, prefixes: Sequence[str]) -> bool:

@@ -76,6 +76,8 @@ __all__ = [
 
 _REPO_ROOT = Path(__file__).resolve().parents[3]
 _THIS_FILE = __file__
+#: scheduling-stack frames kept per dispatched event
+_STACK_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -86,15 +88,11 @@ class SanitizeOptions:
     seeds explore two different (equally legal) dispatch orders of every
     same-tick event population.  ``record_stacks`` captures a scheduling
     stack per event for race reports; turn it off for very large
-    scenarios where the digest verdict alone is enough.  ``traps``
-    controls the runtime random/wall-clock interception installed by
-    :func:`sanitized`.
+    scenarios where the digest verdict alone is enough.
     """
 
     seed: int = 0
     record_stacks: bool = True
-    stack_depth: int = 5
-    traps: bool = True
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,7 @@ class SanitizedEnvironment(InstrumentedEnvironment):
             and not (f.filename == _THIS_FILE
                      and f.name in self._INTERNAL_FRAMES)
         ]
-        trimmed = frames[-self.options.stack_depth:]
+        trimmed = frames[-_STACK_DEPTH:]
         rendered = tuple(
             f"{_relpath(f.filename)}:{f.lineno} in {f.name}"
             for f in reversed(trimmed)
@@ -408,8 +406,7 @@ def sanitized(options: Optional[SanitizeOptions] = None,
     session = SanitizerSession(opts)
     prev_session = _ACTIVE_SESSION
     _ACTIVE_SESSION = session
-    if opts.traps:
-        session._install_traps()
+    session._install_traps()
     for cls in watch:
         session.watch(cls)
     try:

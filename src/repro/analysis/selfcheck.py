@@ -43,8 +43,27 @@ shapes, and each is mechanically detectable in the AST:
   reinstall, storm, exec fanouts) and spans that parent via the
   ambient context carry baseline entries.
 
-The linter lints itself: ``repro lint --self`` runs these passes over
-``src/repro`` (including this package) against the committed baseline.
+Four more hazards are ones the dynamic sanitizer (``repro sanitize``)
+cannot prove, because none of them depends on same-tick dispatch order:
+
+* **RK301** — ``random.Random()`` constructed without a seed: it draws
+  from OS entropy, so every value differs run to run.  The sanitizer's
+  RK311 trap only sees module-level ``random.*`` calls, not an instance;
+* **RK302** — a snapshot of shared mutable state (``list(self.flows)``,
+  ``x.members.copy()``, …) captured before a ``yield`` and read after
+  it: while the generator was suspended anyone may have mutated the
+  state, across instants, not just within one tick;
+* **RK303** — a ``while`` loop whose body only sleeps (``yield
+  env.timeout(...)``) with no deadline or attempt bound: a wedged
+  condition spins forever and the scenario hangs with no diagnosis;
+* **RK304** — ``sum()`` taken directly over a set in a hot path: float
+  addition is not associative, so a hash-order total is
+  hash-seed-dependent.  A sum over a comprehension that iterates a set
+  (or ``+=`` in a ``for`` over one) is already an RK203 finding.
+
+The linter lints itself: ``repro lint --self`` parses each file of
+``src/repro`` (including this package) once, runs every pass over that
+parse, and gates the result against the committed baseline.
 """
 
 from __future__ import annotations
@@ -73,6 +92,14 @@ _GLOBAL_RANDOM_FUNCS = frozenset({
     "normalvariate", "expovariate", "triangular", "vonmisesvariate",
     "paretovariate", "weibullvariate",
 })
+
+#: package subdirectories whose loops and float totals are
+#: determinism-critical (RK203, RK304)
+_HOT_PACKAGES = ("netsim", "installer", "exec", "load", "monitoring")
+#: packages where open-loop load can reach (RK206; exec included: a
+#: 4096-target fan-out gathers output through MsgTree and per-node
+#: buffers, which an open-loop caller can grow without bound)
+_QUEUE_HOT_PACKAGES = ("load", "netsim", "exec")
 
 
 @dataclass
@@ -110,10 +137,6 @@ class SelfLintContext:
 
     package_root: Path                    # e.g. <repo>/src/repro
     repo_root: Path                       # paths in diagnostics are relative to this
-    #: package subdirectories whose loops are determinism-critical
-    hot_paths: tuple[str, ...] = (
-        "netsim", "installer", "exec", "load", "monitoring",
-    )
     _files: Optional[list[ParsedFile]] = None
 
     @property
@@ -133,9 +156,10 @@ class SelfLintContext:
             self._files = parsed
         return self._files
 
-    def is_hot(self, pf: ParsedFile) -> bool:
+    def in_packages(self, pf: ParsedFile, packages: tuple[str, ...]) -> bool:
+        """Does ``pf`` live under one of these top-level subpackages?"""
         rel_pkg = pf.path.relative_to(self.package_root)
-        return bool(rel_pkg.parts) and rel_pkg.parts[0] in self.hot_paths
+        return bool(rel_pkg.parts) and rel_pkg.parts[0] in packages
 
     def diag(self, code: str, message: str, pf: ParsedFile,
              node: ast.AST, hint: str = "", **data) -> Diagnostic:
@@ -240,14 +264,46 @@ def _is_datetime_base(base: ast.expr, pf: ParsedFile) -> bool:
     return False
 
 
-# -- RK202: unseeded global RNG --------------------------------------------------
+# -- RK202/RK301: unseeded RNGs --------------------------------------------------
 
 
-@register_self("RK202")
+def _is_unseeded_random(node: ast.Call, pf: ParsedFile) -> bool:
+    """``random.Random()`` / imported ``Random()`` with no seed argument."""
+    func = node.func
+    named = False
+    if (isinstance(func, ast.Attribute) and func.attr == "Random"
+            and isinstance(func.value, ast.Name)
+            and func.value.id in pf.random_names):
+        named = True
+    elif isinstance(func, ast.Name):
+        named = pf.from_imports.get(func.id) == ("random", "Random")
+    if not named or node.args:
+        return False
+    return not any(kw.arg in ("x", "seed") for kw in node.keywords)
+
+
+@register_self("RK202", "RK301")
 def check_global_random(ctx: SelfLintContext):
+    """Every RNG a simulation draws from must replay from a seed.
+
+    Module-level ``random.*`` calls (RK202) share one global RNG that any
+    caller can reseed or advance.  A ``random.Random()`` built with no
+    seed (RK301) initialises from OS entropy: every value drawn from it
+    differs run to run, so any rate, delay or ordering derived from it
+    breaks byte-identical replay.
+    """
     for pf in ctx.files:
         for node in ast.walk(pf.tree):
             if not isinstance(node, ast.Call):
+                continue
+            if _is_unseeded_random(node, pf):
+                yield ctx.diag(
+                    "RK301",
+                    "random.Random() constructed without a seed",
+                    pf, node,
+                    hint="pass an explicit seed (derive it from the scenario "
+                         "seed) so every draw replays byte-identically",
+                )
                 continue
             func = node.func
             name = None
@@ -272,7 +328,7 @@ def check_global_random(ctx: SelfLintContext):
                 )
 
 
-# -- RK203: set iteration in hot paths -------------------------------------------
+# -- RK203/RK304: set iteration and set sums in hot paths -------------------------
 
 
 def _is_set_expr(node: ast.expr) -> bool:
@@ -301,10 +357,19 @@ def _scope_statements(scope: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-@register_self("RK203")
+@register_self("RK203", "RK304")
 def check_set_iteration(ctx: SelfLintContext):
+    """Set order varies with hash seeding and history.
+
+    Iterating a set (RK203) hands members out in that order.  A ``sum()``
+    taken directly over one (RK304) accumulates floats in it, and IEEE
+    addition is not associative: two runs can disagree in the last ulp,
+    and every rate or timestamp derived from the total diverges from
+    there.  Only hot packages are scanned: that is where order reaches
+    floats, events and telemetry.
+    """
     for pf in ctx.files:
-        if not ctx.is_hot(pf):
+        if not ctx.in_packages(pf, _HOT_PACKAGES):
             continue
         for scope in _scopes(pf.tree):
             set_names: set[str] = set()
@@ -319,6 +384,11 @@ def check_set_iteration(ctx: SelfLintContext):
                       and isinstance(node.target, ast.Name)):
                     set_names.add(node.target.id)
 
+            def unordered(expr: ast.expr) -> bool:
+                return _is_set_expr(expr) or (
+                    isinstance(expr, ast.Name) and expr.id in set_names
+                )
+
             def iter_exprs():
                 for node in _scope_statements(scope):
                     if isinstance(node, (ast.For, ast.AsyncFor)):
@@ -329,10 +399,7 @@ def check_set_iteration(ctx: SelfLintContext):
                             yield gen.iter
 
             for it in iter_exprs():
-                flagged = _is_set_expr(it) or (
-                    isinstance(it, ast.Name) and it.id in set_names
-                )
-                if flagged:
+                if unordered(it):
                     what = (it.id if isinstance(it, ast.Name)
                             else ast.unparse(it))
                     yield ctx.diag(
@@ -343,6 +410,21 @@ def check_set_iteration(ctx: SelfLintContext):
                         hint="use dict.fromkeys(...) (insertion-ordered "
                              "set) or sorted(...) when order can reach "
                              "floats, events, or telemetry",
+                        expr=what,
+                    )
+            for node in _scope_statements(scope):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "sum" and node.args
+                        and unordered(node.args[0])):
+                    what = ast.unparse(node.args[0])
+                    yield ctx.diag(
+                        "RK304",
+                        f"sum() over unordered set {what!r} in a hot path",
+                        pf, node,
+                        hint="accumulate over an insertion-ordered dict "
+                             "or sorted(...) so the float total is "
+                             "identical on every run",
                         expr=what,
                     )
 
@@ -368,16 +450,6 @@ def check_leaked_spans(ctx: SelfLintContext):
 
 
 # -- RK206: unbounded queues on storm paths --------------------------------------
-
-#: packages (relative to the package root) where open-loop load can reach
-#: (exec included: a 4096-target fan-out gathers output through MsgTree
-#: and per-node buffers, which an open-loop caller can grow without bound)
-_QUEUE_HOT_PACKAGES = ("load", "netsim", "exec")
-
-
-def _in_queue_hot_package(ctx: SelfLintContext, pf: ParsedFile) -> bool:
-    rel_pkg = pf.path.relative_to(ctx.package_root)
-    return bool(rel_pkg.parts) and rel_pkg.parts[0] in _QUEUE_HOT_PACKAGES
 
 
 def _queue_call_name(node: ast.Call, pf: ParsedFile) -> Optional[str]:
@@ -431,7 +503,7 @@ def check_unbounded_queues(ctx: SelfLintContext):
     lint baseline, which doubles as an inventory of such invariants.
     """
     for pf in ctx.files:
-        if not _in_queue_hot_package(ctx, pf):
+        if not ctx.in_packages(pf, _QUEUE_HOT_PACKAGES):
             continue
         for node in ast.walk(pf.tree):
             if not isinstance(node, ast.Call):
@@ -608,3 +680,141 @@ def check_leaked_series(ctx: SelfLintContext):
                     hint="bind the returned RoundRobinSeries and record "
                          "into it, or route writes through store.record()",
                 )
+
+
+# -- RK302: yield-straddling staleness -------------------------------------------
+
+_SNAPSHOT_FUNCS = frozenset({
+    "list", "sorted", "tuple", "dict", "set", "frozenset",
+})
+
+
+def _is_shared_snapshot(value: ast.expr) -> Optional[str]:
+    """The snapshot expression when ``value`` copies shared mutable state.
+
+    Recognised shapes: ``list(x.attr...)`` / ``sorted`` / ``dict`` /
+    ``set`` / ``tuple`` / ``frozenset`` over an expression that reads an
+    attribute, and ``x.attr.copy()``.  A copy of purely local data
+    (``list(names)``) is not shared state and stays exempt.
+    """
+    if not isinstance(value, ast.Call):
+        return None
+    func = value.func
+    if (isinstance(func, ast.Name) and func.id in _SNAPSHOT_FUNCS
+            and value.args
+            and any(isinstance(n, ast.Attribute)
+                    for n in ast.walk(value.args[0]))):
+        return ast.unparse(value)
+    if (isinstance(func, ast.Attribute) and func.attr == "copy"
+            and isinstance(func.value, ast.Attribute)):
+        return ast.unparse(value)
+    return None
+
+
+@register_self("RK302")
+def check_yield_straddle(ctx: SelfLintContext):
+    """A snapshot consumed after a ``yield`` may be stale.
+
+    A generator that snapshots shared mutable state, suspends at a
+    ``yield``, and then consumes the snapshot is trusting that nobody
+    mutated the underlying state while it slept — but a yield is exactly
+    where every other process (and every completion callback) gets to
+    run.  This is the stale-active bug class: a completion callback
+    changed flow membership while a refill held a snapshot of it.
+    Re-derive the snapshot after resuming, or re-validate each member
+    against the live structure.
+    """
+    for pf in ctx.files:
+        for scope in _scopes(pf.tree):
+            yields = sorted(n.lineno for n in _scope_statements(scope)
+                            if isinstance(n, (ast.Yield, ast.YieldFrom)))
+            if not yields:
+                continue
+            for node in _scope_statements(scope):
+                if not isinstance(node, ast.Assign):
+                    continue
+                snap = _is_shared_snapshot(node.value)
+                if snap is None:
+                    continue
+                names = [t.id for t in node.targets
+                         if isinstance(t, ast.Name)]
+                if not names:
+                    continue
+                name = names[0]
+                uses = sorted(
+                    n.lineno for n in _scope_statements(scope)
+                    if isinstance(n, ast.Name) and n.id == name
+                    and isinstance(n.ctx, ast.Load)
+                )
+                straddling = [
+                    u for u in uses
+                    if any(node.lineno < y < u for y in yields)
+                ]
+                if straddling:
+                    yield ctx.diag(
+                        "RK302",
+                        f"snapshot {name!r} = {snap} is captured before a "
+                        f"yield and read at line {straddling[0]} after it",
+                        pf, node,
+                        hint="re-derive the snapshot after the yield, or "
+                             "re-check each member against the live "
+                             "structure before acting on it",
+                        snapshot=snap, first_stale_use=straddling[0],
+                    )
+
+
+# -- RK303: unbounded wait loops -------------------------------------------------
+
+#: names that evidence a bound on a polling loop (deadline, budget, …)
+_BOUND_NAME_RE = re.compile(
+    r"deadline|timeout|attempt|retr|budget|remaining|until|expir|"
+    r"max_|_max|tries|give_up|limit",
+    re.IGNORECASE,
+)
+
+
+def _is_sleep_yield(stmt: ast.AST) -> bool:
+    """``yield env.timeout(...)`` / ``yield env.slotted_timeout(...)``."""
+    if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Yield)):
+        return False
+    val = stmt.value.value
+    return (isinstance(val, ast.Call)
+            and isinstance(val.func, ast.Attribute)
+            and val.func.attr in ("timeout", "slotted_timeout"))
+
+
+@register_self("RK303")
+def check_unbounded_wait_loops(ctx: SelfLintContext):
+    """A pure sleep-poll loop with no bound can spin forever.
+
+    The shape is ``while <condition>: yield env.timeout(t)`` (the body
+    does nothing but sleep).  If the condition is wedged — the event it
+    polls for was lost to a fault — the process never exits and never
+    raises, so the scenario hangs with no diagnosis.  Loops whose test
+    references a deadline/attempt bound, and loops that do real work per
+    tick (service loops), are exempt.
+    """
+    for pf in ctx.files:
+        for node in ast.walk(pf.tree):
+            if not isinstance(node, ast.While):
+                continue
+            if isinstance(node.test, ast.Constant):
+                continue  # `while True` service loops are not polls
+            body = [s for s in node.body
+                    if not (isinstance(s, ast.Expr)
+                            and isinstance(s.value, ast.Constant))]
+            if len(body) != 1 or not _is_sleep_yield(body[0]):
+                continue
+            cond_text = ast.unparse(node.test)
+            if _BOUND_NAME_RE.search(cond_text):
+                continue
+            yield ctx.diag(
+                "RK303",
+                f"polling wait loop on {cond_text!r} sleeps with no "
+                f"deadline or attempt bound",
+                pf, node,
+                hint="wait on the event itself (or AnyOf(event, "
+                     "env.timeout(deadline))) so a wedged condition "
+                     "fails loudly instead of spinning forever",
+                condition=cond_text,
+            )

@@ -136,14 +136,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
     from .analysis import (
         CONFIG_PASSES,
-        DEEP_PASSES,
         SELF_PASSES,
         Baseline,
         ConfigContext,
         analyze_config,
-        analyze_deep,
         analyze_self,
-        default_deep_context,
         default_self_context,
         render_json,
         render_text,
@@ -152,16 +149,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     select = _parse_codes(args.select)
     ignore = _parse_codes(args.ignore)
 
-    if args.self or args.deep:
+    if args.self:
         ctx = default_self_context()
         diagnostics = analyze_self(ctx, select=select, ignore=ignore)
-        ran_passes = list(SELF_PASSES)
-        if args.deep:
-            diagnostics += analyze_deep(
-                default_deep_context(), select=select, ignore=ignore
-            )
-            diagnostics.sort(key=lambda d: d.sort_key)
-            ran_passes += DEEP_PASSES
+        ran_passes = SELF_PASSES
         default_baseline = ctx.repo_root / "lint-baseline.txt"
     else:
         arches = tuple(a.strip() for a in args.arch.split(",") if a.strip())
@@ -183,7 +174,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             sources=sources,
         )
         diagnostics = analyze_config(ctx, select=select, ignore=ignore)
-        ran_passes = list(CONFIG_PASSES)
+        ran_passes = CONFIG_PASSES
         default_baseline = Path("lint-baseline.txt")
 
     baseline_path = args.baseline or default_baseline
@@ -213,7 +204,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if not diagnostics:
             print(
                 "lint: src/repro is consistent with the determinism rules"
-                if args.self or args.deep
+                if args.self
                 else "lint: XML infrastructure is consistent with the "
                      "distribution"
             )
@@ -230,6 +221,11 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     from .analysis.sanitizer import diagnose_divergence, run_scenario
 
     seeds = args.seeds
+    if seeds[0] == seeds[1]:
+        print(f"sanitize: --seeds must differ (got {seeds[0]} twice): one "
+              f"perturbation seed is one execution, so nothing can diverge",
+              file=sys.stderr)
+        return 2
     runs = []
     for seed in seeds:
         run = run_scenario(
@@ -607,10 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--self", action="store_true",
                    help="run the AST determinism linter over src/repro "
                         "instead of the config analyzers")
-    p.add_argument("--deep", action="store_true",
-                   help="also run the RK3xx dataflow determinism passes "
-                        "(symbol table + call graph over src/repro; "
-                        "implies --self)")
     p.add_argument("--baseline", default=None, metavar="PATH",
                    help="suppression baseline file "
                         "(default: lint-baseline.txt)")
@@ -634,7 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the scenario's default cluster size")
     p.add_argument("--seeds", type=int, nargs=2, default=[1, 2],
                    metavar=("A", "B"),
-                   help="the two perturbation seeds to compare")
+                   help="the two perturbation seeds to compare "
+                        "(must differ)")
     p.add_argument("--no-stacks", action="store_true",
                    help="skip per-event scheduling-stack capture (faster; "
                         "race reports lose their stacks)")

@@ -91,6 +91,9 @@ def test_lint_prune_baseline_rewrites_file(tmp_path, capsys):
     assert "RK206 src/repro/netsim/http.py" in text
     assert "RK207 src/repro/quickbuild.py" in text
     assert "gone.py" not in text
+    # only the stale entry's line goes: comments, section headings and
+    # blank lines survive byte-for-byte
+    assert text == committed
 
 
 def test_config_lint_does_not_condemn_self_entries(capsys):

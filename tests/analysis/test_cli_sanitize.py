@@ -37,6 +37,16 @@ def test_sanitize_custom_seeds(capsys):
     assert "seeds 5 and 9" in out
 
 
+def test_sanitize_rejects_equal_seeds(capsys):
+    """One seed twice is one execution: the planted race cannot diverge,
+    so the run must be refused, not reported byte-identical."""
+    code, out, err = run_cli(
+        capsys, "sanitize", "race-fixture", "--seeds", "5", "5")
+    assert code == 2
+    assert out == ""  # refused before either run
+    assert "--seeds must differ" in err
+
+
 def test_sanitize_unknown_scenario_errors(capsys):
     try:
         main(["sanitize", "not-a-scenario"])

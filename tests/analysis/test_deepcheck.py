@@ -1,4 +1,4 @@
-"""The RK3xx dataflow passes: planted hazards, clean forms, self-hosting."""
+"""The RK301–RK304 self-lint passes: planted hazards, clean forms, self-hosting."""
 
 import json
 import os
@@ -7,7 +7,7 @@ import sys
 import textwrap
 from pathlib import Path
 
-from repro.analysis import DeepContext, analyze_deep, default_deep_context
+from repro.analysis import SelfLintContext, analyze_self, default_self_context
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -15,74 +15,22 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 def make_ctx(tmp_path, files):
     """Build a fake package tree: {relative path: source}.
 
-    Paths under ``netsim/`` etc. land in simulation (and hot) packages;
-    paths under ``analysis/`` are neither.
+    Paths under ``netsim/`` etc. land in hot packages; paths under
+    ``analysis/`` do not.
     """
     pkg = tmp_path / "src" / "pkg"
     for rel, source in files.items():
         path = pkg / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
-    return DeepContext(package_root=pkg, repo_root=tmp_path)
+    return SelfLintContext(package_root=pkg, repo_root=tmp_path)
 
 
 def codes(diags):
     return [d.code for d in diags]
 
 
-# -- the symbol table and call graph -------------------------------------------
-
-
-def test_symbol_table_qualnames(tmp_path):
-    ctx = make_ctx(tmp_path, {"netsim/a.py": """
-        class Widget:
-            def spin(self):
-                return self.helper()
-            def helper(self):
-                return 1
-        def top():
-            return Widget()
-    """})
-    assert "repro.netsim.a.Widget.spin" in ctx.functions
-    assert "repro.netsim.a.top" in ctx.functions
-    spin = ctx.functions["repro.netsim.a.Widget.spin"]
-    assert spin.calls == ["repro.netsim.a.Widget.helper"]
-
-
-def test_call_graph_resolves_from_imports(tmp_path):
-    ctx = make_ctx(tmp_path, {
-        "util.py": """
-            def make_thing():
-                return 1
-        """,
-        "netsim/b.py": """
-            from ..util import make_thing
-            def use():
-                return make_thing()
-        """,
-    })
-    use = ctx.functions["repro.netsim.b.use"]
-    assert use.calls == ["repro.util.make_thing"]
-
-
-def test_sim_chain_walks_callers(tmp_path):
-    ctx = make_ctx(tmp_path, {
-        "util.py": """
-            def leaf():
-                return 1
-        """,
-        "netsim/c.py": """
-            from ..util import leaf
-            def entry():
-                return leaf()
-        """,
-    })
-    chain = ctx.sim_chain("repro.util.leaf")
-    assert chain == ["repro.netsim.c.entry", "repro.util.leaf"]
-    assert ctx.sim_chain("repro.netsim.c.entry") == ["repro.netsim.c.entry"]
-
-
-# -- RK301: unseeded-RNG taint -------------------------------------------------
+# -- RK301: unseeded Random() --------------------------------------------------
 
 
 def test_rk301_direct_in_sim_code(tmp_path):
@@ -92,9 +40,9 @@ def test_rk301_direct_in_sim_code(tmp_path):
             rng = random.Random()
             return rng.random()
     """})
-    diags = analyze_deep(ctx)
+    diags = analyze_self(ctx)
     assert codes(diags) == ["RK301"]
-    assert diags[0].data["chain"] == ["repro.netsim.a.jitter"]
+    assert diags[0].location.line == 4
 
 
 def test_rk301_taint_through_helper(tmp_path):
@@ -110,13 +58,9 @@ def test_rk301_taint_through_helper(tmp_path):
                 return make_rng().random()
         """,
     })
-    diags = analyze_deep(ctx)
+    diags = analyze_self(ctx)
     assert codes(diags) == ["RK301"]
     assert diags[0].location.file == "src/pkg/util.py"
-    assert diags[0].data["chain"] == [
-        "repro.netsim.b.delays", "repro.util.make_rng",
-    ]
-    assert "flows into simulation code" in diags[0].message
 
 
 def test_rk301_seeded_is_clean(tmp_path):
@@ -128,17 +72,7 @@ def test_rk301_seeded_is_clean(tmp_path):
             c = random.Random(seed=7)
             return a, b, c
     """})
-    assert analyze_deep(ctx) == []
-
-
-def test_rk301_unreached_helper_is_clean(tmp_path):
-    """An unseeded RNG nothing in simulation code calls is not a hazard."""
-    ctx = make_ctx(tmp_path, {"analysis/tool.py": """
-        import random
-        def offline():
-            return random.Random()
-    """})
-    assert analyze_deep(ctx) == []
+    assert analyze_self(ctx) == []
 
 
 # -- RK302: yield-straddling staleness -----------------------------------------
@@ -153,7 +87,7 @@ def test_rk302_snapshot_read_after_yield(tmp_path):
                 for flow in active:
                     flow.credit += 1
     """})
-    diags = analyze_deep(ctx)
+    diags = analyze_self(ctx)
     assert codes(diags) == ["RK302"]
     assert "active" in diags[0].message
     assert diags[0].data["snapshot"] == "list(self.flows)"
@@ -166,7 +100,7 @@ def test_rk302_copy_method_form(tmp_path):
             yield env.timeout(1.0)
             return len(pending)
     """})
-    assert codes(analyze_deep(ctx)) == ["RK302"]
+    assert codes(analyze_self(ctx)) == ["RK302"]
 
 
 def test_rk302_use_before_yield_is_clean(tmp_path):
@@ -177,7 +111,7 @@ def test_rk302_use_before_yield_is_clean(tmp_path):
             yield env.timeout(1.0)
             return count
     """})
-    assert analyze_deep(ctx) == []
+    assert analyze_self(ctx) == []
 
 
 def test_rk302_local_snapshot_is_clean(tmp_path):
@@ -188,7 +122,7 @@ def test_rk302_local_snapshot_is_clean(tmp_path):
             yield env.timeout(1.0)
             return mine
     """})
-    assert analyze_deep(ctx) == []
+    assert analyze_self(ctx) == []
 
 
 # -- RK303: unbounded wait loops -----------------------------------------------
@@ -200,7 +134,7 @@ def test_rk303_pure_sleep_poll(tmp_path):
             while not node.ready:
                 yield env.timeout(1.0)
     """})
-    diags = analyze_deep(ctx)
+    diags = analyze_self(ctx)
     assert codes(diags) == ["RK303"]
     assert "not node.ready" in diags[0].message
 
@@ -211,7 +145,7 @@ def test_rk303_deadline_bound_is_clean(tmp_path):
             while not node.ready and env.now < deadline:
                 yield env.timeout(1.0)
     """})
-    assert analyze_deep(ctx) == []
+    assert analyze_self(ctx) == []
 
 
 def test_rk303_service_loop_is_clean(tmp_path):
@@ -222,7 +156,7 @@ def test_rk303_service_loop_is_clean(tmp_path):
                 self.tick()
                 yield env.slotted_timeout(1.0)
     """})
-    assert analyze_deep(ctx) == []
+    assert analyze_self(ctx) == []
 
 
 def test_rk303_while_true_is_clean(tmp_path):
@@ -231,7 +165,7 @@ def test_rk303_while_true_is_clean(tmp_path):
             while True:
                 yield env.timeout(5.0)
     """})
-    assert analyze_deep(ctx) == []
+    assert analyze_self(ctx) == []
 
 
 # -- RK304: order-sensitive float accumulation ---------------------------------
@@ -243,19 +177,21 @@ def test_rk304_sum_over_set_name(tmp_path):
             rates = {1.0, 2.0, 4.0}
             return sum(rates)
     """})
-    diags = analyze_deep(ctx)
+    diags = analyze_self(ctx)
     assert codes(diags) == ["RK304"]
 
 
 def test_rk304_genexp_over_set_call(tmp_path):
+    """The comprehension iterates the set: one hazard, one code (RK203)."""
     ctx = make_ctx(tmp_path, {"netsim/f.py": """
         def total(flows):
             return sum(f.rate for f in set(flows))
     """})
-    assert codes(analyze_deep(ctx)) == ["RK304"]
+    assert codes(analyze_self(ctx)) == ["RK203"]
 
 
 def test_rk304_augassign_under_set_iteration(tmp_path):
+    """The ``for`` iterates the set: one hazard, one code (RK203)."""
     ctx = make_ctx(tmp_path, {"netsim/f.py": """
         def total(flows):
             acc = 0.0
@@ -263,7 +199,7 @@ def test_rk304_augassign_under_set_iteration(tmp_path):
                 acc += f.rate
             return acc
     """})
-    assert codes(analyze_deep(ctx)) == ["RK304"]
+    assert codes(analyze_self(ctx)) == ["RK203"]
 
 
 def test_rk304_cold_package_is_exempt(tmp_path):
@@ -271,7 +207,7 @@ def test_rk304_cold_package_is_exempt(tmp_path):
         def total(flows):
             return sum(f.rate for f in set(flows))
     """})
-    assert analyze_deep(ctx) == []
+    assert analyze_self(ctx) == []
 
 
 def test_rk304_sorted_iteration_is_clean(tmp_path):
@@ -279,16 +215,17 @@ def test_rk304_sorted_iteration_is_clean(tmp_path):
         def total(flows):
             return sum(f.rate for f in sorted(flows))
     """})
-    assert analyze_deep(ctx) == []
+    assert analyze_self(ctx) == []
 
 
 # -- self-hosting and determinism ----------------------------------------------
 
 
 def test_src_repro_is_rk3xx_clean():
-    """The tentpole acceptance bar: every RK3xx hazard in our own source
-    was fixed in-tree, so the deep passes run clean."""
-    assert analyze_deep(default_deep_context()) == []
+    """Every RK3xx hazard in our own source was fixed in-tree, so the
+    self-linter reports none of them (baseline not applied)."""
+    diags = analyze_self(default_self_context())
+    assert [d for d in diags if d.code.startswith("RK3")] == []
 
 
 def test_deep_diagnostics_sorted(tmp_path):
@@ -302,16 +239,16 @@ def test_deep_diagnostics_sorted(tmp_path):
             rates = {1.0}
             return sum(rates)
     """})
-    diags = analyze_deep(ctx)
+    diags = analyze_self(ctx)
     assert diags == sorted(diags, key=lambda d: d.sort_key)
 
 
-def _lint_deep_json(hash_seed):
+def _lint_self_json(hash_seed):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "--deep",
+        [sys.executable, "-m", "repro", "lint", "--self",
          "--format", "json", "--no-baseline"],
         capture_output=True, env=env, cwd=REPO_ROOT,
     )
@@ -321,8 +258,8 @@ def _lint_deep_json(hash_seed):
 def test_rk3xx_json_byte_identical_across_hash_seeds():
     """The analyzer output must itself be deterministic: two interpreter
     processes with different hash seeds render identical JSON bytes."""
-    first = _lint_deep_json("0")
-    second = _lint_deep_json("424242")
+    first = _lint_self_json("0")
+    second = _lint_self_json("424242")
     assert first == second
     doc = json.loads(first)
     # --no-baseline resurfaces the profiler's sanctioned wall-clock use;
