@@ -230,6 +230,16 @@ class ClusterDatabase:
     def has_mac(self, mac: str) -> bool:
         return self.node_by_mac(mac) is not None
 
+    @property
+    def total_changes(self) -> int:
+        """Rows inserted, updated or deleted since the database opened.
+
+        sqlite's own count, so it covers every writer, raw SQL and
+        restored dumps included: while it stands still, no query answer
+        can have changed.
+        """
+        return self._conn.total_changes
+
     def next_rank(self, rack: int, membership: str = "Compute") -> int:
         mid = self.membership_id(membership)
         cur = self._conn.execute(

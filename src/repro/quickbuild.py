@@ -56,20 +56,32 @@ class RocksCluster:
 
         Sequential boot order is what binds (rack, rank) to physical
         position (§6.4 footnote).  Installations themselves overlap.
-        Returns the assigned hostnames, in order.
+        Returns the assigned hostnames, in order.  Asking for another
+        ``membership`` than the running insert-ethers has restarts it.
         """
-        if self.insert_ethers is None:
-            self.insert_ethers = InsertEthers(
-                self.frontend, membership=membership
-            ).start()
-        ie = self.insert_ethers
+        running = self.insert_ethers
+        if running is None or running.membership != membership:
+            # Built first: an unknown membership raises before the
+            # running instance stops listening.
+            ie = InsertEthers(self.frontend, membership=membership)
+            if running is not None:
+                running.stop()
+            self.insert_ethers = ie.start()
+        db = self.frontend.db
         named = []
         for machine in self.nodes:
-            if self.frontend.db.has_mac(machine.mac):
+            if db.has_mac(machine.mac):
                 continue
+            seen = db.total_changes
             machine.power_on()
             deadline = self.env.now + per_node_deadline
-            while not self.frontend.db.has_mac(machine.mac):
+            while True:
+                # Only a written row can bring the MAC in, whoever writes
+                # it: re-query after a step that changed the database.
+                if db.total_changes != seen:
+                    seen = db.total_changes
+                    if db.has_mac(machine.mac):
+                        break
                 if self.env.peek() == float("inf") or self.env.now > deadline:
                     raise SimulationError(
                         f"{machine.mac} was never integrated (is dhcpd/"

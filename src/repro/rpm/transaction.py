@@ -55,6 +55,7 @@ def resolve(
     """
     requested = list(names)
     chosen: dict[str, Package] = {}
+    answering: dict[str, list[Package]] = {}  # chosen, by name answered to
     problems: list[str] = []
     queue: deque[tuple[Dependency, str]] = deque()
 
@@ -63,7 +64,7 @@ def resolve(
 
     while queue:
         dep, wanted_by = queue.popleft()
-        if any(p.satisfies(dep) for p in chosen.values()):
+        if any(p.satisfies(dep) for p in answering.get(dep.name, ())):
             continue
         try:
             if dep.flag is dep.flag.ANY and dep.name in repo:
@@ -80,6 +81,7 @@ def resolve(
             )
             continue
         chosen[pkg.name] = pkg
+        _file_by_names(answering, pkg)
         for req in pkg.requires:
             queue.append((req, pkg.nevra))
 
@@ -88,6 +90,17 @@ def resolve(
 
     ordered = install_order(list(chosen.values()))
     return Transaction(ordered, requested)
+
+
+def _file_by_names(index: dict[str, list[Package]], pkg: Package) -> None:
+    """File ``pkg`` under every name it answers to: its own and each provide.
+
+    ``pkg.satisfies(dep)`` can only hold when ``pkg`` is filed under
+    ``dep.name``, so scanning that one bucket finds every match, in the
+    order the packages were filed.
+    """
+    for name in dict.fromkeys([pkg.name, *(p.name for p in pkg.provides)]):
+        index.setdefault(name, []).append(pkg)
 
 
 def _best_for_arch(
@@ -111,13 +124,16 @@ def install_order(packages: Sequence[Package]) -> list[Package]:
     """
     by_name = {p.name: p for p in packages}
     in_set = list(packages)
+    answering: dict[str, list[Package]] = {}
+    for pkg in in_set:
+        _file_by_names(answering, pkg)
 
     # adjacency: pkg -> set of prerequisite package names within the set
     prereqs: dict[str, set[str]] = {}
     for pkg in in_set:
         wants: set[str] = set()
         for dep in pkg.requires:
-            for other in in_set:
+            for other in answering.get(dep.name, ()):
                 if other.name != pkg.name and other.satisfies(dep):
                     wants.add(other.name)
         prereqs[pkg.name] = wants

@@ -7,7 +7,7 @@ import sys
 import textwrap
 from pathlib import Path
 
-from repro.analysis import SelfLintContext, analyze_self, default_self_context
+from repro.analysis import SelfLintContext, analyze_self
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -221,10 +221,10 @@ def test_rk304_sorted_iteration_is_clean(tmp_path):
 # -- self-hosting and determinism ----------------------------------------------
 
 
-def test_src_repro_is_rk3xx_clean():
+def test_src_repro_is_rk3xx_clean(src_repro_lint):
     """Every RK3xx hazard in our own source was fixed in-tree, so the
     self-linter reports none of them (baseline not applied)."""
-    diags = analyze_self(default_self_context())
+    _ctx, diags = src_repro_lint
     assert [d for d in diags if d.code.startswith("RK3")] == []
 
 

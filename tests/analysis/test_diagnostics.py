@@ -168,9 +168,7 @@ def test_baseline_round_trip(tmp_path):
     assert again.entries == b.entries
 
 
-def test_committed_baseline_is_loadable_and_justified():
-    from repro.analysis.selfcheck import default_self_context
-
-    repo_root = default_self_context().repo_root
-    b = Baseline.from_file(repo_root / "lint-baseline.txt")
+def test_committed_baseline_is_loadable_and_justified(src_repro_lint):
+    ctx, _diags = src_repro_lint
+    b = Baseline.from_file(ctx.repo_root / "lint-baseline.txt")
     assert b.unjustified() == []

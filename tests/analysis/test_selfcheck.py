@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.analysis import Baseline, SelfLintContext, analyze_self, default_self_context
+from repro.analysis import Baseline, SelfLintContext, analyze_self
 
 
 def make_ctx(tmp_path, files):
@@ -363,19 +363,18 @@ def test_rk201_aliased_wall_clock_flagged(tmp_path):
 # -- self-hosting: the acceptance gate ----------------------------------------
 
 
-def test_self_lint_clean_against_committed_baseline():
+def test_self_lint_clean_against_committed_baseline(src_repro_lint):
     """src/repro passes its own determinism linter with the committed
     baseline (one RK206 entry documents the invariant bounding the
     admission accept queue; every other surfaced hazard was fixed)."""
-    ctx = default_self_context()
-    diags = analyze_self(ctx)
+    ctx, diags = src_repro_lint
     baseline = Baseline.from_file(ctx.repo_root / "lint-baseline.txt")
     kept, _suppressed = baseline.apply(diags)
     assert kept == [], [d.render() for d in kept]
 
 
-def test_self_lint_scans_the_real_tree():
-    ctx = default_self_context()
+def test_self_lint_scans_the_real_tree(src_repro_lint):
+    ctx, _diags = src_repro_lint
     files = {pf.rel for pf in ctx.files}
     assert "src/repro/netsim/flows.py" in files
     assert "src/repro/installer/anaconda.py" in files

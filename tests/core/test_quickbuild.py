@@ -74,3 +74,26 @@ def test_integration_requires_dhcp_running():
     sim.frontend.syslog.stop()
     with pytest.raises(SimulationError, match="never integrated"):
         sim.integrate_all(per_node_deadline=600.0)
+
+
+def test_integrate_all_honours_membership_after_first_call():
+    """A later call with another membership restarts insert-ethers with
+    it; the running Compute instance must not name the new node."""
+    sim = build_cluster(n_compute=1)
+    sim.integrate_all()
+    (server,) = sim.add_compute_nodes(1, model="nfs-server")
+    assert sim.integrate_all(membership="NFS Servers") == ["nfs-0-0"]
+    row = sim.db.node_by_mac(server.mac)
+    assert row.membership == sim.db.membership_id("NFS Servers")
+    assert server.is_up
+    # An unknown membership is refused before the running instance stops,
+    # and the same membership keeps that instance.
+    nfs = sim.insert_ethers
+    with pytest.raises(ValueError, match="unknown membership"):
+        sim.integrate_all(membership="Bogus Servers")
+    sim.add_compute_nodes(1, model="nfs-server")
+    assert sim.integrate_all(membership="NFS Servers") == ["nfs-0-1"]
+    assert sim.insert_ethers is nfs
+    # Back to the default: Compute numbering resumes where it left off.
+    sim.add_compute_nodes(1)
+    assert sim.integrate_all() == ["compute-0-1"]

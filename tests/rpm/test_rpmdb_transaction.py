@@ -16,6 +16,8 @@ from repro.rpm import (
     resolve,
 )
 
+from . import quadratic_depsolver as quadratic
+
 
 def base_pkgs():
     return [
@@ -250,3 +252,7 @@ def test_install_order_property(data):
     for p in pkgs:
         for d in p.requires:
             assert pos[d.name] < pos[p.name]
+    # and exactly the order the quadratic reference gives
+    assert [id(p) for p in order] == [
+        id(p) for p in quadratic.install_order(pkgs)
+    ]
