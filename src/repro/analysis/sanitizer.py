@@ -145,9 +145,6 @@ class SanitizedEnvironment(InstrumentedEnvironment):
 
     __slots__ = ("options", "dispatch_log", "_pert", "_meta", "_session")
 
-    #: outranks the profiler when both sessions are active
-    precedence = 1
-
     def __init__(self, initial_time: float = 0.0,
                  options: Optional[SanitizeOptions] = None):
         session = _ACTIVE_SESSION

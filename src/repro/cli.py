@@ -19,6 +19,8 @@ commands would have shown.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -518,30 +520,41 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    """Why was this run slow?  Critical-path attribution for a scenario."""
+    """Why was this run slow?  Critical-path attribution for a scenario.
+
+    ``--profile`` runs the command's work -- the scenario, the DAG and
+    the report -- under ``cProfile`` and then prints its wall time per
+    layer.
+    """
     from .telemetry import dag_from_tracer, pick_root, render_report
 
+    profiler = None
     if args.profile:
-        from .netsim import profiled
+        import cProfile
 
-        with profiled() as session:
-            tracer = _run_traced_scenario(args)
-    else:
+        profiler = cProfile.Profile()
+    with profiler or contextlib.nullcontext():
         tracer = _run_traced_scenario(args)
-    dag = dag_from_tracer(tracer)
-    root = pick_root(dag)
-    if root is None:
-        print("no spans recorded — nothing to explain")
-        return 1
-    report = render_report(dag, root, top=args.top)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report + "\n")
-        print(f"wrote report to {args.out}")
-    else:
-        print(report)
-    if args.profile:
-        print(session.render())
+        dag = dag_from_tracer(tracer)
+        root = pick_root(dag)
+        if root is None:
+            print("no spans recorded — nothing to explain")
+            return 1
+        report = render_report(dag, root, top=args.top)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report + "\n")
+            print(f"wrote report to {args.out}")
+        else:
+            print(report)
+    if profiler is not None:
+        import pstats
+
+        from .telemetry import layers
+
+        package = os.path.dirname(os.path.abspath(__file__))
+        print(layers.render(layers.rollup(pstats.Stats(profiler).stats,
+                                          package)))
     return 0
 
 
@@ -784,8 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None,
                    help="write the report to this path instead of stdout")
     p.add_argument("--profile", action="store_true",
-                   help="also run the engine self-profiler and print "
-                        "where the wall time went (diagnostic; not "
+                   help="also run the command under cProfile and print "
+                        "its wall time per layer (diagnostic; not "
                         "byte-stable)")
     p.set_defaults(fn=_cmd_explain)
 

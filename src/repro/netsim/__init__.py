@@ -18,13 +18,6 @@ from .engine import (
 )
 from .flows import Flow, FlowNetwork, Link, TransferAborted
 from .multicast import Datagram, MulticastGroup
-from .profiler import (
-    EngineProfiler,
-    ProfiledEnvironment,
-    ProfileOptions,
-    ProfileSession,
-    profiled,
-)
 from .http import (
     DEFAULT_HTTP_EFFICIENCY,
     AdmissionConfig,
@@ -71,9 +64,4 @@ __all__ = [
     "GIGABIT_ETHERNET",
     "MBIT",
     "MBYTE",
-    "EngineProfiler",
-    "ProfiledEnvironment",
-    "ProfileOptions",
-    "ProfileSession",
-    "profiled",
 ]

@@ -341,17 +341,13 @@ def instrumented(cls: type) -> Iterator[None]:
 
     The one hook instrumentation uses to reach environments that
     scenarios construct internally (``build_cluster``, ``run_storm``):
-    the sanitizer's ``sanitized()`` and the profiler's ``profiled()``
-    sessions both enter it with their :class:`InstrumentedEnvironment`
-    subclass.  When blocks nest, the class with the higher
-    ``precedence`` is built whichever block is outer — the sanitizer
-    outranks the profiler, because its verdict relies on owning the
-    dispatch order.
+    the sanitizer's ``sanitized()`` session enters it with its
+    :class:`InstrumentedEnvironment` subclass.  A nested block builds
+    its own class until it exits.
     """
     global _AMBIENT_CLASS
     previous = _AMBIENT_CLASS
-    if previous is None or cls.precedence >= previous.precedence:
-        _AMBIENT_CLASS = cls
+    _AMBIENT_CLASS = cls
     try:
         yield
     finally:
@@ -363,7 +359,7 @@ class Environment:
 
     Construction builds this class unchanged unless an
     :func:`instrumented` block is active, in which case it returns that
-    block's subclass (a sanitized or profiled environment).  To build
+    block's subclass (a sanitized environment).  To build
     one explicitly, construct the subclass itself.  Instrumentation adds
     **zero** code to the default scheduling and dispatch paths.
     """
@@ -601,7 +597,7 @@ class Environment:
 
 
 class InstrumentedEnvironment(Environment):
-    """Base of the opt-in instrumented environments (sanitizer, profiler).
+    """Base of the opt-in instrumented environments (the sanitizer's).
 
     Subclasses observe scheduling and dispatch by overriding
     ``_schedule`` and ``step``; :meth:`run` drives that ``step()`` with
@@ -611,9 +607,6 @@ class InstrumentedEnvironment(Environment):
     """
 
     __slots__ = ()
-
-    #: nested :func:`instrumented` blocks build the higher-ranked class
-    precedence = 0
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         step = self.step

@@ -191,11 +191,6 @@ class FlowNetwork:
 
     def __init__(self, env: Environment):
         self.env = env
-        # Construction-time only: a profiled environment wants refill
-        # counts, so hand it this network (plain envs have no .profile).
-        profiler = getattr(env, "profile", None)
-        if profiler is not None:
-            profiler.note_network(self)
         # dict-as-set: insertion-ordered, so rate credits and completion
         # seqs are assigned in a run-to-run deterministic order.
         self._flows: dict[Flow, None] = {}
@@ -277,12 +272,6 @@ class FlowNetwork:
     @property
     def active_flows(self) -> int:
         return len(self._flows)
-
-    @property
-    def reallocations(self) -> int:
-        """Fair-share refills performed so far (the engine self-profiler
-        reports this as a hot-path health number)."""
-        return self._epoch
 
     def flows_through(self, link: Link) -> list[Flow]:
         """Snapshot of the in-flight flows whose path crosses ``link``.

@@ -58,6 +58,9 @@ class RocksCluster:
         position (§6.4 footnote).  Installations themselves overlap.
         Returns the assigned hostnames, in order.  Asking for another
         ``membership`` than the running insert-ethers has restarts it.
+        Raises :class:`SimulationError` when a node is not named, or the
+        named nodes are not all UP, within ``per_node_deadline``
+        simulated seconds.
         """
         running = self.insert_ethers
         if running is None or running.membership != membership:
@@ -98,7 +101,25 @@ class RocksCluster:
                 if machine.state is not MachineState.UP
             ]
             if pending:
-                self.env.run(until=AllOf(self.env, pending))
+                # A node hung in its first install never comes UP, and
+                # periodic events keep the engine busy: stop at the
+                # deadline.  A timer would draw a sanitizer tie-break
+                # key; stepping schedules nothing, so the same events
+                # dispatch as under run(until=barrier).
+                barrier = AllOf(self.env, pending)
+                deadline = self.env.now + per_node_deadline
+                while not barrier.triggered:
+                    if self.env.peek() > deadline:
+                        stuck = ", ".join(
+                            f"{m.hostid} ({m.state.name})"
+                            for m in self.nodes
+                            if m.state is not MachineState.UP
+                        )
+                        raise SimulationError(
+                            f"not UP {per_node_deadline:g} s after "
+                            f"integration: {stuck}"
+                        )
+                    self.env.step()
         return named
 
     # -- the management primitive (§5): reinstall ---------------------------------------

@@ -48,7 +48,7 @@ def test_lint_warns_on_stale_self_entry(tmp_path, capsys):
     baseline = tmp_path / "b.txt"
     baseline.write_text(
         "RK206 src/repro/netsim/http.py  # live accept queue\n"
-        "RK201 src/repro/netsim/profiler.py  # sanctioned wall-clock use\n"
+        "RK207 src/repro/quickbuild.py  # live campaign surface\n"
         "RK206 src/repro/netsim/gone.py  # refers to deleted code\n"
     )
     code, out, err = run_cli(

@@ -93,7 +93,7 @@ def test_sanitized_environment_has_no_instance_dict():
 
 
 def test_sanitized_run_semantics_match_base():
-    """Timers, process values, and run(until=...) behave identically."""
+    """Timers, process values, run(until=...) and step() behave identically."""
     for env in (Environment(),
                 SanitizedEnvironment(options=SanitizeOptions(seed=9))):
         log = []
@@ -109,6 +109,10 @@ def test_sanitized_run_semantics_match_base():
         assert env.run(until=p) == 42
         assert log == [1.0, "done"]
         assert env.now == 3.0
+        env.run(until=10.0)
+        assert env.now == 10.0
+        with pytest.raises(SimulationError):
+            env.step()  # the queue is drained
 
 
 def test_sanitized_run_until_cancelled_event_raises():

@@ -144,12 +144,27 @@ def test_explain_command_writes_report(capsys, tmp_path):
     assert "critical path:" in path.read_text(encoding="utf-8")
 
 
-def test_explain_command_with_profiler(capsys):
-    code, out = run_cli(capsys, "explain", "--nodes", "1", "--profile")
+def test_explain_command_with_profiler(capsys, tmp_path):
+    """Profiling observes, never perturbs: the report is byte-identical
+    with and without --profile, and the layer rows add up to the total."""
+    from repro.telemetry.layers import LAYERS, OTHER, UNATTRIBUTED
+
+    plain, profiled = tmp_path / "plain.txt", tmp_path / "profiled.txt"
+    assert run_cli(capsys, "explain", "--nodes", "2", "--out", str(plain)) \
+        == (0, f"wrote report to {plain}\n")
+    code, out = run_cli(capsys, "explain", "--nodes", "2", "--profile",
+                        "--out", str(profiled))
     assert code == 0
-    assert "critical path:" in out
-    assert "engine profile:" in out
-    assert "events dispatched" in out
+    assert profiled.read_bytes() == plain.read_bytes()
+    head, table = out.split("wall-time profile", 1)
+    assert head == f"wrote report to {profiled}\n"
+    rows = [line.split() for line in table.splitlines()[2:]]
+    assert [row[2] for row in rows] == [*LAYERS, OTHER, UNATTRIBUTED, "total"]
+    *layers, (total, share, _) = rows
+    assert share == "100.0%"
+    assert float(total) > 0
+    assert sum(float(row[0]) for row in layers) == pytest.approx(
+        float(total), rel=1e-9)
 
 
 def test_explain_command_byte_identical_across_runs(capsys):

@@ -97,3 +97,18 @@ def test_integrate_all_honours_membership_after_first_call():
     # Back to the default: Compute numbering resumes where it left off.
     sim.add_compute_nodes(1)
     assert sim.integrate_all() == ["compute-0-1"]
+
+
+def test_integrate_all_fails_fast_when_a_node_hangs():
+    """A Myrinet compute model lacks the GM driver's build tools as an
+    NFS appliance, so its first install hangs.  The UP barrier gives up
+    ``per_node_deadline`` after it starts instead of running forever."""
+    sim = build_cluster(n_compute=1)
+    named = sim.integrate_all(membership="NFS Servers", wait_until_up=False)
+    assert named == ["nfs-0-0"]
+    start = sim.env.now
+    with pytest.raises(SimulationError,
+                       match=r"not UP 3600 s after integration: "
+                             r"nfs-0-0 \(HUNG\)$"):
+        sim.integrate_all(membership="NFS Servers")
+    assert start < sim.env.now <= start + 3600.0
