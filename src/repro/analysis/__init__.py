@@ -26,11 +26,11 @@ Entry points::
     diags = analyze_self(default_self_context())
 
     from repro.analysis import run_scenario, diagnose_divergence
-    race = diagnose_divergence(run_scenario("table1", 1),
-                               run_scenario("table1", 2))
+    race = diagnose_divergence(run_scenario("reinstall", 1),
+                               run_scenario("reinstall", 2))
 
 or ``python -m repro lint [--self] [--strict]`` and
-``python -m repro sanitize table1``.
+``python -m repro sanitize reinstall`` (names: :mod:`repro.scenarios`).
 """
 
 from .baseline import Baseline, BaselineEntry
@@ -47,7 +47,6 @@ from .passes import (
 )
 from .render import JSON_SCHEMA_VERSION, render_json, render_text, summarize
 from .sanitizer import (
-    SCENARIOS,
     SanitizeOptions,
     SanitizedEnvironment,
     SanitizerSession,
@@ -68,7 +67,6 @@ __all__ = [
     "JSON_SCHEMA_VERSION",
     "Pass",
     "PROVIDED_ATTRIBUTES",
-    "SCENARIOS",
     "SELF_PASSES",
     "SanitizeOptions",
     "SanitizedEnvironment",

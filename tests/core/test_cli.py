@@ -1,5 +1,7 @@
 """Tests for the scenario CLI."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -145,17 +147,21 @@ def test_explain_command_writes_report(capsys, tmp_path):
 
 
 def test_explain_command_with_profiler(capsys, tmp_path):
-    """Profiling observes, never perturbs: the report is byte-identical
-    with and without --profile, and the layer rows add up to the total."""
+    """Profiling observes, never perturbs: the 8-node report is the
+    committed golden with and without --profile, and the layer rows add
+    up to the total."""
     from repro.telemetry.layers import LAYERS, OTHER, UNATTRIBUTED
 
+    golden = (pathlib.Path(__file__).parents[1] / "telemetry" / "golden"
+              / "explain_reinstall_8.txt").read_bytes()
     plain, profiled = tmp_path / "plain.txt", tmp_path / "profiled.txt"
-    assert run_cli(capsys, "explain", "--nodes", "2", "--out", str(plain)) \
+    assert run_cli(capsys, "explain", "--nodes", "8", "--out", str(plain)) \
         == (0, f"wrote report to {plain}\n")
-    code, out = run_cli(capsys, "explain", "--nodes", "2", "--profile",
+    code, out = run_cli(capsys, "explain", "--nodes", "8", "--profile",
                         "--out", str(profiled))
     assert code == 0
-    assert profiled.read_bytes() == plain.read_bytes()
+    assert plain.read_bytes() == golden
+    assert profiled.read_bytes() == golden
     head, table = out.split("wall-time profile", 1)
     assert head == f"wrote report to {profiled}\n"
     rows = [line.split() for line in table.splitlines()[2:]]
@@ -165,6 +171,15 @@ def test_explain_command_with_profiler(capsys, tmp_path):
     assert float(total) > 0
     assert sum(float(row[0]) for row in layers) == pytest.approx(
         float(total), rel=1e-9)
+
+
+def test_explain_seed_reaches_the_scenario(capsys):
+    """--seed re-seeds the reinstall's cluster; 0 is its default."""
+    _, default = run_cli(capsys, "explain", "--nodes", "2")
+    _, seed0 = run_cli(capsys, "explain", "--nodes", "2", "--seed", "0")
+    _, seed7 = run_cli(capsys, "explain", "--nodes", "2", "--seed", "7")
+    assert seed0 == default
+    assert seed7 != default
 
 
 def test_explain_command_byte_identical_across_runs(capsys):

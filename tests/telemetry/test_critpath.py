@@ -295,8 +295,9 @@ def test_explain_tracer_empty():
 
 
 def test_committed_explain_golden_matches_fresh_run():
-    """The golden CI byte-compares (`explain-smoke`) must track the code:
-    a fresh seeded 8-node reinstall renders the committed report exactly."""
+    """The golden that `repro explain --nodes 8` must reproduce (see
+    tests/core/test_cli.py) tracks the code: a fresh seeded 8-node
+    reinstall renders the committed report exactly."""
     import pathlib
 
     tracer = Tracer()
