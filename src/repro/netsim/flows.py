@@ -9,15 +9,19 @@ of the paper: with few nodes every flow gets its full demand, and past
 the server's saturation point (~7 concurrent full-speed installs on
 100 Mbit) per-flow rates drop and reinstall times stretch.
 
-Rates are recomputed **incrementally**: a flow start, finish, cancel or
-capacity change marks its links dirty, and only the bottleneck
-*components* reachable from the dirty set (flows transitively sharing a
-link) are credited and refilled — max-min allocation decomposes exactly
-along those components, so untouched groups keep their rates.  Between
-recomputations every flow progresses linearly, and the earliest
-completion across all components is tracked in a lazy min-heap instead
-of an O(flows) scan, so completion times can still be scheduled exactly
-and the simulation stays deterministic at 10k-node scale.
+Rates are recomputed **incrementally**.  Max-min allocation decomposes
+exactly along bottleneck *components* (flows transitively sharing a
+link), and every live flow points at its component, which persists
+across reallocations: a new flow joins (or merges) the components its
+path touches, and a departing flow leaves its own, which is re-walked
+only when the departure may have split it.  A flow start, finish,
+cancel or capacity change marks its links dirty, and only the
+components on the dirty links are credited and refilled, so untouched
+groups keep their rates.  Between recomputations every flow progresses
+linearly, and the earliest completion across all components is tracked
+in a lazy min-heap instead of an O(flows) scan, so completion times can
+still be scheduled exactly and the simulation stays deterministic at
+10k-node scale.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ class Link:
     __slots__ = ("name", "capacity", "bytes_carried", "_flows")
 
     def __init__(self, name: str, capacity: Optional[float]):
-        if capacity is not None and capacity <= 0:
+        if capacity is not None and not capacity > 0:  # rejects NaN too
             raise ValueError(f"link capacity must be positive, got {capacity!r}")
         self.name = name
         self.capacity = capacity
@@ -113,6 +117,7 @@ class Flow:
         "_seq",
         "_last_credit",
         "_eta_gen",
+        "_comp",
     )
 
     def __init__(
@@ -141,6 +146,8 @@ class Flow:
         self._last_credit = network.env.now
         #: generation counter invalidating stale completion-heap entries
         self._eta_gen = 0
+        #: the bottleneck component this flow belongs to while it is live
+        self._comp: Optional[_Component] = None
 
     @property
     def elapsed(self) -> float:
@@ -158,6 +165,53 @@ class Flow:
         )
 
 
+class _Component:
+    """A bottleneck component: live flows that transitively share a link.
+
+    ``flows`` is insertion-ordered and holds the members in start
+    (``_seq``) order.  Every live flow on a member's link is itself a
+    member, so ``len(link._flows)`` counts the members on ``link``.
+    """
+
+    __slots__ = ("flows",)
+
+    def __init__(self, flows: dict[Flow, None]):
+        self.flows = flows
+        for flow in flows:
+            flow._comp = self
+
+
+def _merge(a: _Component, b: _Component) -> _Component:
+    """One component for the members of two that a new flow bridges."""
+    return _Component(dict.fromkeys(sorted([*a.flows, *b.flows], key=_flow_seq)))
+
+
+def _split(members: dict[Flow, None]) -> None:
+    """Re-walk ``members`` into the components they now form.
+
+    Breadth-first over shared links, seeded in start order; the sets
+    are membership filters only, never iterated.
+    """
+    seen_flows: set[Flow] = set()
+    seen_links: set[Link] = set()
+    for seed in members:
+        if seed in seen_flows:
+            continue
+        seen_flows.add(seed)
+        part = [seed]
+        for flow in part:
+            for link in flow.path:
+                if link in seen_links:
+                    continue
+                seen_links.add(link)
+                for other in link._flows:
+                    if other not in seen_flows:
+                        seen_flows.add(other)
+                        part.append(other)
+        part.sort(key=_flow_seq)
+        _Component(dict.fromkeys(part))
+
+
 class TransferAborted(Exception):
     """The flow was cancelled before completion (e.g. node power-cycled)."""
 
@@ -165,12 +219,15 @@ class TransferAborted(Exception):
 class FlowNetwork:
     """Tracks active flows and keeps their max-min fair rates current.
 
-    A change recomputes only the bottleneck components it touches.  The
-    test suite keeps a full-recompute subclass that refills every
-    component on every change, with a per-flow progressive fill and an
-    all-links utilization sampler, as a differential oracle: the two
-    must produce bit-identical rates, completion times and
-    ``link.util/*`` gauge series.
+    Every live flow points at its bottleneck component, kept current by
+    :meth:`transfer` and :meth:`_detach`, and a change recomputes only
+    the components on the links it touches.  The test suite keeps a
+    full-recompute subclass as a differential oracle: it finds every
+    component from the live flow set alone by breadth-first search and
+    refills all of them on every change, with a per-flow progressive
+    fill and an all-links utilization sampler.  The two must produce
+    bit-identical rates, completion times and ``link.util/*`` gauge
+    series.
     """
 
     __slots__ = (
@@ -229,9 +286,10 @@ class FlowNetwork:
         trace context from whatever caused the transfer (an HTTP GET, a
         monitoring push) down to the wire.
         """
-        if size < 0:
+        # Negated comparisons, so that NaN is rejected too.
+        if not size >= 0:
             raise ValueError(f"transfer size must be non-negative, got {size!r}")
-        if max_rate is not None and max_rate <= 0:
+        if max_rate is not None and not max_rate > 0:
             raise ValueError(f"max_rate must be positive, got {max_rate!r}")
         flow = Flow(self, tuple(path), size, max_rate, label)
         tracer = self.env.tracer
@@ -261,6 +319,21 @@ class FlowNetwork:
                 flow._span.end(outcome="done")
                 flow._span = None
             return flow
+        # Join the components the path touches.  All flows on a link
+        # share one component, so the link's first flow names it.
+        comp = None
+        for link in flow.path:
+            for other in link._flows:
+                if comp is None:
+                    comp = other._comp
+                elif other._comp is not comp:
+                    comp = _merge(comp, other._comp)
+                break
+        if comp is None:
+            _Component({flow: None})
+        else:
+            comp.flows[flow] = None  # the highest _seq: order is kept
+            flow._comp = comp
         self._flows[flow] = None
         dirty = self._dirty
         for link in flow.path:
@@ -344,6 +417,18 @@ class FlowNetwork:
         for link in flow.path:
             link._flows.pop(flow, None)
         flow._eta_gen += 1  # invalidate any pending completion-heap entry
+        members = flow._comp.flows
+        flow._comp = None
+        del members[flow]
+        if not members:
+            return
+        # A link still carrying every remaining member keeps them
+        # connected; otherwise the departure may have split them.
+        n = len(members)
+        for link in flow.path:
+            if len(link._flows) == n:
+                return
+        _split(members)
 
     def _credit(self, flows: Iterable[Flow]) -> None:
         """Credit ``flows`` with bytes moved since each one's last credit.
@@ -387,64 +472,41 @@ class FlowNetwork:
         self._bytes_moved = bytes_moved
 
     def _closure(self) -> tuple[list[Flow], list[list[Flow]]]:
-        """Bottleneck components reachable from the dirty link set.
+        """Bottleneck components on the dirty link set.
 
         Two flows are connected when they share a link, and max-min fair
         allocation decomposes exactly along the resulting components: a
         change can only alter rates inside a component containing a
-        dirtied link.  Returns ``(affected, components)`` where
-        ``affected`` is every dirty-closure flow in start order (the
-        order credits are applied) and ``components`` are the flow
-        groups to refill.
-
-        The sets below are membership filters only, never iterated; all
-        iteration is over insertion-ordered dicts and lists, so closure
-        discovery is deterministic.
+        dirtied link.  Components persist across reallocations (see
+        :class:`_Component`), and every flow on a link belongs to the
+        same one, so each dirty link's first flow names its component;
+        nothing is walked.  Returns ``(affected, components)``: each
+        component is a snapshot of its members in start order (the fill
+        grouping, even if a completion later splits it), and
+        ``affected`` is all of them in start order (the order credits
+        are applied).
         """
-        seen_flows: set[Flow] = set()
-        seen_links: set[Link] = set()
-        comps: list[list[Flow]] = []
-
-        def explore(seed: Flow) -> list[Flow]:
-            comp = [seed]
-            seen_flows.add(seed)
-            # Breadth-first: the loop also visits the flows appended to
-            # ``comp`` as it goes.
-            for flow in comp:
-                for link in flow.path:
-                    if link in seen_links:
-                        continue
-                    seen_links.add(link)
-                    for other in link._flows:
-                        if other not in seen_flows:
-                            seen_flows.add(other)
-                            comp.append(other)
-            comp.sort(key=_flow_seq)
-            comps.append(comp)
-            return comp
-
-        affected: list[Flow] = []
+        comps: dict[_Component, None] = {}
         if self._dirty_all:
             for flow in self._flows:
-                if flow not in seen_flows:
-                    affected.extend(explore(flow))
+                comps[flow._comp] = None
         else:
             for link in self._dirty:
-                if link in seen_links:
-                    continue
-                # The first explore() below walks through this link and
-                # absorbs all of its flows into one component.
                 for flow in link._flows:
-                    if flow not in seen_flows:
-                        affected.extend(explore(flow))
+                    comps[flow._comp] = None
+                    break
+        groups = [list(comp.flows) for comp in comps]
+        if len(groups) == 1:
+            return groups[0], groups
+        affected = [flow for group in groups for flow in group]
         affected.sort(key=_flow_seq)
-        return affected, comps
+        return affected, groups
 
     def _reallocate(self, _wakeup_sweep: bool = False) -> None:
         """Incremental max-min fair recomputation.
 
-        Credits and refills only the components reachable from the dirty
-        link set, completes anything that drained, refreshes those
+        Credits and refills only the components on the dirty link set,
+        completes anything that drained, refreshes those
         flows' completion-heap entries, samples the touched links'
         utilization when tracing, and arranges the next wakeup.
         Untouched bottleneck groups keep their rates.
@@ -463,7 +525,6 @@ class FlowNetwork:
             self._schedule_wakeup()
             return
         self._credit(affected)
-        flows = self._flows
         if _wakeup_sweep:
             # Wakeup sweeps use the legacy rich predicate: anything with
             # under a nanosecond of work left (or on an infinite-rate
@@ -475,41 +536,40 @@ class FlowNetwork:
             ]
         else:
             finished = [f for f in affected if f.remaining <= _EPS]
-        for f in finished:
-            if f in flows:
-                self._complete(f)
-        if self._epoch != epoch:
-            # A completion callback re-entered (started or cancelled a
-            # transfer synchronously), so our component snapshots are
-            # stale: rebuild membership from the live flow set and redo
-            # the fill.  Credits are all at `now` already, so the retry
-            # only recomputes rates.
-            dirty = self._dirty
-            for f in affected:
+        if finished:
+            flows = self._flows
+            for f in finished:
                 if f in flows:
-                    for link in f.path:
-                        dirty[link] = None
-            if tracing:
-                # The reentrant fill sampled what we had touched; links
-                # drained after it still need their sample.
-                self._touch(affected)
-            self._reallocate()
-            return
+                    self._complete(f)
+            if self._epoch != epoch:
+                # A completion callback re-entered (started or cancelled
+                # a transfer synchronously), so our component snapshots
+                # are stale: rebuild membership from the live flow set
+                # and redo the fill.  Credits are all at `now` already,
+                # so the retry only recomputes rates.
+                dirty = self._dirty
+                for f in affected:
+                    if f in flows:
+                        for link in f.path:
+                            dirty[link] = None
+                if tracing:
+                    # The reentrant fill sampled what we had touched;
+                    # links drained after it still need their sample.
+                    self._touch(affected)
+                self._reallocate()
+                return
+            # A rate must never be assigned to a detached flow.  Every
+            # flow left in a snapshot has work left: the loop above
+            # completed any that had none.
+            comps = [[f for f in comp if f in flows] for comp in comps]
+            affected = [f for f in affected if f in flows]
         for comp in comps:
-            # Membership is re-checked against the live flow set *after*
-            # completions ran: a rate must never be assigned to a
-            # detached flow, nor a just-started one skipped.
-            active = [f for f in comp if f in flows and f.remaining > _EPS]
-            if active:
-                self._fill(active)
+            if comp:
+                self._fill(comp)
         # Refresh completion etas for everything we credited.
         now = self.env._now
         heap = self._eta_heap
-        refilled = False
         for f in affected:
-            if f not in flows:
-                continue
-            refilled = True
             f._eta_gen += 1
             rate = f.rate
             if rate > _EPS:
@@ -519,7 +579,7 @@ class FlowNetwork:
                 heapq.heappush(heap, (now + rel, f._seq, f._eta_gen, f, rel, now))
         # A credited flow still live means its component was refilled:
         # sample then, exactly at the fills of the dirty components.
-        if refilled and tracing:
+        if affected and tracing:
             self._record_utilization()
         self._schedule_wakeup()
 
@@ -541,8 +601,11 @@ class FlowNetwork:
         freezes every flow left ends the fill without updating the
         per-link counts.
 
-        ``active`` is one whole component in flow-start order.  A link
-        listed twice on one path carries the flow once, matching
+        ``active`` is the live part of one component snapshot, in
+        flow-start order.  It holds every live flow on every link its
+        members cross, even after a completion has split the component,
+        so a link's unfrozen count starts at ``len(link._flows)``.  A
+        link listed twice on one path carries the flow once, matching
         ``Link._flows``.  All working collections are insertion-ordered
         dicts, never hash sets, so nothing downstream can pick up
         hash-seed jitter.
@@ -554,11 +617,7 @@ class FlowNetwork:
             for link in f.path:
                 if link in count or link.capacity is None:
                     continue
-                n = 0
-                for g in link._flows:
-                    if g in unfrozen:
-                        n += 1
-                count[link] = n
+                count[link] = len(link._flows)
                 headroom[link] = float(link.capacity)
         level = 0.0
         while True:

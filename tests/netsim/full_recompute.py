@@ -6,10 +6,13 @@ components a change touches.  Untouched components are refilled but not
 credited, so both networks credit at the exact same instants and must
 agree bit for bit.
 
-It also keeps the reference versions of the two per-reallocation passes
-that the network makes incremental: a progressive fill that raises each
-flow's own rate round by round, and a utilization sampler that re-reads
-every link any flow has crossed on every fill.
+It finds the components from scratch: a breadth-first walk over the
+live flows and their links, ignoring the components the network keeps
+alive across reallocations.  It also keeps the reference versions of
+the two per-reallocation passes that the network makes incremental: a
+progressive fill that raises each flow's own rate round by round and
+counts each link's flows itself, and a utilization sampler that
+re-reads every link any flow has crossed on every fill.
 """
 
 import math
@@ -18,27 +21,51 @@ from repro.netsim import FlowNetwork
 from repro.netsim.flows import _EPS, Flow, Link, _flow_seq
 
 
+def walk_components(seeds, seen_flows, seen_links):
+    """Yield the component of each seed not yet seen, in start order.
+
+    Breadth-first over shared links, from the live flows alone.  The
+    sets carry what earlier calls saw; they are membership filters
+    only, never iterated.
+    """
+    for seed in seeds:
+        if seed in seen_flows:
+            continue
+        seen_flows.add(seed)
+        comp = [seed]
+        # The loop also visits the flows appended to ``comp`` as it goes.
+        for flow in comp:
+            for link in flow.path:
+                if link in seen_links:
+                    continue
+                seen_links.add(link)
+                for other in link._flows:
+                    if other not in seen_flows:
+                        seen_flows.add(other)
+                        comp.append(other)
+        comp.sort(key=_flow_seq)
+        yield comp
+
+
 class FullRecomputeNetwork(FlowNetwork):
     __slots__ = ()
 
     def _closure(self):
-        affected, comps = super()._closure()
-        seen = {flow for comp in comps for flow in comp}
-        for seed in self._flows:
-            if seed in seen:
-                continue
-            comp = [seed]
-            seen.add(seed)
-            stack = [seed]
-            while stack:
-                for link in stack.pop().path:
-                    for other in link._flows:
-                        if other not in seen:
-                            seen.add(other)
-                            comp.append(other)
-                            stack.append(other)
-            comp.sort(key=_flow_seq)
-            comps.append(comp)
+        """Every bottleneck component, walked from the live flow set.
+
+        ``affected`` is the dirty closure in start order: every flow
+        transitively sharing a link with a dirty link's flows (every
+        flow when everything is dirty).  ``comps`` holds its components
+        and then every other one, each in start order.
+        """
+        seen_flows, seen_links = set(), set()
+        if self._dirty_all:
+            seeds = self._flows
+        else:
+            seeds = [flow for link in self._dirty for flow in link._flows]
+        comps = list(walk_components(seeds, seen_flows, seen_links))
+        affected = sorted((flow for comp in comps for flow in comp), key=_flow_seq)
+        comps += walk_components(self._flows, seen_flows, seen_links)
         return affected, comps
 
     def _fill(self, active: list[Flow]) -> None:

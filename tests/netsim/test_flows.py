@@ -223,6 +223,32 @@ def test_bad_link_capacity_rejected():
         Link("l", -3)
 
 
+def test_nan_size_rejected():
+    # A NaN size used to pass the ``size < 0`` check: the flow never got
+    # a share and never completed, so anything waiting on it hung.
+    env, net = make_net()
+    link = Link("l", 100.0)
+    with pytest.raises(ValueError):
+        net.transfer([link], math.nan)
+    assert net.active_flows == 0 and not link.n_flows
+    endless = net.transfer([link], math.inf)  # still legal
+    assert endless.rate == 100.0
+
+
+def test_nan_link_capacity_rejected():
+    # A NaN capacity used to act as unconstrained: rate=inf on the link
+    # and a NaN utilization.
+    with pytest.raises(ValueError):
+        Link("l", math.nan)
+
+
+def test_nan_max_rate_rejected():
+    # A NaN max_rate used to be silently ignored by the fill.
+    _, net = make_net()
+    with pytest.raises(ValueError):
+        net.transfer([Link("l", 100.0)], 5, max_rate=math.nan)
+
+
 # ---------------------------------------------------------------------------
 # Property-based invariants of the max-min allocation
 # ---------------------------------------------------------------------------

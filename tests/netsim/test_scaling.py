@@ -23,6 +23,7 @@ from repro.netsim import (
     Timeout,
 )
 from repro.netsim.engine import Environment as _Env
+from repro.netsim.flows import _Component
 from repro.telemetry import NULL_TRACER, Tracer
 from repro.telemetry.tracer import Span
 
@@ -309,7 +310,8 @@ def test_flows_through_matches_path_scan():
 # -- hot classes stay dict-free -------------------------------------------
 
 @pytest.mark.parametrize(
-    "cls", [Event, Timeout, Process, _Env, Flow, Link, FlowNetwork, Span]
+    "cls",
+    [Event, Timeout, Process, _Env, Flow, Link, _Component, FlowNetwork, Span],
 )
 def test_hot_classes_have_no_instance_dict(cls):
     # 10k nodes mean millions of these; a single slotless class in the
