@@ -51,7 +51,8 @@ def reinstall_experiment(
     tracer = Tracer() if trace else None
     sim = build_cluster(n_compute=n_nodes, tracer=tracer, **kwargs)
     sim.integrate_all()
-    served_before = sim.frontend.install_server.bytes_served
+    http = sim.frontend.install_server.http
+    served_before = http.bytes_served
     reports = sim.reinstall_all()
     span = max(r.finished_at for r in reports) - min(r.started_at for r in reports)
     summary = None
@@ -62,7 +63,7 @@ def reinstall_experiment(
         n_nodes=n_nodes,
         minutes=span / 60.0,
         per_node_minutes=[r.minutes for r in reports],
-        bytes_served=sim.frontend.install_server.bytes_served - served_before,
+        bytes_served=http.bytes_served - served_before,
         trace_summary=summary,
         trace_path=trace,
     )

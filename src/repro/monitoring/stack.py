@@ -49,9 +49,9 @@ def frontend_sampler(frontend) -> Callable:
     """Extra metrics only the frontend's gmond can see.
 
     Service health becomes ``svc.<name>`` booleans, the install
-    server's admission counters surface as ``http.*`` (the same numbers
-    the telemetry registry gauges — both read
-    :meth:`~repro.netsim.http.HttpServer.admission_stats`), and PBS
+    server's :meth:`~repro.netsim.http.HttpServer.admission_stats`
+    surface as ``http.*`` (its totals are the server's own dict, the
+    one a trace exports as ``http.<key>/<host>`` counters), and PBS
     queue depths as ``jobs.*``.
     """
 

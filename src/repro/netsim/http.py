@@ -140,21 +140,21 @@ class HttpServer:
         )
         self._documents: dict[str, float] = {}
         self._cgi: dict[str, CgiHandler] = {}
-        self._requests_served = 0
-        self._bytes_served = 0.0
+        #: served and shed totals ("requests", "bytes", "rejected",
+        #: "queue_timeouts"), exported as ``http.<key>/<host>`` counters
+        self._totals = network.env.tracer.metrics.totals("http.", f"/{host}")
         self.running = True
         self.admission: Optional[AdmissionConfig] = None
         self._in_flight = 0
         self._accept_queue: deque[Event] = deque()
-        self._rejected = 0
-        self._queue_timeouts = 0
         self._retry_rng: Optional[random.Random] = None
 
     # -- content management ----------------------------------------------
     def publish(self, path: str, size: float) -> None:
         """Expose a static resource of ``size`` bytes at ``path``."""
-        if size < 0:
-            raise ValueError("resource size must be non-negative")
+        # Negated, so that NaN is rejected too.
+        if not size >= 0:
+            raise ValueError(f"resource size must be non-negative, got {size!r}")
         self._documents[self._norm(path)] = float(size)
 
     def publish_tree(self, tree: dict[str, float], prefix: str = "") -> None:
@@ -177,11 +177,11 @@ class HttpServer:
 
     @property
     def requests_served(self) -> int:
-        return self._requests_served
+        return self._totals.get("requests", 0)
 
     @property
     def bytes_served(self) -> float:
-        return self._bytes_served
+        return self._totals.get("bytes", 0.0)
 
     def refresh_link_speed(self) -> None:
         """Re-derive the service cap after the host NIC was upgraded."""
@@ -215,27 +215,27 @@ class HttpServer:
     @property
     def rejected(self) -> int:
         """Requests shed with a 503 by admission control (full or timed out)."""
-        return self._rejected
+        return self._totals.get("rejected", 0)
 
     @property
     def queue_timeouts(self) -> int:
         """Requests that gave up waiting in the accept queue."""
-        return self._queue_timeouts
+        return self._totals.get("queue_timeouts", 0)
 
     def admission_stats(self) -> dict:
-        """The admission-control gauges as one snapshot dict.
+        """The admission-control gauges and totals as one snapshot dict.
 
-        This is the single source of truth the monitoring agents sample;
-        the keys mirror the ``http.*`` names in the telemetry metrics
-        registry so both views always agree.
+        The monitoring agents sample this.  The totals are read from the
+        same dict the telemetry registry exports as ``http.<key>/<host>``
+        counters, so the trace and this snapshot cannot disagree.
         """
         return {
             "in_flight": self._in_flight,
             "queue_depth": len(self._accept_queue),
-            "rejected": self._rejected,
-            "queue_timeouts": self._queue_timeouts,
-            "requests_served": self._requests_served,
-            "bytes_served": self._bytes_served,
+            "rejected": self.rejected,
+            "queue_timeouts": self.queue_timeouts,
+            "requests_served": self.requests_served,
+            "bytes_served": self.bytes_served,
         }
 
     def abort_transfers(self) -> None:
@@ -322,12 +322,11 @@ class HttpServer:
                 if span is not None:
                     span.end(outcome="reset")
                 raise
-            self._requests_served += 1
-            self._bytes_served += size
+            totals = self._totals
+            totals["requests"] = totals.get("requests", 0) + 1
+            totals["bytes"] = totals.get("bytes", 0.0) + size
             if span is not None:
                 span.end(outcome="ok", status=200, bytes=float(size))
-                tracer.metrics.inc(f"http.requests/{self.host}")
-                tracer.metrics.inc(f"http.bytes/{self.host}", size)
             return HttpResponse(200, path, size, body=body, server=self.host)
         finally:
             if admitted:
@@ -349,7 +348,8 @@ class HttpServer:
             self._gauge_in_flight()
             return
         if len(self._accept_queue) >= adm.queue_limit:
-            self._shed(client, path, "queue-full")
+            raise self._reject(client, path, "queue-full",
+                               "at capacity (queue-full)")
         slot = env.event()
         self._accept_queue.append(slot)
         self._gauge_queue_depth()
@@ -385,12 +385,11 @@ class HttpServer:
             # still-queued here means the wait timed out.
             self._accept_queue.remove(slot)
             self._gauge_queue_depth()
-            self._queue_timeouts += 1
+            self._totals["queue_timeouts"] = self.queue_timeouts + 1
             if queue_span is not None:
                 queue_span.end(outcome="timeout")
-            if env.tracer.enabled:
-                env.tracer.metrics.inc(f"http.queue_timeouts/{self.host}")
-            self._shed(client, path, "queue-timeout")
+            raise self._reject(client, path, "queue-timeout",
+                               "at capacity (queue-timeout)")
         # Granted: the releaser already counted this request in-flight.
         if queue_span is not None:
             queue_span.end(outcome="admitted")
@@ -411,21 +410,19 @@ class HttpServer:
             hint *= 1.0 + adm.retry_jitter * self._retry_rng.random()
         return hint
 
-    def _shed(self, client: str, path: str, cause: str) -> None:
-        self._rejected += 1
+    def _reject(self, client: str, path: str, cause: str,
+                reason: str) -> HttpError:
+        """Count one shed request, trace it, and build its 503."""
+        self._totals["rejected"] = self.rejected + 1
         tracer = self.network.env.tracer
         if tracer.enabled:
-            tracer.metrics.inc(f"http.rejected/{self.host}")
             tracer.event(
-                "http-reject",
-                path,
-                client=client,
-                server=self.host,
+                "http-reject", path, client=client, server=self.host,
                 cause=cause,
             )
-        raise HttpError(
+        return HttpError(
             503,
-            f"server {self.host} at capacity ({cause})",
+            f"server {self.host} {reason}",
             retry_after=self._retry_hint(),
             server=self.host,
         )
@@ -454,26 +451,8 @@ class HttpServer:
             return
         queued, self._accept_queue = list(self._accept_queue), deque()
         self._gauge_queue_depth()
-        tracer = self.network.env.tracer
         for slot in queued:
-            self._rejected += 1
-            if tracer.enabled:
-                # Mirror _shed's accounting so the http.rejected counter,
-                # the http-reject event count, and self.rejected agree no
-                # matter which path shed the request.
-                tracer.metrics.inc(f"http.rejected/{self.host}")
-                tracer.event(
-                    "http-reject", "*", client="", server=self.host,
-                    cause=reason,
-                )
-            slot.fail(
-                HttpError(
-                    503,
-                    f"server {self.host} {reason}",
-                    retry_after=self._retry_hint(),
-                    server=self.host,
-                )
-            )
+            slot.fail(self._reject("", "*", reason, reason))
 
     def _gauge_queue_depth(self) -> None:
         tracer = self.network.env.tracer
@@ -581,21 +560,13 @@ class LoadBalancer:
                 avoided += 1
                 self.skips += 1
                 continue
-            self.dispatches += 1
-            request = server.get(client, path, max_rate=max_rate,
-                                 parent=parent)
             try:
-                response = yield request
-            except Interrupt:
-                if request.is_alive:
-                    request.interrupt("request aborted")
-                raise
+                return (yield from self._dispatch(server, client, path,
+                                                  max_rate, parent))
             except HttpError as err:
                 if err.status not in (503, 504):
                     raise  # 4xx means the backend is healthy; don't fail over
                 last_error = err
-                continue
-            return response
         if last_error is not None:
             # Every dispatchable backend was tried and shed/crashed.
             raise last_error
@@ -604,9 +575,14 @@ class LoadBalancer:
             # vetoed them all: fast-fail without touching the network.
             raise HttpError(503, "all live backends avoided")
         # All backends down pre-dispatch: surface the first one's error.
+        return (yield from self._dispatch(self.servers[0], client, path,
+                                          max_rate, parent))
+
+    def _dispatch(self, server: HttpServer, client: str, path: str,
+                  max_rate: Optional[float], parent):
+        """GET from one backend, aborting its request if this one dies."""
         self.dispatches += 1
-        request = self.servers[0].get(client, path, max_rate=max_rate,
-                                      parent=parent)
+        request = server.get(client, path, max_rate=max_rate, parent=parent)
         try:
             return (yield request)
         except Interrupt:

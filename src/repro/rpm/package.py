@@ -114,8 +114,11 @@ class Package:
     def __post_init__(self):
         if not self.name:
             raise ValueError("package name cannot be empty")
-        if self.size < 0:
-            raise ValueError(f"package size cannot be negative: {self.size}")
+        # Negated, so that NaN is rejected too.
+        if not self.size >= 0:
+            raise ValueError(
+                f"package size must be non-negative, got {self.size!r}"
+            )
         object.__setattr__(self, "requires", _as_deps(self.requires))
         object.__setattr__(self, "provides", _as_deps(self.provides))
         object.__setattr__(self, "obsoletes", _as_deps(self.obsoletes))

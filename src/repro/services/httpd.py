@@ -40,6 +40,32 @@ def rpms_prefix(dist_name: str) -> str:
     return f"/install/{dist_name}/RedHat/RPMS"
 
 
+def _fetch_rpm(
+    get: Callable[..., Process], primary: InstallServer, client: str,
+    dist_name: str, pkg: Package, max_rate: Optional[float], parent,
+) -> Generator:
+    """GET one RPM through ``get`` and stamp the checksum the client got.
+
+    ``primary``'s corruption hook is read at fetch time: the fault
+    injector installs it after a replica set may have been built.
+    """
+    request = get(
+        client, f"{rpms_prefix(dist_name)}/{pkg.filename}",
+        max_rate=max_rate, parent=parent,
+    )
+    try:
+        resp = yield request
+    except Interrupt:
+        if request.is_alive:
+            request.interrupt("fetch aborted")
+        raise
+    resp.checksum = pkg.checksum
+    hook = primary.corruption_hook
+    if hook is not None and hook(client, pkg):
+        resp.checksum = f"corrupt:{pkg.checksum}"
+    return resp
+
+
 class InstallServer(Service):
     """httpd on the frontend (or a replica), serving RPMs and kickstarts."""
 
@@ -114,39 +140,13 @@ class InstallServer(Service):
         ``parent`` threads trace context down to the HTTP span.
         """
         return self.env.process(
-            self._fetch_package(client, dist_name, pkg, max_rate, parent),
+            _fetch_rpm(self.http.get, self, client, dist_name, pkg,
+                       max_rate, parent),
             name=f"GET {pkg.filename} {client}<-{self.host}",
         )
 
-    def _fetch_package(
-        self, client: str, dist_name: str, pkg: Package,
-        max_rate: Optional[float], parent=None,
-    ) -> Generator:
-        get = self.http.get(
-            client, f"{rpms_prefix(dist_name)}/{pkg.filename}",
-            max_rate=max_rate, parent=parent,
-        )
-        try:
-            resp = yield get
-        except Interrupt:
-            if get.is_alive:
-                get.interrupt("fetch aborted")
-            raise
-        resp.checksum = pkg.checksum
-        if self.corruption_hook is not None and self.corruption_hook(client, pkg):
-            resp.checksum = f"corrupt:{pkg.checksum}"
-        return resp
-
     def fetch_kickstart(self, client: str, parent=None) -> Process:
         return self.http.get(client, KICKSTART_CGI_PATH, parent=parent)
-
-    @property
-    def bytes_served(self) -> float:
-        return self.http.bytes_served
-
-    @property
-    def requests_served(self) -> int:
-        return self.http.requests_served
 
 
 class InstallReplicaSet:
@@ -273,38 +273,7 @@ class InstallReplicaSet:
         parent=None,
     ) -> Process:
         return self.env.process(
-            self._fetch_package(client, dist_name, pkg, max_rate, parent),
+            _fetch_rpm(self.balancer.get, self.primary, client, dist_name,
+                       pkg, max_rate, parent),
             name=f"GET {pkg.filename} {client}<-replicaset",
         )
-
-    def _fetch_package(
-        self, client: str, dist_name: str, pkg: Package,
-        max_rate: Optional[float], parent=None,
-    ) -> Generator:
-        get = self.balancer.get(
-            client, f"{rpms_prefix(dist_name)}/{pkg.filename}",
-            max_rate=max_rate, parent=parent,
-        )
-        try:
-            resp = yield get
-        except Interrupt:
-            if get.is_alive:
-                get.interrupt("fetch aborted")
-            raise
-        resp.checksum = pkg.checksum
-        # Read the hook at fetch time: the fault injector installs it on
-        # the primary after this set may already have been constructed.
-        hook = self.primary.corruption_hook
-        if hook is not None and hook(client, pkg):
-            resp.checksum = f"corrupt:{pkg.checksum}"
-        return resp
-
-    @property
-    def bytes_served(self) -> float:
-        servers = [self.primary, *self.replicas, *self._draining]
-        return sum(s.bytes_served for s in servers)
-
-    @property
-    def requests_served(self) -> int:
-        servers = [self.primary, *self.replicas, *self._draining]
-        return sum(s.requests_served for s in servers)

@@ -32,8 +32,9 @@ def iter_trace_records(tracer: Tracer) -> Iterator[dict]:
     }
     yield from tracer.iter_records()
     metrics = tracer.metrics
-    for name in sorted(metrics.counters):
-        yield {"type": "counter", "name": name, "value": metrics.counters[name]}
+    counters = metrics.counters
+    for name in sorted(counters):
+        yield {"type": "counter", "name": name, "value": counters[name]}
     for name in metrics.gauge_names():
         yield {
             "type": "gauge",

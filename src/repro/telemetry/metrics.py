@@ -3,7 +3,11 @@
 A :class:`Metrics` registry holds
 
 * **counters** — monotonically increasing totals (requests served,
-  download retries, bytes moved);
+  download retries, bytes moved).  An object that already keeps its
+  own totals, such as an HTTP server, keeps them in a dict it gets
+  from :meth:`Metrics.totals`; the registry reads that dict at export
+  instead of mirroring each increment.  :meth:`Metrics.inc` counts
+  into the registry's own such dict, so every counter has one store;
 * **gauges** — step functions of simulated time, recorded as
   ``(t, value)`` samples whenever the value changes (per-link
   utilization, concurrent-install count).
@@ -15,8 +19,6 @@ sample list doubles as an exportable timeseries.
 
 from __future__ import annotations
 
-from typing import Optional
-
 __all__ = ["Metrics", "NullMetrics"]
 
 
@@ -25,7 +27,8 @@ class Metrics:
 
     def __init__(self):
         self.env = None
-        self._counters: dict[str, float] = {}
+        self._totals: list[tuple[str, str, dict[str, float]]] = []
+        self._counters = self.totals()
         self._gauges: dict[str, list[tuple[float, float]]] = {}
 
     def attach(self, env) -> "Metrics":
@@ -37,15 +40,36 @@ class Metrics:
         return 0.0 if self.env is None else self.env.now
 
     # -- counters ----------------------------------------------------------
+    def totals(self, prefix: str = "", suffix: str = "") -> dict[str, float]:
+        """A live dict of an owner's totals, read by the registry at export.
+
+        Each key the owner sets exports as the counter
+        ``prefix + key + suffix`` (``totals("http.", "/www")`` exports
+        its ``"rejected"`` as ``http.rejected/www``); a key never set
+        is not exported.  Equal names from several dicts are summed.
+        Only dicts made through this registry are read: an owner built
+        before its environment's tracer was attached counts into a
+        private dict and is not exported, so attach the tracer first.
+        """
+        owned: dict[str, float] = {}
+        self._totals.append((prefix, suffix, owned))
+        return owned
+
     def inc(self, name: str, n: float = 1.0) -> None:
         self._counters[name] = self._counters.get(name, 0.0) + n
 
     def counter(self, name: str) -> float:
-        return self._counters.get(name, 0.0)
+        return self.counters.get(name, 0.0)
 
     @property
     def counters(self) -> dict[str, float]:
-        return dict(self._counters)
+        """Every counter's current total, computed at each read."""
+        out: dict[str, float] = {}
+        for prefix, suffix, owned in self._totals:
+            for key, n in owned.items():
+                name = prefix + key + suffix
+                out[name] = out.get(name, 0.0) + n
+        return out
 
     # -- gauges ------------------------------------------------------------
     def gauge(self, name: str, value: float) -> None:
@@ -84,18 +108,17 @@ class Metrics:
         samples = self._gauges.get(name)
         return max(v for _, v in samples) if samples else 0.0
 
-    def time_weighted_mean(self, name: str, until: Optional[float] = None) -> float:
-        """Mean of the gauge's step function from its first sample to ``until``."""
+    def time_weighted_mean(self, name: str) -> float:
+        """Mean of the gauge's step function from its first sample to now."""
         samples = self._gauges.get(name)
         if not samples:
             return 0.0
-        end = self.now if until is None else until
         total = 0.0
         for (t0, v), (t1, _) in zip(samples, samples[1:]):
             total += v * (t1 - t0)
         last_t, last_v = samples[-1]
-        total += last_v * max(end - last_t, 0.0)
-        duration = end - samples[0][0]
+        total += last_v * max(self.now - last_t, 0.0)
+        duration = self.now - samples[0][0]
         return total / duration if duration > 0 else samples[-1][1]
 
 
@@ -104,6 +127,10 @@ class NullMetrics:
 
     def attach(self, env) -> "NullMetrics":
         return self
+
+    def totals(self, prefix: str = "", suffix: str = "") -> dict[str, float]:
+        """A private dict: the owner still counts, nothing exports."""
+        return {}
 
     def inc(self, name: str, n: float = 1.0) -> None:
         pass
@@ -133,5 +160,5 @@ class NullMetrics:
     def peak(self, name: str) -> float:
         return 0.0
 
-    def time_weighted_mean(self, name: str, until: Optional[float] = None) -> float:
+    def time_weighted_mean(self, name: str) -> float:
         return 0.0

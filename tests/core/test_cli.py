@@ -182,6 +182,13 @@ def test_explain_seed_reaches_the_scenario(capsys):
     assert seed7 != default
 
 
+def test_chaos_frontend_crash_recovers_the_database(capsys):
+    code, out = run_cli(capsys, "chaos", "--frontend-crash", "--nodes", "16")
+    assert code == 0
+    assert "recovered database state: byte-identical" in out
+    assert "PASS" in out
+
+
 def test_explain_command_byte_identical_across_runs(capsys):
     _, first = run_cli(capsys, "explain", "--nodes", "2")
     _, second = run_cli(capsys, "explain", "--nodes", "2")

@@ -4,6 +4,10 @@
 of that scenario run's canonical text, with one row per registry entry
 at its defaults.  When a change to a scenario's output is intended,
 re-record its row with the digest the failing test prints.
+
+``golden/traces.json`` maps each scenario name to the sha256 of its
+``trace --scenario NAME --nodes 2`` JSONL export, counters included;
+re-record a row the same way.
 """
 
 import argparse
@@ -16,8 +20,9 @@ import pytest
 from repro.cli import build_parser, main
 from repro.scenarios import SCENARIOS
 
-MANIFEST = pathlib.Path(__file__).parent / "golden" / "manifest.json"
-ROWS = json.loads(MANIFEST.read_text(encoding="utf-8"))
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+ROWS = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+TRACES = json.loads((GOLDEN / "traces.json").read_text(encoding="utf-8"))
 
 
 def sha256(text: str) -> str:
@@ -53,6 +58,8 @@ def test_trace_exports_a_valid_trace_for_every_scenario(name, tmp_path,
     path = tmp_path / f"{name}.jsonl"
     assert main(["trace", "--scenario", name, "--nodes", "2",
                  "--out", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == TRACES[name], f'trace row "{name}" is now "{digest}"'
     assert main(["trace", "--validate", str(path)]) == 0
     assert "valid" in capsys.readouterr().out
 

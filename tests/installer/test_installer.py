@@ -263,7 +263,7 @@ def test_two_concurrent_installs_share_and_finish():
     rig = Rig(n_nodes=2)
     reports = rig.install_all()
     assert all(r.n_packages == len(rig.packages) for r in reports)
-    assert rig.server.requests_served >= 2 * (len(rig.packages) + 1)
+    assert rig.server.http.requests_served >= 2 * (len(rig.packages) + 1)
 
 
 def test_bad_cgi_body_hangs_node_with_diagnostic():

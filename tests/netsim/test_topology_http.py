@@ -192,6 +192,15 @@ def test_http_path_normalisation():
     assert resp.status == 200
 
 
+def test_publish_rejects_a_nan_size():
+    _, _, server = make_http()
+    with pytest.raises(ValueError, match="nan"):
+        server.publish("/x", float("nan"))
+    assert not server.has_document("/x")
+    server.publish("/endless", float("inf"))
+    assert server.has_document("/endless")
+
+
 def test_publish_tree_and_unpublish():
     _, _, server = make_http()
     server.publish_tree({"/a": 1, "/b": 2}, prefix="/dist")

@@ -194,6 +194,65 @@ def test_queue_depth_gauge_and_reject_counter():
     assert server.requests_served == 8 - server.rejected
 
 
+def test_traced_counters_are_the_servers_own_totals():
+    """Served, queue-full, queue-timeout and daemon-kill paths each count once."""
+    tracer = Tracer()
+    env, server = make_http(n_clients=5, tracer=tracer)
+    server.configure_admission(
+        AdmissionConfig(max_concurrent=1, queue_limit=1, queue_timeout=5.0)
+    )
+    server.publish("/pkg", FAST_ETHERNET)
+    server.publish("/slow", FAST_ETHERNET * 600)
+    results = []
+
+    def get_at(t, client, path):
+        yield env.timeout(t)
+        try:
+            results.append((yield server.get(client, path)))
+        except (HttpError, TransferAborted) as err:
+            results.append(err)
+
+    env.process(get_at(0.0, "c0", "/pkg"))    # served by t=1
+    env.process(get_at(2.0, "c1", "/slow"))   # holds the only slot
+    env.process(get_at(3.0, "c2", "/pkg"))    # queued, times out at t=8
+    env.process(get_at(4.0, "c3", "/pkg"))    # the queue is full: shed
+    env.process(get_at(10.0, "c4", "/pkg"))   # queued, flushed by the kill
+
+    def kill():
+        yield env.timeout(11.0)
+        server.running = False
+        server.abort_transfers()
+
+    env.process(kill())
+    env.run()
+    assert len(results) == 5
+    stats = server.admission_stats()
+    assert stats["requests_served"] == 1
+    assert stats["rejected"] == 3
+    assert stats["queue_timeouts"] == 1
+    assert tracer.metrics.counters == {
+        "http.requests/www": stats["requests_served"],
+        "http.bytes/www": stats["bytes_served"],
+        "http.rejected/www": stats["rejected"],
+        "http.queue_timeouts/www": stats["queue_timeouts"],
+    }
+    rejects = tracer.events("http-reject")
+    assert len(rejects) == stats["rejected"]
+    assert sorted(e["attrs"]["cause"] for e in rejects) == [
+        "connection reset", "queue-full", "queue-timeout",
+    ]
+
+
+def test_a_server_built_before_the_tracer_is_not_exported():
+    """Its totals live in a private dict: the trace shows none of them."""
+    env, server = make_http()
+    Tracer().attach(env)
+    server.publish("/x", 100)
+    env.run(until=server.get("c0", "/x"))
+    assert server.requests_served == 1
+    assert env.tracer.metrics.counters == {}
+
+
 def test_admission_stats_snapshot():
     """The first-class gauge view monitoring agents sample."""
     env, server = make_http(n_clients=8)

@@ -39,6 +39,12 @@ def test_negative_size_rejected():
         Package("x", "1.0", size=-1)
 
 
+def test_nan_size_rejected():
+    with pytest.raises(ValueError, match="nan"):
+        Package("x", "1.0", size=float("nan"))
+    assert Package("x", "1.0", size=float("inf")).size == float("inf")
+
+
 def test_requires_accepts_strings_and_objects():
     p = Package("gcc", "2.96", requires=("binutils", Dependency("cpp")))
     assert all(isinstance(d, Dependency) for d in p.requires)

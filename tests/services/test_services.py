@@ -284,7 +284,7 @@ def test_publish_and_fetch_package():
     resp = env.run(until=server.fetch_package("node", "rocks-dist", pkg))
     assert resp.status == 200
     assert resp.size == 1_000_000
-    assert server.bytes_served == 1_000_000
+    assert server.http.bytes_served == 1_000_000
 
 
 def test_publish_repository():

@@ -8,6 +8,7 @@ from repro.netsim import Environment
 from repro.telemetry import (
     Metrics,
     NULL_TRACER,
+    NullMetrics,
     Tracer,
     percentile,
     summarize,
@@ -156,6 +157,36 @@ def test_gauge_time_weighted_mean_and_peak():
     assert m.peak("util") == 1.0
     # 0.5 for 10s, 1.0 for 10s, 0.0 for 20s -> 15/40
     assert m.time_weighted_mean("util") == pytest.approx(0.375)
+
+
+def test_totals_export_each_set_key_under_its_derived_name():
+    m = Metrics()
+    a = m.totals("http.", "/www")
+    b = m.totals("http.", "/www")
+    assert m.counters == {}
+    a["rejected"] = 0
+    assert m.counters == {"http.rejected/www": 0.0}  # set, though zero
+    a["requests"] = 2
+    b["requests"] = 3
+    b["bytes"] = 10.0
+    m.inc("http.requests/www")
+    assert m.counters == {
+        "http.rejected/www": 0.0,
+        "http.requests/www": 6.0,  # equal names are summed
+        "http.bytes/www": 10.0,
+    }
+    # int totals export as floats, like inc's own
+    assert type(m.counter("http.requests/www")) is float
+    assert m.counter("http.queue_timeouts/www") == 0.0  # never set
+
+
+def test_null_metrics_totals_are_private():
+    null = NullMetrics()
+    owned = null.totals("http.", "/www")
+    owned["requests"] = 1
+    assert owned == {"requests": 1}
+    assert null.totals("http.", "/www") == {}
+    assert null.counters == {}
 
 
 def test_gauge_dedupes_and_overwrites_same_instant():
