@@ -58,7 +58,7 @@ def _bulk():
         yield env.timeout(cal.hwdetect_seconds + cal.format_seconds)
         # the whole image in one stream (it may exceed one stream's cap
         # only by sharing; same per-stream ceiling as the RPM pull)
-        yield frontend.install_server.http.get(
+        yield from frontend.install_server.http.get(
             machine.mac, "/images/compute.img", max_rate=cal.single_stream_rate
         )
         yield env.timeout(cpu_seconds)  # unpack the image

@@ -39,7 +39,7 @@ def _serial_download():
     def run():
         total = 0.0
         for pkg in profile.packages:
-            resp = yield frontend.install_server.fetch_package(
+            resp = yield from frontend.install_server.fetch_package(
                 node.mac, profile.dist_name, pkg,
                 max_rate=SINGLE_STREAM_HTTP_RATE,
             )

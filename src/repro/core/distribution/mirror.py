@@ -59,7 +59,7 @@ def mirror_over_http(
             report.n_skipped += 1
             continue
         try:
-            resp = yield server.fetch_package(client_host, dist_name, pkg)
+            resp = yield from server.fetch_package(client_host, dist_name, pkg)
         except HttpError as err:
             report.errors.append(f"{filename}: {err}")
             continue

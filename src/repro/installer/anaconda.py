@@ -32,12 +32,10 @@ from typing import Callable, Generator, Optional
 from ..cluster.node import Machine
 from ..kernel import MyrinetDriver
 from ..netsim import (
-    AnyOf,
     Environment,
     HostDown,
     HttpError,
     Interrupt,
-    Process,
     TransferAborted,
 )
 from ..rpm import BuildError
@@ -70,10 +68,14 @@ class InstallError(Exception):
 #: was reset (flow cancelled), or an endpoint link is down.
 RETRIABLE_ERRORS = (HttpError, TransferAborted, ServiceError, HostDown)
 
+#: Interrupt cause of an expired download deadline; an interrupt with
+#: any other cause means the machine died under the installer.
+_DEADLINE = object()
+
 
 def fetch_with_retry(
     env: Environment,
-    make_fetch: Callable[[], Process],
+    make_fetch: Callable[[], Generator],
     cal: InstallCalibration,
     what: str,
     say: Callable[[str], None] = lambda line: None,
@@ -83,10 +85,14 @@ def fetch_with_retry(
 ):
     """Fetch with a timeout, bounded retries, and checksum verification.
 
-    ``make_fetch`` builds a fresh fetch process per attempt — against a
-    load-balanced source each retry naturally re-selects a live server.
-    A response whose checksum disagrees with ``expect_checksum`` counts
-    as a failed attempt and is re-fetched.  ``stats`` (if given) gets
+    ``make_fetch`` builds a fresh fetch generator per attempt, which the
+    calling process runs inline — against a load-balanced source each
+    retry naturally re-selects a live server.  An attempt still running
+    after ``cal.download_timeout_seconds`` is interrupted where it waits
+    (the accept queue, the transfer), and cleans up on its way out; the
+    deadline is cancelled on every other exit.  A response whose
+    checksum disagrees with ``expect_checksum`` counts as a failed
+    attempt and is re-fetched.  ``stats`` (if given) gets
     ``retries``/``corrupt`` counters incremented.  Raises
     :class:`InstallError` once ``cal.download_max_attempts`` is spent.
 
@@ -94,45 +100,47 @@ def fetch_with_retry(
     backoff sleep becomes a ``retry-wait`` span, so a critical-path
     analysis can attribute time lost to retry chains.
     """
+    proc = env.active_process
+
+    def expire(_deadline) -> None:
+        # The engine detaches an interrupted process only from a wait
+        # that has not triggered; one that has (a Timeout, or a transfer
+        # that ended at this very instant) would resume it a second time.
+        waiting = proc._waiting_on
+        if waiting is not None and waiting.triggered:
+            waiting.callbacks.remove(proc._resume)
+        proc.interrupt(_DEADLINE)
+
     attempt = 0
     while True:
         attempt += 1
-        fetch = make_fetch()
         deadline = env.timeout(cal.download_timeout_seconds)
-        failure = None
+        deadline.callbacks.append(expire)
         retry_hint = None  # Retry-After from an admission-control 503
         try:
-            yield AnyOf(env, (fetch, deadline))
-        except Interrupt:
-            # The machine died under us: tear down the in-flight fetch.
-            if fetch.is_alive:
-                fetch.interrupt("installation aborted")
-            raise
+            resp = yield from make_fetch()
+        except Interrupt as intr:
+            if intr.cause is not _DEADLINE:
+                raise  # the machine died under us
+            failure = f"no data for {cal.download_timeout_seconds:.0f}s"
+            if env.tracer.enabled:
+                env.tracer.event(
+                    "download-timeout", what, parent=parent,
+                    attempt=attempt,
+                    timeout=cal.download_timeout_seconds,
+                )
         except RETRIABLE_ERRORS as err:
             failure = str(err)
             retry_hint = getattr(err, "retry_after", None)
         else:
-            if not fetch.triggered:
-                fetch.interrupt("download timeout")
-                failure = f"no data for {cal.download_timeout_seconds:.0f}s"
-                if env.tracer.enabled:
-                    env.tracer.event(
-                        "download-timeout", what, parent=parent,
-                        attempt=attempt,
-                        timeout=cal.download_timeout_seconds,
-                    )
-            elif not fetch.ok:
-                failure = str(fetch.value)
-                retry_hint = getattr(fetch.value, "retry_after", None)
-            else:
-                resp = fetch.value
-                got = getattr(resp, "checksum", "")
-                if expect_checksum and got and got != expect_checksum:
-                    failure = f"checksum mismatch ({got})"
-                    if stats is not None:
-                        stats["corrupt"] = stats.get("corrupt", 0) + 1
-                else:
-                    return resp
+            got = getattr(resp, "checksum", "")
+            if not (expect_checksum and got and got != expect_checksum):
+                return resp
+            failure = f"checksum mismatch ({got})"
+            if stats is not None:
+                stats["corrupt"] = stats.get("corrupt", 0) + 1
+        finally:
+            env.cancel(deadline)
         if attempt >= cal.download_max_attempts:
             if env.tracer.enabled:
                 env.tracer.event(
@@ -172,10 +180,12 @@ def fetch_with_retry(
 class InstallSource:
     """Protocol the installer pulls from (an InstallServer or LoadBalancer).
 
-    Must provide ``fetch_kickstart(client, parent=None) -> Process``
+    Must provide ``fetch_kickstart(client, parent=None)``, a generator
     whose response body is an :class:`InstallProfile`, and
-    ``fetch_package(client, dist, pkg, max_rate, parent=None) ->
-    Process``; ``parent`` threads trace context into the HTTP layer.
+    ``fetch_package(client, dist, pkg, max_rate, parent=None)``, a
+    generator returning the package's HttpResponse.  The installing
+    process runs both inline (``yield from``); ``parent`` threads trace
+    context into the HTTP layer.
     """
 
 
@@ -406,8 +416,8 @@ class KickstartInstaller:
             outcome = "ok"
             return report
         except Interrupt:
-            # Machine died under us; fetch_with_retry has already torn
-            # down any in-flight HTTP transfer on its way out.
+            # Machine died under us; the interrupted fetch has already
+            # torn down its in-flight HTTP transfer on its way out.
             outcome = "aborted"
             say("installation aborted")
             raise

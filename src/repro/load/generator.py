@@ -92,7 +92,7 @@ class LoadGenerator:
     def _one(self, client: str):
         t0 = self.env.now
         try:
-            yield self.target.get(client, self.path)
+            yield from self.target.get(client, self.path)
         except HttpError as err:
             if err.status == 503:
                 self.shed += 1

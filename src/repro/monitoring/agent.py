@@ -104,6 +104,9 @@ class MetricAgent:
         self.packets_sent = 0
         self.packets_heard = 0  # delivered to at least one listener
         self._seq = 0
+        self._n_cpus = max(machine.spec.cpu.count, 1)
+        #: the machine's network host, looked up once it is attached
+        self._nic = None
         self._proc = machine.env.process(
             self._loop(), name=f"gmond:{machine.hostid}"
         )
@@ -116,26 +119,28 @@ class MetricAgent:
         metrics: dict[str, float] = {}
         labels: dict[str, str] = {}
 
-        n_cpus = max(machine.spec.cpu.count, 1)
         load = len(machine.user_processes)
         installing = machine.state is MachineState.INSTALLING
         metrics["load"] = load
         # cpu proxy: anaconda pegs a CPU while installing; otherwise the
         # running user processes spread over the cores.
-        metrics["cpu"] = 1.0 if installing else min(load / n_cpus, 1.0)
+        metrics["cpu"] = 1.0 if installing else min(load / self._n_cpus, 1.0)
         metrics["packages"] = len(machine.rpmdb)
         metrics["installs"] = machine.install_count
-        labels["state"] = machine.state.value
+        # ``_value_`` is the member's value without the ``.value``
+        # descriptor call; every agent reads it every tick.
+        labels["state"] = machine.state._value_
         labels["phase"] = machine.install_phase or ""
         labels["kernel"] = machine.kernel_version or ""
 
-        network = self.group.network
-        if network.has_host(machine.mac):
-            host = network.host(machine.mac)
-            metrics["net.tx_bytes"] = host.tx.bytes_carried
-            metrics["net.rx_bytes"] = host.rx.bytes_carried
-            metrics["net.tx_util"] = host.tx.utilization()
-            metrics["net.rx_util"] = host.rx.utilization()
+        nic = self._nic
+        if nic is None and self.group.network.has_host(machine.mac):
+            nic = self._nic = self.group.network.host(machine.mac)
+        if nic is not None:
+            metrics["net.tx_bytes"] = nic.tx.bytes_carried
+            metrics["net.rx_bytes"] = nic.rx.bytes_carried
+            metrics["net.tx_util"] = nic.tx.utilization()
+            metrics["net.rx_util"] = nic.rx.utilization()
 
         progress = machine.install_progress
         if installing and progress is not None:

@@ -17,6 +17,8 @@ frontend service health (service-down).
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -77,10 +79,12 @@ class NodeDownRule(AlertRule):
     def check(self, agg, now: float) -> dict[str, tuple[str, float]]:
         limit = self.stale_after if self.stale_after is not None else agg.stale_after
         conditions: dict[str, tuple[str, float]] = {}
+        last = agg.snapshot()
         for host in agg.expected_hosts():
-            age = agg.age(host)
+            packet = last.get(host)
+            age = math.inf if packet is None else now - packet.t
             if age > limit:
-                if age == float("inf"):
+                if packet is None:
                     conditions[host] = ("never heard a heartbeat", -1.0)
                 else:
                     conditions[host] = (f"no heartbeat for {age:.0f}s", age)
@@ -96,8 +100,14 @@ class ServiceDownRule(AlertRule):
     def check(self, agg, now: float) -> dict[str, tuple[str, float]]:
         conditions: dict[str, tuple[str, float]] = {}
         for host, packet in agg.snapshot().items():
-            for name, value in packet.metrics:
-                if name.startswith("svc.") and value == 0.0:
+            # A packet's metrics are sorted by name, so its ``svc.*``
+            # gauges (only the frontend has any) are one run that starts
+            # where "svc." sorts.
+            metrics = packet.metrics
+            for name, value in metrics[bisect_left(metrics, ("svc.",)):]:
+                if not name.startswith("svc."):
+                    break
+                if value == 0.0:
                     service = name[len("svc."):]
                     conditions[f"{host}/{service}"] = (
                         f"service {service} is not running", 0.0

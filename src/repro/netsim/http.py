@@ -20,9 +20,9 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Generator, Optional
 
-from .engine import AnyOf, Environment, Event, Interrupt, Process
+from .engine import AnyOf, Environment, Event, Interrupt
 from .flows import Link
 from .topology import Network
 
@@ -248,19 +248,16 @@ class HttpServer:
     def get(
         self, client: str, path: str, max_rate: Optional[float] = None,
         parent=None,
-    ) -> Process:
-        """GET ``path`` from ``client``; yields an HttpResponse process.
+    ) -> Generator:
+        """GET ``path`` from ``client``: a generator returning an HttpResponse.
 
-        ``parent`` (a tracer span) threads trace context: the request's
-        ``http`` span — and everything under it — parents on the caller.
+        The requesting process runs it inline (``yield from``); a caller
+        that wants a concurrent request wraps it in ``env.process``.  An
+        interrupt of that process tears the transfer down.  ``parent`` (a
+        tracer span) threads trace context: the request's ``http`` span —
+        and everything under it — parents on the caller.
         """
-        return self.network.env.process(
-            self._do_get(client, self._norm(path), max_rate, parent),
-            name=f"GET {path} {client}<-{self.host}",
-        )
-
-    def _do_get(self, client: str, path: str, max_rate: Optional[float],
-                parent=None):
+        path = self._norm(path)
         tracer = self.network.env.tracer
         span = (
             tracer.span("http", path, parent=parent,
@@ -311,8 +308,9 @@ class HttpServer:
             try:
                 yield flow.done
             except Interrupt:
-                # The requester died (e.g. node power-cycled mid-download):
-                # tear the connection down so bandwidth is freed immediately.
+                # The requesting process was interrupted (its node
+                # power-cycled, or its download deadline passed): tear the
+                # connection down so bandwidth is freed immediately.
                 flow.cancel()
                 if span is not None:
                     span.end(outcome="aborted")
@@ -537,32 +535,26 @@ class LoadBalancer:
     def get(
         self, client: str, path: str, max_rate: Optional[float] = None,
         parent=None,
-    ) -> Process:
-        """GET with failover: retries the next live backend on a 503/504."""
-        env = self.servers[0].network.env
-        return env.process(
-            self._do_get(client, path, max_rate, parent),
-            name=f"LB GET {path} {client}",
-        )
+    ) -> Generator:
+        """GET with failover: retries the next live backend on a 503/504.
 
-    def _do_get(self, client: str, path: str, max_rate: Optional[float],
-                parent=None):
+        A generator returning the HttpResponse, like :meth:`HttpServer.get`.
+        """
         last_error: Optional[HttpError] = None
         avoided = 0
         for server in self._rotation():
-            if not server.running:
-                self.skips += 1
-                continue
-            if not server.network.reachable(server.host, client):
+            if not server.running or not server.network.reachable(
+                server.host, client
+            ):
                 self.skips += 1
                 continue
             if self.should_avoid is not None and self.should_avoid(server):
                 avoided += 1
                 self.skips += 1
                 continue
+            self.dispatches += 1
             try:
-                return (yield from self._dispatch(server, client, path,
-                                                  max_rate, parent))
+                return (yield from server.get(client, path, max_rate, parent))
             except HttpError as err:
                 if err.status not in (503, 504):
                     raise  # 4xx means the backend is healthy; don't fail over
@@ -575,17 +567,5 @@ class LoadBalancer:
             # vetoed them all: fast-fail without touching the network.
             raise HttpError(503, "all live backends avoided")
         # All backends down pre-dispatch: surface the first one's error.
-        return (yield from self._dispatch(self.servers[0], client, path,
-                                          max_rate, parent))
-
-    def _dispatch(self, server: HttpServer, client: str, path: str,
-                  max_rate: Optional[float], parent):
-        """GET from one backend, aborting its request if this one dies."""
         self.dispatches += 1
-        request = server.get(client, path, max_rate=max_rate, parent=parent)
-        try:
-            return (yield request)
-        except Interrupt:
-            if request.is_alive:
-                request.interrupt("request aborted")
-            raise
+        return (yield from self.servers[0].get(client, path, max_rate, parent))

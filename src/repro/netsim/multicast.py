@@ -92,19 +92,23 @@ class MulticastGroup:
         the same accounting as everything else.
         """
         network = self.network
+        # One lookup per host: every gmond packet of every tick comes
+        # through here.
+        hosts = network._hosts
         self.packets_sent += 1
-        if not network.has_host(src) or not network.host(src).up:
+        sender = hosts.get(src)
+        if sender is None or not sender.up:
             self.packets_dropped += len(self._subscribers)
             return 0
         now = network.env.now
         delivered = 0
-        sender = network.host(src)
         for host, receive in list(self._subscribers.items()):
-            if not network.has_host(host) or not network.host(host).up:
+            listener = hosts.get(host)
+            if listener is None or not listener.up:
                 self.packets_dropped += 1
                 continue
             if host != src:
-                network.host(host).rx.bytes_carried += nbytes
+                listener.rx.bytes_carried += nbytes
             delivered += 1
             receive(src, payload, now)
         if delivered:

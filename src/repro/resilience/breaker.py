@@ -23,9 +23,9 @@ maintains one breaker per backend, keyed by server host name.
 from __future__ import annotations
 
 import enum
-from typing import Any, Optional
+from typing import Any, Generator, Optional
 
-from ..netsim import Environment, HttpError, Interrupt, Process, TransferAborted
+from ..netsim import Environment, HttpError, TransferAborted
 from ..netsim.topology import HostDown
 
 __all__ = ["BreakerState", "CircuitBreaker", "GuardedSource"]
@@ -162,32 +162,20 @@ class GuardedSource:
         return dict(self._breakers)
 
     # -- InstallSource protocol -------------------------------------------
-    def fetch_kickstart(self, client: str, parent=None) -> Process:
+    def fetch_kickstart(self, client: str, parent=None) -> Generator:
         # Trace context is forwarded only when present, so duck-typed
         # sources without a ``parent`` kwarg keep working untraced.
-        if parent is None:
-            make = lambda: self.source.fetch_kickstart(client)
-        else:
-            make = lambda: self.source.fetch_kickstart(client, parent=parent)
-        return self.env.process(
-            self._guard(make),
-            name=f"guarded kickstart {client}",
+        traced = {} if parent is None else {"parent": parent}
+        return self._guard(
+            lambda: self.source.fetch_kickstart(client, **traced)
         )
 
     def fetch_package(self, client, dist_name, pkg, max_rate=None,
-                      parent=None) -> Process:
-        if parent is None:
-            make = lambda: self.source.fetch_package(
-                client, dist_name, pkg, max_rate=max_rate
-            )
-        else:
-            make = lambda: self.source.fetch_package(
-                client, dist_name, pkg, max_rate=max_rate, parent=parent
-            )
-        return self.env.process(
-            self._guard(make),
-            name=f"guarded GET {pkg.filename} {client}",
-        )
+                      parent=None) -> Generator:
+        traced = {} if parent is None else {"parent": parent}
+        return self._guard(lambda: self.source.fetch_package(
+            client, dist_name, pkg, max_rate=max_rate, **traced
+        ))
 
     def _guard(self, make_request):
         if self._host is not None:
@@ -199,13 +187,8 @@ class GuardedSource:
                     retry_after=br.retry_after(),
                     server=self._host,
                 )
-        request = make_request()
         try:
-            response = yield request
-        except Interrupt:
-            if request.is_alive:
-                request.interrupt("request aborted")
-            raise
+            response = yield from make_request()
         except HttpError as err:
             server = err.server or self._host
             if server:

@@ -17,10 +17,8 @@ from ..netsim import (
     DEFAULT_HTTP_EFFICIENCY,
     Environment,
     HttpServer,
-    Interrupt,
     LoadBalancer,
     Network,
-    Process,
 )
 from ..rpm import Package, Repository
 from .base import Service
@@ -41,7 +39,7 @@ def rpms_prefix(dist_name: str) -> str:
 
 
 def _fetch_rpm(
-    get: Callable[..., Process], primary: InstallServer, client: str,
+    get: Callable[..., Generator], primary: InstallServer, client: str,
     dist_name: str, pkg: Package, max_rate: Optional[float], parent,
 ) -> Generator:
     """GET one RPM through ``get`` and stamp the checksum the client got.
@@ -49,16 +47,10 @@ def _fetch_rpm(
     ``primary``'s corruption hook is read at fetch time: the fault
     injector installs it after a replica set may have been built.
     """
-    request = get(
+    resp = yield from get(
         client, f"{rpms_prefix(dist_name)}/{pkg.filename}",
         max_rate=max_rate, parent=parent,
     )
-    try:
-        resp = yield request
-    except Interrupt:
-        if request.is_alive:
-            request.interrupt("fetch aborted")
-        raise
     resp.checksum = pkg.checksum
     hook = primary.corruption_hook
     if hook is not None and hook(client, pkg):
@@ -132,20 +124,17 @@ class InstallServer(Service):
         pkg: Package,
         max_rate: Optional[float] = None,
         parent=None,
-    ) -> Process:
-        """GET one RPM (a process; yields the HttpResponse).
+    ) -> Generator:
+        """GET one RPM (a generator returning the HttpResponse).
 
         The response carries the payload checksum the client actually
         received, so the installer can detect corrupted downloads.
         ``parent`` threads trace context down to the HTTP span.
         """
-        return self.env.process(
-            _fetch_rpm(self.http.get, self, client, dist_name, pkg,
-                       max_rate, parent),
-            name=f"GET {pkg.filename} {client}<-{self.host}",
-        )
+        return _fetch_rpm(self.http.get, self, client, dist_name, pkg,
+                          max_rate, parent)
 
-    def fetch_kickstart(self, client: str, parent=None) -> Process:
+    def fetch_kickstart(self, client: str, parent=None) -> Generator:
         return self.http.get(client, KICKSTART_CGI_PATH, parent=parent)
 
 
@@ -261,7 +250,7 @@ class InstallReplicaSet:
         return list(self._draining)
 
     # -- InstallSource protocol --------------------------------------------
-    def fetch_kickstart(self, client: str, parent=None) -> Process:
+    def fetch_kickstart(self, client: str, parent=None) -> Generator:
         return self.balancer.get(client, KICKSTART_CGI_PATH, parent=parent)
 
     def fetch_package(
@@ -271,9 +260,6 @@ class InstallReplicaSet:
         pkg: Package,
         max_rate: Optional[float] = None,
         parent=None,
-    ) -> Process:
-        return self.env.process(
-            _fetch_rpm(self.balancer.get, self.primary, client, dist_name,
-                       pkg, max_rate, parent),
-            name=f"GET {pkg.filename} {client}<-replicaset",
-        )
+    ) -> Generator:
+        return _fetch_rpm(self.balancer.get, self.primary, client, dist_name,
+                          pkg, max_rate, parent)

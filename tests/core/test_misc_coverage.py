@@ -48,7 +48,7 @@ def test_load_balancer_all_dead_reports_error():
 
     def go():
         with pytest.raises(HttpError, match="503"):
-            yield lb.get("c", "/x")
+            yield from lb.get("c", "/x")
         return True
 
     assert env.run(until=env.process(go()))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import build_cluster
 from repro.cluster import (
     CATALOG,
     ClusterHardware,
@@ -272,3 +273,16 @@ def test_bad_cgi_body_hangs_node_with_diagnostic():
     node.power_on()
     rig.env.run(until=node.wait_for_state(MachineState.HUNG))
     assert any("installation failed" in line for line in node.console)
+
+
+def test_reinstall_dispatches_at_most_five_events_per_request():
+    """Fetches run inside the installing process: no child Process each."""
+    sim = build_cluster(n_compute=4)
+    sim.integrate_all()
+    http = sim.frontend.install_server.http
+    events, served = sim.env.events_dispatched, http.requests_served
+    sim.reinstall_all()
+    events = sim.env.events_dispatched - events
+    served = http.requests_served - served
+    assert served == 4 * 163  # a kickstart and 162 packages per node
+    assert events <= 5 * served

@@ -12,7 +12,13 @@ from repro.installer import (
     InstallError,
     fetch_with_retry,
 )
-from repro.netsim import Environment, HttpError, HttpResponse
+from repro.netsim import (
+    Environment,
+    HttpError,
+    HttpResponse,
+    HttpServer,
+    Network,
+)
 
 CAL = InstallCalibration(
     download_timeout_seconds=5.0,
@@ -36,6 +42,18 @@ def _resp(checksum=""):
     return HttpResponse(status=200, path="/pkg", size=1.0, checksum=checksum)
 
 
+def _http_rig():
+    """A 1000 B/s server and client: a 5000-byte GET takes exactly 5 s."""
+    env = Environment()
+    net = Network(env)
+    for host in ("www", "node", "a", "b"):
+        net.attach(host, 1000.0)
+    server = HttpServer(net, "www", efficiency=1.0)
+    server.publish("/big", 5000.0)
+    server.publish("/small", 1000.0)
+    return env, net, server
+
+
 def test_backoff_schedule_is_exponential():
     assert [CAL.download_backoff(a) for a in (1, 2, 3, 4)] == [2.0, 4.0, 8.0, 16.0]
 
@@ -47,7 +65,7 @@ def test_timeout_then_bounded_giveup_timing():
     def stalled():
         yield env.timeout(1000.0)
 
-    gen = fetch_with_retry(env, lambda: env.process(stalled()), CAL, "pkg")
+    gen = fetch_with_retry(env, stalled, CAL, "pkg")
     with pytest.raises(InstallError, match="giving up after 3 attempts"):
         _drive(env, gen)
     # (5s timeout + 2s backoff) + (5 + 4) + 5 = 21 simulated seconds
@@ -68,7 +86,7 @@ def test_transient_errors_are_retried_until_success():
 
     stats = {}
     gen = fetch_with_retry(
-        env, lambda: env.process(fetch()), CAL, "pkg", stats=stats
+        env, fetch, CAL, "pkg", stats=stats
     )
     resp = _drive(env, gen)
     assert resp.status == 200
@@ -88,7 +106,7 @@ def test_corrupt_payload_is_refetched():
     stats = {}
     gen = fetch_with_retry(
         env,
-        lambda: env.process(fetch()),
+        fetch,
         CAL,
         "pkg",
         expect_checksum="deadbeef",
@@ -109,7 +127,7 @@ def test_unverifiable_response_passes_without_checksum():
         return _resp(checksum="")
 
     gen = fetch_with_retry(
-        env, lambda: env.process(fetch()), CAL, "pkg", expect_checksum="deadbeef"
+        env, fetch, CAL, "pkg", expect_checksum="deadbeef"
     )
     assert _drive(env, gen).status == 200
 
@@ -122,7 +140,7 @@ def test_persistent_corruption_exhausts_attempts():
         return _resp(checksum="corrupt:bad")
 
     gen = fetch_with_retry(
-        env, lambda: env.process(fetch()), CAL, "pkg", expect_checksum="good"
+        env, fetch, CAL, "pkg", expect_checksum="good"
     )
     with pytest.raises(InstallError, match="checksum mismatch"):
         _drive(env, gen)
@@ -135,7 +153,7 @@ def test_non_retriable_error_propagates_immediately():
         raise ValueError("bug in the CGI")
         yield  # pragma: no cover - makes this a generator
 
-    gen = fetch_with_retry(env, lambda: env.process(fetch()), CAL, "pkg")
+    gen = fetch_with_retry(env, fetch, CAL, "pkg")
     with pytest.raises(ValueError, match="bug in the CGI"):
         _drive(env, gen)
     assert env.now == 0.0  # no retries were attempted
@@ -178,3 +196,66 @@ def test_server_outage_shows_up_in_install_report_counters():
     report = sim.frontend.installer.reports[-1]
     assert report.download_retries > 0
     assert len(node.rpmdb) == 162
+
+
+def test_won_fetch_never_dispatches_its_deadline():
+    """The 300-s deadline of a fetch that won is cancelled, not fired."""
+    env, _, server = _http_rig()
+    gen = fetch_with_retry(
+        env, lambda: server.get("node", "/small"), DEFAULT_CALIBRATION, "pkg"
+    )
+    assert _drive(env, gen).path == "/small"
+    env.run(until=1.0)  # the driver's own completion
+    dispatched = env.events_dispatched
+    env.run()  # drain the queue across t = 300 s
+    assert env.events_dispatched == dispatched
+
+
+def test_power_off_mid_fetch_cancels_its_flow_and_its_deadline():
+    """Power loss mid-transfer frees the link; no deadline fires later."""
+    env, net, server = _http_rig()
+    proc = env.process(fetch_with_retry(
+        env, lambda: server.get("node", "/big"), DEFAULT_CALIBRATION, "pkg"
+    ))
+    env.run(until=1.0)
+    assert net.flows.flows_through(server.service_link)
+    proc.interrupt("power removed")  # what Machine.power_off delivers
+    env.run(until=1.0)
+    assert not proc.is_alive
+    assert not net.flows.flows_through(server.service_link)
+    env.run(until=5.0)  # the flow's superseded wake-up
+    dispatched = env.events_dispatched
+    env.run()  # past the 300-s deadline: nothing left to dispatch
+    assert env.events_dispatched == dispatched
+    assert server.requests_served == 0
+
+
+@pytest.mark.parametrize("order", ["deadline-first", "completion-first"])
+def test_deadline_and_completion_at_the_same_instant(order):
+    """A transfer ending exactly at its deadline has one outcome: a timeout.
+
+    The deadline wins a tie unless the fetch already returned, whichever
+    of the two is dispatched first, and the retry waits its full backoff.
+    """
+    env, net, server = _http_rig()
+    if order == "completion-first":
+        # Its wakeup at t = 5 predates the deadline, so the GET's flow
+        # lands in that same wakeup, before the deadline is dispatched.
+        net.flows.transfer(net.path("a", "b"), 5000.0)
+    paths = ["/big", "/small"]
+    starts = []
+
+    def fetch():
+        starts.append(env.now)
+        return server.get("node", paths[len(starts) - 1])
+
+    stats = {}
+    gen = fetch_with_retry(env, fetch, CAL, "pkg", stats=stats)
+    resp = _drive(env, gen)
+    # /big times out at t = 5; /small starts after the 2-s backoff
+    assert starts == [0.0, 7.0]
+    assert resp.path == "/small"
+    assert env.now == pytest.approx(8.0)
+    assert stats == {"retries": 1}
+    assert server.requests_served == 1
+    env.run()  # no stray wake-up or interrupt is left behind

@@ -120,7 +120,7 @@ def make_http():
 def test_http_get_static_document():
     env, _, server = make_http()
     server.publish("/dist/pkg.rpm", 7 * MBIT)  # < 1s at service speed
-    resp = env.run(until=server.get("node", "/dist/pkg.rpm"))
+    resp = env.run(until=env.process(server.get("node", "/dist/pkg.rpm")))
     assert resp.status == 200
     assert resp.size == 7 * MBIT
     assert server.requests_served == 1
@@ -131,7 +131,7 @@ def test_http_service_link_caps_payload_rate():
     env, _, server = make_http()
     size = FAST_ETHERNET * 7  # 7 wire-seconds of bytes
     server.publish("/big", size)
-    env.run(until=server.get("node", "/big"))
+    env.run(until=env.process(server.get("node", "/big")))
     # At 70% efficiency the payload takes 7/0.7 = 10s.
     assert env.now == pytest.approx(10.0)
 
@@ -141,7 +141,7 @@ def test_http_404():
 
     def go():
         with pytest.raises(HttpError, match="404"):
-            yield server.get("node", "/missing")
+            yield from server.get("node", "/missing")
         return True
 
     assert env.run(until=env.process(go()))
@@ -153,7 +153,7 @@ def test_http_cgi_handler_returns_body():
         "/install/kickstart.cgi",
         lambda client, path: (f"# kickstart for {client}", 4096),
     )
-    resp = env.run(until=server.get("node", "/install/kickstart.cgi"))
+    resp = env.run(until=env.process(server.get("node", "/install/kickstart.cgi")))
     assert resp.body == "# kickstart for node"
     assert resp.size == 4096
 
@@ -165,7 +165,7 @@ def test_http_server_down_returns_503():
 
     def go():
         with pytest.raises(HttpError, match="503"):
-            yield server.get("node", "/x")
+            yield from server.get("node", "/x")
         return True
 
     assert env.run(until=env.process(go()))
@@ -178,7 +178,7 @@ def test_http_unreachable_client_504():
 
     def go():
         with pytest.raises(HttpError, match="504"):
-            yield server.get("node", "/x")
+            yield from server.get("node", "/x")
         return True
 
     assert env.run(until=env.process(go()))
@@ -188,7 +188,7 @@ def test_http_path_normalisation():
     env, _, server = make_http()
     server.publish("dist/base.rpm", 100)
     assert server.has_document("/dist/base.rpm")
-    resp = env.run(until=server.get("node", "//dist/base.rpm/"))
+    resp = env.run(until=env.process(server.get("node", "//dist/base.rpm/")))
     assert resp.status == 200
 
 
@@ -221,8 +221,8 @@ def test_load_balancer_round_robin_doubles_throughput():
     for i in range(2):
         network.attach(f"c{i}", FAST_ETHERNET)
     lb = LoadBalancer(servers)
-    p0 = lb.get("c0", "/pkg")
-    p1 = lb.get("c1", "/pkg")
+    p0 = env.process(lb.get("c0", "/pkg"))
+    p1 = env.process(lb.get("c1", "/pkg"))
     env.run()
     # Each client got a dedicated backend: both finish at t=10, not t=20.
     assert env.now == pytest.approx(10.0)
@@ -242,7 +242,7 @@ def test_load_balancer_skips_dead_backend():
     network.attach("client", FAST_ETHERNET)
     servers[0].running = False
     lb = LoadBalancer(servers)
-    resp = env.run(until=lb.get("client", "/pkg"))
+    resp = env.run(until=env.process(lb.get("client", "/pkg")))
     assert resp.server == "www1"
 
 
@@ -271,14 +271,14 @@ def test_load_balancer_fails_over_on_mid_request_503():
     """A backend that sheds the request (not merely down) is retried."""
     env, _, servers, AdmissionConfig = make_lb_pair()
     # www0 accepts one connection and queues nothing: the LB's request
-    # reaches _do_get and is shed with a live 503.
+    # reaches HttpServer.get and is shed with a live 503.
     servers[0].configure_admission(
         AdmissionConfig(max_concurrent=1, queue_limit=0)
     )
     servers[0].publish("/slow", FAST_ETHERNET * 60)
-    occupier = servers[0].get("c1", "/slow")
+    occupier = env.process(servers[0].get("c1", "/slow"))
     lb = LoadBalancer(servers)
-    resp = env.run(until=lb.get("c0", "/pkg"))
+    resp = env.run(until=env.process(lb.get("c0", "/pkg")))
     assert resp.server == "www1"
     assert servers[0].rejected == 1
     env.run(until=occupier)
@@ -289,7 +289,7 @@ def test_load_balancer_does_not_fail_over_on_4xx():
 
     def go():
         with pytest.raises(HttpError, match="404"):
-            yield LoadBalancer(servers).get("c0", "/missing")
+            yield from LoadBalancer(servers).get("c0", "/missing")
         return True
 
     assert env.run(until=env.process(go()))
@@ -302,7 +302,7 @@ def test_load_balancer_fast_fails_when_every_backend_is_avoided():
 
     def go():
         with pytest.raises(HttpError, match="avoided"):
-            yield lb.get("c0", "/pkg")
+            yield from lb.get("c0", "/pkg")
         return True
 
     assert env.run(until=env.process(go()))
@@ -325,9 +325,9 @@ def make_lb_farm(n=3):
 def test_load_balancer_add_backend_joins_the_rotation():
     env, network, servers = make_lb_farm(n=2)
     lb = LoadBalancer(servers[:1])
-    env.run(until=lb.get("c0", "/pkg"))
+    env.run(until=env.process(lb.get("c0", "/pkg")))
     lb.add_backend(servers[1])
-    picked = [env.run(until=lb.get("c0", "/pkg")).server for _ in range(3)]
+    picked = [env.run(until=env.process(lb.get("c0", "/pkg"))).server for _ in range(3)]
     # the new backend joins the tail of the rotation and gets its share
     assert picked == ["www0", "www1", "www0"]
     assert servers[1].requests_served == 1
@@ -348,11 +348,11 @@ def test_load_balancer_remove_keeps_rotation_fair():
     """Removing a backend behind the cursor must not skip the next one."""
     env, _, servers = make_lb_farm(n=3)
     lb = LoadBalancer(servers)
-    env.run(until=lb.get("c0", "/pkg"))  # www0; cursor now at www1
+    env.run(until=env.process(lb.get("c0", "/pkg")))  # www0; cursor now at www1
     lb.remove_backend(servers[0])
     picked = []
     for _ in range(4):
-        picked.append(env.run(until=lb.get("c0", "/pkg")).server)
+        picked.append(env.run(until=env.process(lb.get("c0", "/pkg"))).server)
     # www1 and www2 alternate, starting from the undisturbed cursor
     assert picked == ["www1", "www2", "www1", "www2"]
 
@@ -365,7 +365,7 @@ def test_load_balancer_skips_do_not_consume_failover_attempts():
     lb = LoadBalancer(servers)
     lb.should_avoid = lambda server: server.host == "www2"
     for _ in range(4):
-        resp = env.run(until=lb.get("c0", "/pkg"))
+        resp = env.run(until=env.process(lb.get("c0", "/pkg")))
         assert resp.server == "www1"
     assert lb.dispatches == 4
     # skipped backends ahead of www1 in each request's rotation:

@@ -29,7 +29,7 @@ def make_http(n_clients=4, tracer=None):
 def fetch(env, server, client, path, results):
     """GET wrapper recording the response or the HttpError."""
     try:
-        resp = yield server.get(client, path)
+        resp = yield from server.get(client, path)
         results.append(resp)
     except HttpError as err:
         results.append(err)
@@ -50,7 +50,7 @@ def test_admission_is_off_by_default():
     env, server = make_http()
     assert server.admission is None
     server.publish("/x", 100)
-    resp = env.run(until=server.get("c0", "/x"))
+    resp = env.run(until=env.process(server.get("c0", "/x")))
     assert resp.status == 200
     # the fast path never touches the slot accounting
     assert server.in_flight == 0 and server.queue_depth == 0
@@ -131,7 +131,7 @@ def test_daemon_death_flushes_the_queue():
 
     def fetch_any(client):
         try:
-            resp = yield server.get(client, "/pkg")
+            resp = yield from server.get(client, "/pkg")
             results.append(resp)
         except (HttpError, TransferAborted) as err:
             results.append(err)
@@ -208,7 +208,7 @@ def test_traced_counters_are_the_servers_own_totals():
     def get_at(t, client, path):
         yield env.timeout(t)
         try:
-            results.append((yield server.get(client, path)))
+            results.append((yield from server.get(client, path)))
         except (HttpError, TransferAborted) as err:
             results.append(err)
 
@@ -248,7 +248,7 @@ def test_a_server_built_before_the_tracer_is_not_exported():
     env, server = make_http()
     Tracer().attach(env)
     server.publish("/x", 100)
-    env.run(until=server.get("c0", "/x"))
+    env.run(until=env.process(server.get("c0", "/x")))
     assert server.requests_served == 1
     assert env.tracer.metrics.counters == {}
 
@@ -320,7 +320,7 @@ def shed_hints(jitter, seed=0, n=12, retry_after=10.0):
         )
     )
     server.publish("/slow", FAST_ETHERNET * 600)
-    server.get("c0", "/slow")  # pins the only slot
+    env.process(server.get("c0", "/slow"))  # pins the only slot
     results = []
     for i in range(n):
         env.process(fetch(env, server, f"c{i + 1}", "/pkg", results))
@@ -363,7 +363,7 @@ def test_queue_timeout_sheds_carry_jittered_hints_too():
         )
     )
     server.publish("/slow", FAST_ETHERNET * 600)
-    server.get("c0", "/slow")
+    env.process(server.get("c0", "/slow"))
     results = []
     for i in range(2):
         env.process(fetch(env, server, f"c{i + 1}", "/pkg", results))

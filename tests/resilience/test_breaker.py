@@ -104,7 +104,7 @@ class FlakySource:
         self.fail_times = fail_times
 
     def fetch_kickstart(self, client):
-        return self.env.process(self._fetch(), name="flaky fetch")
+        return self._fetch()
 
     def _fetch(self):
         self.calls += 1
@@ -122,7 +122,7 @@ def drive(env, guarded, n, gap=1.0):
     def loop():
         for _ in range(n):
             try:
-                resp = yield guarded.fetch_kickstart("node")
+                resp = yield from guarded.fetch_kickstart("node")
                 results.append(resp.status)
             except HttpError as err:
                 results.append(err)
@@ -188,6 +188,6 @@ def test_guarded_load_balancer_routes_around_open_backend():
     assert lb.should_avoid is not None  # hook installed on balancers
     guarded.breaker("www0").record_failure()  # force www0 open
     for _ in range(3):
-        resp = env.run(until=lb.get("client", "/pkg"))
+        resp = env.run(until=env.process(lb.get("client", "/pkg")))
         assert resp.server == "www1"
     assert servers[0].requests_served == 0

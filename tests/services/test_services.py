@@ -281,7 +281,9 @@ def test_publish_and_fetch_package():
     n = server.publish_packages("rocks-dist", [pkg])
     assert n == 1
     assert server.distributions() == ["rocks-dist"]
-    resp = env.run(until=server.fetch_package("node", "rocks-dist", pkg))
+    resp = env.run(
+        until=env.process(server.fetch_package("node", "rocks-dist", pkg))
+    )
     assert resp.status == 200
     assert resp.size == 1_000_000
     assert server.http.bytes_served == 1_000_000
@@ -305,7 +307,7 @@ def test_unpublish_distribution():
 
     def go():
         with pytest.raises(HttpError, match="404"):
-            yield server.fetch_package("node", "d", pkg)
+            yield from server.fetch_package("node", "d", pkg)
         return True
 
     assert env.run(until=env.process(go()))
@@ -314,7 +316,7 @@ def test_unpublish_distribution():
 def test_kickstart_cgi_roundtrip():
     env, _, server = make_install_server()
     server.register_kickstart_cgi(lambda client, path: (f"ks for {client}", 2048))
-    resp = env.run(until=server.fetch_kickstart("node"))
+    resp = env.run(until=env.process(server.fetch_kickstart("node")))
     assert resp.body == "ks for node"
 
 
@@ -326,10 +328,10 @@ def test_failed_server_refuses():
 
     def go():
         with pytest.raises(HttpError, match="503"):
-            yield server.fetch_package("node", "d", pkg)
+            yield from server.fetch_package("node", "d", pkg)
         return True
 
     assert env.run(until=env.process(go()))
     server.repair()
-    resp = env.run(until=server.fetch_package("node", "d", pkg))
+    resp = env.run(until=env.process(server.fetch_package("node", "d", pkg)))
     assert resp.status == 200
