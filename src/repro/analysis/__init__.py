@@ -9,12 +9,12 @@ Three analyzer families over one diagnostics core:
 * **determinism self-linter** (:mod:`repro.analysis.selfcheck`): AST
   passes over ``src/repro`` itself that flag the wall-clock / unseeded
   RNG / unordered-iteration / leaked-span bug classes earlier PRs fixed
-  by hand (RK2xx), plus the hazards the sanitizer cannot prove (RK301
-  unseeded ``Random()``, RK302 yield-straddling staleness, RK303
-  unbounded wait loops, RK304 set-order float sums);
+  by hand (RK2xx), plus RK301 unseeded ``Random()``, RK302
+  yield-straddling staleness and RK303 unbounded wait loops — hazards
+  on paths no registry scenario runs, or that move no digest;
 * **dynamic sanitizer** (:mod:`repro.analysis.sanitizer`): a runtime
   race detector that perturbs same-tick scheduling order under a seeded
-  RNG and proves races by digest divergence.
+  RNG and reports any digest divergence between two seeds (RK310).
 
 Entry points::
 

@@ -126,7 +126,8 @@ class CodeInfo:
 
 
 #: Every code any pass may emit.  Append-only; renumbering breaks
-#: committed baselines.
+#: committed baselines.  Retired numbers (RK304, RK311–RK313) are never
+#: reused.
 CODES: dict[str, CodeInfo] = {
     info.code: info
     for info in [
@@ -171,7 +172,7 @@ CODES: dict[str, CodeInfo] = {
         CodeInfo("RK208", Severity.WARNING,
                  "span opened without a parent= in instrumented simulation "
                  "code (breaks causal attribution)"),
-        # -- self-linter hazards the sanitizer cannot prove (RK30x) --------
+        # -- self-linter hazards beyond the digest comparison (RK30x) -------
         CodeInfo("RK301", Severity.ERROR,
                  "random.Random() constructed without a seed"),
         CodeInfo("RK302", Severity.WARNING,
@@ -180,21 +181,10 @@ CODES: dict[str, CodeInfo] = {
         CodeInfo("RK303", Severity.WARNING,
                  "polling wait loop with no timeout, deadline or attempt "
                  "bound on the path"),
-        CodeInfo("RK304", Severity.WARNING,
-                 "order-sensitive float sum() over an unordered set in a "
-                 "hot path"),
-        # -- dynamic sanitizer (RK31x, `repro sanitize`) -------------------
+        # -- dynamic sanitizer (RK310, `repro sanitize`) -------------------
         CodeInfo("RK310", Severity.ERROR,
                  "scheduling race: digests diverge across perturbation "
                  "seeds"),
-        CodeInfo("RK311", Severity.ERROR,
-                 "unseeded module-level random.* call at runtime under a "
-                 "sanitized environment"),
-        CodeInfo("RK312", Severity.ERROR,
-                 "wall-clock read at runtime under a sanitized environment"),
-        CodeInfo("RK313", Severity.WARNING,
-                 "same object attribute written by two writers within one "
-                 "simulated tick"),
     ]
 }
 

@@ -8,7 +8,7 @@ context.  Two families are registered here:
   (graph + node files + distribution) — the §6.1 XML infrastructure;
 * ``SELF_PASSES`` run over a :class:`~repro.analysis.selfcheck.SelfLintContext`
   (one parse of our own source) — the determinism linter, RK2xx and
-  RK301–RK304.
+  RK301–RK303.
 
 ``run_passes`` is the only execution path: it runs every selected pass,
 sorts the result deterministically, and applies ``--select``/``--ignore``

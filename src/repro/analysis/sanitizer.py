@@ -10,25 +10,18 @@ depends on tie order (PR 7's stale-active bug) replays byte-identically
 right up until an unrelated change perturbs the schedule, and then a
 golden digest far from the real bug starts flaking.
 
-This module is TSan for the DES.  Two mechanisms, both opt-in:
-
-* **Schedule perturbation** — a :class:`SanitizedEnvironment` (built
-  explicitly, or by every ``Environment()`` inside :func:`sanitized`)
-  breaks ties among same-timestamp events with a seeded RNG instead of
-  the arrival sequence.  Same-tick events are logically *concurrent*: any
-  dispatch order is a legal execution, so if two perturbation seeds
-  produce different scenario digests, a scheduling race is **proven** —
-  no false positives.  Each dispatch is logged with the event's
-  scheduling stack, so :func:`diagnose_divergence` can report the
-  colliding event pair and the first divergent simulated timestamp.
-
-* **Runtime traps** — inside a :func:`sanitized` session, module-level
-  ``random.*`` calls (RK311) and wall-clock reads (RK312) are
-  intercepted and reported as diagnostics through the standard
-  :class:`~repro.analysis.diagnostics.Diagnostic` machinery, and
-  classes registered with :meth:`SanitizerSession.watch` get a
-  lightweight write-log keyed on ``(id(obj), attr, now)`` that flags an
-  attribute written by two different processes within one tick (RK313).
+This module is TSan for the DES.  A :class:`SanitizedEnvironment`
+(built explicitly, or by every ``Environment()`` inside
+:func:`sanitized`) breaks ties among same-timestamp events with a seeded
+RNG instead of the arrival sequence.  Same-tick events are logically
+*concurrent*: any dispatch order is a legal execution, so if two
+perturbation seeds produce different scenario digests, the output
+depends on something the simulation does not fix (RK310) — a
+scheduling race, or a wall-clock read or unseeded RNG draw that reaches
+the output, since the two runs read different values.  Each dispatch
+is logged with the event's scheduling stack, so
+:func:`diagnose_divergence` can report the colliding event pair and the
+first divergent simulated timestamp.
 
 The default ``Environment()`` path is untouched: sanitization swaps in
 a subclass at construction time, so the unsanitized scheduler and
@@ -41,13 +34,11 @@ from __future__ import annotations
 import hashlib
 import heapq
 import random
-import sys
-import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from ..netsim.engine import (
     Event,
@@ -142,7 +133,7 @@ class SanitizedEnvironment(InstrumentedEnvironment):
     to ``SanitizeOptions()`` outside one.
     """
 
-    __slots__ = ("options", "dispatch_log", "_pert", "_meta", "_session")
+    __slots__ = ("options", "dispatch_log", "_pert", "_meta")
 
     def __init__(self, initial_time: float = 0.0,
                  options: Optional[SanitizeOptions] = None):
@@ -156,7 +147,6 @@ class SanitizedEnvironment(InstrumentedEnvironment):
         self._pert = random.Random(("perturb", options.seed).__repr__())
         #: Event -> (label, site, stack), captured at schedule time
         self._meta: dict[Event, tuple[str, str, tuple[str, ...]]] = {}
-        self._session = session
         if session is not None:
             session.envs.append(self)
 
@@ -231,186 +221,38 @@ class SanitizedEnvironment(InstrumentedEnvironment):
             cb(event)
 
 
-# -- the session: traps + write log -----------------------------------------------
+# -- the session ------------------------------------------------------------------
 
 _ACTIVE_SESSION: Optional["SanitizerSession"] = None
 
-#: module-level random functions routed through the shared global RNG
-_TRAPPED_RANDOM = (
-    "random", "randint", "randrange", "choice", "choices", "shuffle",
-    "sample", "uniform", "getrandbits", "gauss", "expovariate",
-    "betavariate", "normalvariate", "triangular", "vonmisesvariate",
-    "paretovariate", "weibullvariate",
-)
-#: wall-clock reads (perf counters are left alone: harnesses time walls)
-_TRAPPED_TIME = ("time", "time_ns")
-
-
-def _caller_site() -> tuple[str, int]:
-    frame = sys._getframe(2)
-    return _relpath(frame.f_code.co_filename), frame.f_lineno
-
 
 class SanitizerSession:
-    """Collects runtime-trap diagnostics for one sanitized region."""
+    """One sanitized region: its options and the environments it built."""
 
     def __init__(self, options: SanitizeOptions):
         self.options = options
         #: sanitized environments constructed while this session is active
         self.envs: list[SanitizedEnvironment] = []
-        self._diagnostics: list[Diagnostic] = []
-        self._seen: set[tuple[str, str, int]] = set()
-        #: (id(obj), attr) -> (tick, writer) — the same-tick write log
-        self._write_log: dict[tuple[int, str], tuple[float, str]] = {}
-        self._watched: list[tuple[type, Optional[Callable]]] = []
-        self._saved_traps: list[tuple[Any, str, Callable]] = []
-
-    # -- diagnostics ------------------------------------------------------
-    @property
-    def current_env(self) -> Optional[SanitizedEnvironment]:
-        return self.envs[-1] if self.envs else None
-
-    def diagnostics(self) -> list[Diagnostic]:
-        """Sorted, deterministic trap findings."""
-        return sorted(self._diagnostics, key=lambda d: d.sort_key)
-
-    def _diag_once(self, code: str, message: str,
-                   site: tuple[str, int], hint: str = "", **data) -> None:
-        key = (code, site[0], site[1])
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self._diagnostics.append(Diagnostic(
-            code=code,
-            severity=code_info(code).severity,
-            message=message,
-            location=SourceLocation(site[0], site[1]),
-            hint=hint,
-            data=data,
-        ))
-
-    # -- random / wall-clock traps ----------------------------------------
-    def _install_traps(self) -> None:
-        for name in _TRAPPED_RANDOM:
-            orig = getattr(random, name)
-
-            def trap(*args, __orig=orig, __name=name, **kwargs):
-                self._diag_once(
-                    "RK311",
-                    f"random.{__name}() drew from the unseeded "
-                    f"module-level RNG at runtime",
-                    _caller_site(),
-                    hint="use a seeded random.Random(seed) instance; the "
-                         "shared global RNG makes replay seed-dependent",
-                    call=f"random.{__name}",
-                )
-                return __orig(*args, **kwargs)
-
-            setattr(random, name, trap)
-            self._saved_traps.append((random, name, orig))
-        for name in _TRAPPED_TIME:
-            orig = getattr(time, name)
-
-            def trap(*args, __orig=orig, __name=name, **kwargs):
-                self._diag_once(
-                    "RK312",
-                    f"time.{__name}() wall-clock read at runtime under a "
-                    f"sanitized environment",
-                    _caller_site(),
-                    hint="read env.now (simulated time) instead",
-                    call=f"time.{__name}",
-                )
-                return __orig(*args, **kwargs)
-
-            setattr(time, name, trap)
-            self._saved_traps.append((time, name, orig))
-
-    def _remove_traps(self) -> None:
-        for module, name, orig in reversed(self._saved_traps):
-            setattr(module, name, orig)
-        self._saved_traps.clear()
-
-    # -- cross-process same-tick write log --------------------------------
-    def watch(self, cls: type) -> None:
-        """Log every attribute write on ``cls`` instances.
-
-        Two *different* writers (processes, or a process and a dispatch
-        callback) writing the same ``(object, attribute)`` within one
-        simulated tick is flagged as RK313: whichever write lands last
-        wins, and which one that is depends on tie-break order — the
-        write-write shape of a scheduling race.  Writes mediated by a
-        deterministic owner (e.g. the flow network crediting its flows)
-        should not be watched; this trap is for state shared *between*
-        processes.
-        """
-        own = cls.__dict__.get("__setattr__")
-        effective = cls.__setattr__
-        session = self
-
-        def traced(obj, name, value, __orig=effective, __cls=cls):
-            env = session.current_env
-            if env is not None:
-                ap = env._active_process
-                writer = ap.name if ap is not None else "<dispatch>"
-                key = (id(obj), name)
-                now = env._now
-                prev = session._write_log.get(key)
-                if (prev is not None and prev[0] == now
-                        and prev[1] != writer):
-                    frame = sys._getframe(1)
-                    session._diag_once(
-                        "RK313",
-                        f"{__cls.__name__}.{name} written by "
-                        f"{prev[1]!r} and then {writer!r} within one "
-                        f"tick (t={now:g})",
-                        (_relpath(frame.f_code.co_filename),
-                         frame.f_lineno),
-                        hint="route the write through a single owner, or "
-                             "make the update commutative — last-writer-"
-                             "wins under a tie is a scheduling race",
-                        attr=name, tick=now,
-                        writers=sorted([prev[1], writer]),
-                    )
-                session._write_log[key] = (now, writer)
-            __orig(obj, name, value)
-
-        cls.__setattr__ = traced
-        self._watched.append((cls, own))
-
-    def _unwatch_all(self) -> None:
-        for cls, own in reversed(self._watched):
-            if own is None:
-                delattr(cls, "__setattr__")
-            else:
-                setattr(cls, "__setattr__", own)
-        self._watched.clear()
 
 
 @contextmanager
-def sanitized(options: Optional[SanitizeOptions] = None,
-              watch: Iterable[type] = ()):
+def sanitized(options: Optional[SanitizeOptions] = None):
     """Run a region under the sanitizer.
 
     Inside the block every ``Environment()`` constructed anywhere — in
     ``build_cluster``, ``run_storm``, a test fixture — becomes a
-    :class:`SanitizedEnvironment` with the given options, and the
-    runtime traps are armed.  Yields the :class:`SanitizerSession`
-    holding the per-environment dispatch logs and trap diagnostics.
+    :class:`SanitizedEnvironment` with the given options.  Yields the
+    :class:`SanitizerSession` holding the per-environment dispatch logs.
     """
     global _ACTIVE_SESSION
-    opts = options if options is not None else SanitizeOptions()
-    session = SanitizerSession(opts)
+    session = SanitizerSession(
+        options if options is not None else SanitizeOptions())
     prev_session = _ACTIVE_SESSION
     _ACTIVE_SESSION = session
-    session._install_traps()
-    for cls in watch:
-        session.watch(cls)
     try:
         with instrumented(SanitizedEnvironment):
             yield session
     finally:
-        session._unwatch_all()
-        session._remove_traps()
         _ACTIVE_SESSION = prev_session
 
 
@@ -426,7 +268,6 @@ class ScenarioRun:
     digest: str
     output: str
     dispatch_log: list[DispatchRecord]
-    diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
 def run_scenario(name: str, perturb_seed: int,
@@ -446,7 +287,6 @@ def run_scenario(name: str, perturb_seed: int,
         digest=hashlib.sha256(output.encode("utf-8")).hexdigest(),
         output=output,
         dispatch_log=log,
-        diagnostics=session.diagnostics(),
     )
 
 
@@ -588,8 +428,9 @@ def diagnose_divergence(
             pair = _first_difference(ga, gb)
     if divergent_t is None:
         divergent_t = float("nan")
-        note = "digests differ but dispatch logs are identical (racy " \
-               "state outside the event system, e.g. iteration order)"
+        note = "digests differ but dispatch logs are identical (state " \
+               "outside the event system: a wall-clock read, an unseeded " \
+               "RNG, or iteration order)"
     return RaceReport(
         scenario=run_a.scenario,
         seeds=seeds,

@@ -43,23 +43,19 @@ shapes, and each is mechanically detectable in the AST:
   reinstall, storm, exec fanouts) and spans that parent via the
   ambient context carry baseline entries.
 
-Four more hazards are ones the dynamic sanitizer (``repro sanitize``)
-cannot prove, because none of them depends on same-tick dispatch order:
+Three more hazards lie beyond the dynamic sanitizer (``repro
+sanitize``), whose digest comparison sees a hazard only when a registry
+scenario runs it and its output moves:
 
 * **RK301** — ``random.Random()`` constructed without a seed: it draws
-  from OS entropy, so every value differs run to run.  The sanitizer's
-  RK311 trap only sees module-level ``random.*`` calls, not an instance;
+  from OS entropy, so every value differs run to run;
 * **RK302** — a snapshot of shared mutable state (``list(self.flows)``,
   ``x.members.copy()``, …) captured before a ``yield`` and read after
   it: while the generator was suspended anyone may have mutated the
   state, across instants, not just within one tick;
 * **RK303** — a ``while`` loop whose body only sleeps (``yield
   env.timeout(...)``) with no deadline or attempt bound: a wedged
-  condition spins forever and the scenario hangs with no diagnosis;
-* **RK304** — ``sum()`` taken directly over a set in a hot path: float
-  addition is not associative, so a hash-order total is
-  hash-seed-dependent.  A sum over a comprehension that iterates a set
-  (or ``+=`` in a ``for`` over one) is already an RK203 finding.
+  condition spins forever and the scenario hangs with no diagnosis.
 
 The linter lints itself: ``repro lint --self`` parses each file of
 ``src/repro`` (including this package) once, runs every pass over that
@@ -93,8 +89,7 @@ _GLOBAL_RANDOM_FUNCS = frozenset({
     "paretovariate", "weibullvariate",
 })
 
-#: package subdirectories whose loops and float totals are
-#: determinism-critical (RK203, RK304)
+#: package subdirectories whose loops are determinism-critical (RK203)
 _HOT_PACKAGES = ("netsim", "installer", "exec", "load", "monitoring")
 #: packages where open-loop load can reach (RK206; exec included: a
 #: 4096-target fan-out gathers output through MsgTree and per-node
@@ -328,7 +323,7 @@ def check_global_random(ctx: SelfLintContext):
                 )
 
 
-# -- RK203/RK304: set iteration and set sums in hot paths -------------------------
+# -- RK203: set iteration in hot paths -------------------------------------------
 
 
 def _is_set_expr(node: ast.expr) -> bool:
@@ -357,16 +352,13 @@ def _scope_statements(scope: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-@register_self("RK203", "RK304")
+@register_self("RK203")
 def check_set_iteration(ctx: SelfLintContext):
     """Set order varies with hash seeding and history.
 
-    Iterating a set (RK203) hands members out in that order.  A ``sum()``
-    taken directly over one (RK304) accumulates floats in it, and IEEE
-    addition is not associative: two runs can disagree in the last ulp,
-    and every rate or timestamp derived from the total diverges from
-    there.  Only hot packages are scanned: that is where order reaches
-    floats, events and telemetry.
+    Iterating a set hands members out in that order.  Only hot packages
+    are scanned: that is where order reaches floats, events and
+    telemetry.
     """
     for pf in ctx.files:
         if not ctx.in_packages(pf, _HOT_PACKAGES):
@@ -410,21 +402,6 @@ def check_set_iteration(ctx: SelfLintContext):
                         hint="use dict.fromkeys(...) (insertion-ordered "
                              "set) or sorted(...) when order can reach "
                              "floats, events, or telemetry",
-                        expr=what,
-                    )
-            for node in _scope_statements(scope):
-                if (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Name)
-                        and node.func.id == "sum" and node.args
-                        and unordered(node.args[0])):
-                    what = ast.unparse(node.args[0])
-                    yield ctx.diag(
-                        "RK304",
-                        f"sum() over unordered set {what!r} in a hot path",
-                        pf, node,
-                        hint="accumulate over an insertion-ordered dict "
-                             "or sorted(...) so the float total is "
-                             "identical on every run",
                         expr=what,
                     )
 

@@ -219,7 +219,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
-    from .analysis import Baseline, default_self_context, render_text
+    from .analysis import render_text
     from .analysis.sanitizer import diagnose_divergence, run_scenario
 
     seeds = args.seeds
@@ -239,37 +239,15 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
               f"{len(run.dispatch_log)} dispatches, digest {run.digest}")
         runs.append(run)
 
-    # Trap findings are per-run but point at source sites; merge and dedup.
-    merged = {}
-    for run in runs:
-        for diag in run.diagnostics:
-            merged.setdefault(
-                (diag.code, diag.location.file, diag.location.line,
-                 diag.message),
-                diag,
-            )
-    diagnostics = sorted(merged.values(), key=lambda d: d.sort_key)
-
     report = diagnose_divergence(runs[0], runs[1])
-    if report is not None:
-        diagnostics.append(report.to_diagnostic())
-        diagnostics.sort(key=lambda d: d.sort_key)
-
-    if args.no_baseline:
-        baseline = Baseline()
-    else:
-        default_baseline = default_self_context().repo_root / "lint-baseline.txt"
-        baseline = Baseline.from_file(args.baseline or default_baseline)
-    diagnostics, suppressed = baseline.apply(diagnostics)
-
-    if report is not None:
-        sys.stdout.write(report.render())
-    else:
+    if report is None:
         print(f"sanitize: scenario {args.scenario!r} is byte-identical "
               f"across perturbation seeds {seeds[0]} and {seeds[1]}")
-    sys.stdout.write(render_text(diagnostics, suppressed=len(suppressed)))
-    errors = sum(1 for d in diagnostics if d.severity.value == "error")
-    return 1 if (report is not None or errors) else 0
+        sys.stdout.write(render_text([]))
+        return 0
+    sys.stdout.write(report.render())
+    sys.stdout.write(render_text([report.to_diagnostic()]))
+    return 1
 
 
 def _cmd_reports(args: argparse.Namespace) -> int:
@@ -630,7 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sanitize",
         help="schedule-perturbation race detector: run a scenario twice "
              "under different same-tick tie-break seeds and compare "
-             "digests (divergence proves a scheduling race)",
+             "digests (a divergence is a scheduling race, or a wall-clock "
+             "or unseeded RNG read reaching the output)",
     )
     _scenario_arguments(p, "scenario", traced=False, nargs="?")
     p.add_argument("--seeds", type=int, nargs=2, default=[1, 2],
@@ -640,11 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-stacks", action="store_true",
                    help="skip per-event scheduling-stack capture (faster; "
                         "race reports lose their stacks)")
-    p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="suppression baseline file "
-                        "(default: lint-baseline.txt)")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore any suppression baseline")
     p.set_defaults(fn=_cmd_sanitize)
 
     p = sub.add_parser(

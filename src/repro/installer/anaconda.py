@@ -103,12 +103,6 @@ def fetch_with_retry(
     proc = env.active_process
 
     def expire(_deadline) -> None:
-        # The engine detaches an interrupted process only from a wait
-        # that has not triggered; one that has (a Timeout, or a transfer
-        # that ended at this very instant) would resume it a second time.
-        waiting = proc._waiting_on
-        if waiting is not None and waiting.triggered:
-            waiting.callbacks.remove(proc._resume)
         proc.interrupt(_DEADLINE)
 
     attempt = 0

@@ -238,11 +238,12 @@ class Process(Event):
             raise SimulationError(f"process target must be a generator, got {generator!r}")
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
         self._interrupts: list[Interrupt] = []
         # Bootstrap: resume the generator at the current time.
         init = Event(env)
         init.callbacks.append(self._resume)
+        #: the one event whose dispatch may resume us; None while running
+        self._waiting_on: Optional[Event] = init
         init.succeed(None)
 
     @property
@@ -259,27 +260,36 @@ class Process(Event):
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
         if self.env._active_process is self:
             raise SimulationError("a process cannot interrupt itself")
-        exc = Interrupt(cause)
-        self._interrupts.append(exc)
-        # Detach from whatever event we were waiting on and wake up now.
+        self._interrupts.append(Interrupt(cause))
+        # Detach from whatever event we were waiting on, even one that
+        # has triggered but not yet been dispatched (a Timeout, a wake),
+        # so only the wake below resumes us.
         target = self._waiting_on
-        if target is not None and not target._triggered:
+        if target is not None:
             try:
                 target.callbacks.remove(self._resume)
             except ValueError:
                 pass
-            if isinstance(target, _Condition):
+            if isinstance(target, _Condition) and not target._triggered:
                 # The condition has no waiter left; unhook it from its
                 # children so their later dispatches cannot fire it.
                 target._detach_children()
-        self._waiting_on = None
+        self._wake()
+
+    def _wake(self, ok: bool = True, value: Any = None) -> None:
+        """Resume at this instant through a fresh event, which becomes
+        the one we wait on."""
         wake = Event(self.env)
         wake.callbacks.append(self._resume)
-        wake.succeed(None)
+        self._waiting_on = wake
+        if ok:
+            wake.succeed(value)
+        else:
+            wake.fail(value)
 
     def _resume(self, event: Event) -> None:
-        if self._triggered:
-            return
+        if self._triggered or event is not self._waiting_on:
+            return  # finished, or an interrupt moved us to another wake
         self._waiting_on = None
         self.env._active_process = self
         try:
@@ -313,19 +323,12 @@ class Process(Event):
         if self._interrupts:
             # An interrupt arrived while we were deciding what to wait on;
             # deliver it immediately instead of blocking.
-            wake = Event(self.env)
-            wake.callbacks.append(self._resume)
-            wake.succeed(None)
-            return
-        self._waiting_on = nxt
-        if nxt._triggered:
-            if nxt._scheduled:
-                nxt.callbacks.append(self._resume)
-            else:  # already dispatched: resume via a fresh immediate event
-                wake = Event(self.env)
-                wake.callbacks.append(self._resume)
-                wake.succeed(nxt._value) if nxt._ok else wake.fail(nxt._value)
+            self._wake()
+        elif nxt._triggered and not nxt._scheduled:
+            # Already dispatched: its outcome is in the past.
+            self._wake(nxt._ok, nxt._value)
         else:
+            self._waiting_on = nxt
             nxt.callbacks.append(self._resume)
 
 

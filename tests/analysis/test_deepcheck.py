@@ -1,4 +1,5 @@
-"""The RK301–RK304 self-lint passes: planted hazards, clean forms, self-hosting."""
+"""The RK301–RK303 self-lint passes and RK203's set-sum forms: planted
+hazards, clean forms, self-hosting."""
 
 import json
 import os
@@ -168,17 +169,18 @@ def test_rk303_while_true_is_clean(tmp_path):
     assert analyze_self(ctx) == []
 
 
-# -- RK304: order-sensitive float accumulation ---------------------------------
+# -- RK203: sums over sets -----------------------------------------------------
 
 
-def test_rk304_sum_over_set_name(tmp_path):
+def test_sum_over_set_is_clean(tmp_path):
+    """Floats hash by value, so a set of floats iterates in the same order
+    under every hash seed: summing one directly is no hazard."""
     ctx = make_ctx(tmp_path, {"netsim/f.py": """
         def total_rate():
             rates = {1.0, 2.0, 4.0}
             return sum(rates)
     """})
-    diags = analyze_self(ctx)
-    assert codes(diags) == ["RK304"]
+    assert analyze_self(ctx) == []
 
 
 def test_rk304_genexp_over_set_call(tmp_path):
@@ -236,10 +238,11 @@ def test_deep_diagnostics_sorted(tmp_path):
             while not rng:
                 yield None
         def a():
-            rates = {1.0}
-            return sum(rates)
+            hosts = {"node0"}
+            return [h for h in hosts]
     """})
     diags = analyze_self(ctx)
+    assert codes(diags) == ["RK301", "RK203"]
     assert diags == sorted(diags, key=lambda d: d.sort_key)
 
 

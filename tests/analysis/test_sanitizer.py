@@ -1,7 +1,11 @@
-"""The schedule-perturbation sanitizer: planted race, clean scenarios, traps."""
+"""The schedule-perturbation sanitizer: planted race, planted wall-clock
+and RNG reads, and the sanitized environment itself."""
 
 import random
 import time
+from datetime import datetime
+from random import random as from_random_import_random
+from time import time as from_time_import_time
 
 import pytest
 
@@ -13,6 +17,7 @@ from repro.analysis.sanitizer import (
     sanitized,
 )
 from repro.netsim.engine import Environment, Event, SimulationError
+from repro.scenarios import SCENARIOS, Scenario
 
 
 # -- the planted race: the positive control ------------------------------------
@@ -55,7 +60,9 @@ def test_table1_is_race_free_across_seeds():
     b = run_scenario("reinstall", 2, nodes=2, record_stacks=False)
     assert diagnose_divergence(a, b) is None
     assert a.digest == b.digest
-    assert not a.diagnostics and not b.diagnostics
+    # the seeds did break ties differently, so the equal digest means
+    # something
+    assert [r.key for r in a.dispatch_log] != [r.key for r in b.dispatch_log]
 
 
 # -- the sanitized environment itself ------------------------------------------
@@ -158,81 +165,45 @@ def test_dispatch_log_records_labels_and_sites():
     assert all(r.site for r in env.dispatch_log)
 
 
-# -- runtime traps --------------------------------------------------------------
+# -- wall-clock and RNG reads that reach the output ----------------------------
 
 
-def test_rk311_rk312_traps_fire_and_restore():
-    orig_random, orig_time = random.random, time.time
-    with sanitized(SanitizeOptions(seed=7)) as session:
+perf = time.perf_counter  # an aliased clock
+
+
+@pytest.mark.parametrize("read, diverges", [
+    pytest.param(lambda: time.time(), True, id="time.time"),
+    pytest.param(lambda: perf(), True, id="aliased-perf_counter"),
+    pytest.param(lambda: from_time_import_time(), True,
+                 id="from-time-import-time"),
+    pytest.param(lambda: datetime.now(), True, id="datetime.now"),
+    pytest.param(lambda: random.random(), True, id="random.random"),
+    pytest.param(lambda: from_random_import_random(), True,
+                 id="from-random-import-random"),
+    pytest.param(lambda: random.Random().random(), True,
+                 id="unseeded-Random"),
+    pytest.param(lambda: random.Random(123).random(), False,
+                 id="seeded-Random"),
+])
+def test_divergence_catches_wall_clock_and_rng_reads(monkeypatch, read,
+                                                     diverges):
+    """A scenario whose output reads the wall clock or an unseeded RNG
+    differs between the two perturbed runs; a seeded RNG does not."""
+    def planted(nodes: int, seed: int, tracer) -> str:
         env = Environment()
+        out = []
 
-        def proc():
+        def worker():
             yield env.timeout(1.0)
-            random.random()
-            time.time()
-            random.random()  # same site as nothing else; still one RK311
+            out.append(repr(read()))
 
-        env.process(proc(), name="p")
+        env.process(worker(), name="reader")
         env.run()
-    diags = session.diagnostics()
-    assert sorted(d.code for d in diags) == ["RK311", "RK311", "RK312"]
-    assert diags == sorted(diags, key=lambda d: d.sort_key)
-    assert random.random is orig_random
-    assert time.time is orig_time
+        return "".join(out) + "\n"
 
-
-def test_trap_dedup_per_call_site():
-    with sanitized(SanitizeOptions(seed=7)) as session:
-        for _ in range(5):
-            random.random()  # one site, many calls
-    assert [d.code for d in session.diagnostics()] == ["RK311"]
-
-
-def test_seeded_instance_rng_is_not_trapped():
-    with sanitized(SanitizeOptions(seed=7)) as session:
-        rng = random.Random(123)
-        rng.random()
-        rng.randint(1, 5)
-    assert session.diagnostics() == []
-
-
-def test_rk313_same_tick_cross_writer_conflict():
-    class Shared:
-        pass
-
-    with sanitized(SanitizeOptions(seed=7), watch=(Shared,)) as session:
-        env = Environment()
-        obj = Shared()
-
-        def writer(i):
-            yield env.timeout(5.0)
-            obj.winner = i
-
-        for i in range(2):
-            env.process(writer(i), name=f"w{i}")
-        env.run()
-    diags = session.diagnostics()
-    assert [d.code for d in diags] == ["RK313"]
-    assert sorted(diags[0].data["writers"]) == ["w0", "w1"]
-    assert diags[0].data["tick"] == 5.0
-    # the trap is removed on exit
-    assert "__setattr__" not in Shared.__dict__
-
-
-def test_rk313_quiet_for_distinct_ticks_and_single_writer():
-    class Shared:
-        pass
-
-    with sanitized(SanitizeOptions(seed=7), watch=(Shared,)) as session:
-        env = Environment()
-        obj = Shared()
-
-        def writer(i, delay):
-            yield env.timeout(delay)
-            obj.winner = i
-            obj.winner = i  # same writer twice in one tick: fine
-
-        for i, delay in enumerate([1.0, 2.0]):
-            env.process(writer(i, delay), name=f"w{i}")
-        env.run()
-    assert session.diagnostics() == []
+    monkeypatch.setitem(SCENARIOS, "planted", Scenario(1, 0, planted))
+    report = diagnose_divergence(run_scenario("planted", 1),
+                                 run_scenario("planted", 2))
+    assert (report is not None) == diverges
+    if diverges:
+        assert report.to_diagnostic().code == "RK310"

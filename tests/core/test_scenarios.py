@@ -13,13 +13,17 @@ re-record a row the same way.
 import argparse
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.scenarios import SCENARIOS
 
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 ROWS = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
 TRACES = json.loads((GOLDEN / "traces.json").read_text(encoding="utf-8"))
@@ -29,11 +33,47 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("row", sorted(ROWS))
-def test_manifest_row_reproduces(row):
+#: prints {row: digest} for the manifest rows read from stdin
+_ROW_DIGESTS = """
+import hashlib, json, sys
+from repro.scenarios import SCENARIOS
+digests = {}
+for row in json.load(sys.stdin):
     name, nodes, seed = row.split()
-    digest = sha256(SCENARIOS[name].run(int(nodes), int(seed), None))
-    assert digest == ROWS[row], f'manifest row "{row}" is now "{digest}"'
+    text = SCENARIOS[name].run(int(nodes), int(seed), None)
+    digests[row] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+@pytest.fixture(scope="module")
+def row_digests():
+    """Every row's digest from two fresh interpreters pinned to hash seeds
+    0 and 1.  A digest that depends on the order of a set of strings
+    will likely differ under one of them, and every run draws the same
+    two seeds.
+    """
+    by_seed = {}
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _ROW_DIGESTS],
+            input=json.dumps(sorted(ROWS)),
+            capture_output=True, text=True, env=env, cwd=REPO_ROOT,
+        )
+        assert proc.returncode == 0, proc.stderr
+        by_seed[hash_seed] = json.loads(proc.stdout)
+    return by_seed
+
+
+@pytest.mark.parametrize("row", sorted(ROWS))
+def test_manifest_row_reproduces(row, row_digests):
+    for hash_seed, digests in row_digests.items():
+        digest = digests[row]
+        assert digest == ROWS[row], (
+            f'manifest row "{row}" is now "{digest}" under '
+            f'PYTHONHASHSEED={hash_seed}')
 
 
 def test_manifest_has_a_default_row_per_scenario():

@@ -199,6 +199,88 @@ def test_interrupted_process_can_continue():
     assert log == [("interrupted", 10), ("done", 15)]
 
 
+def test_interrupted_timeout_wait_does_not_resume_again():
+    """The abandoned Timeout is still due; it must not wake the process
+    out of the wait it took up after the interrupt."""
+    env = Environment()
+
+    def sleeper():
+        try:
+            yield env.timeout(10.0, value="first")
+        except Interrupt:
+            value = yield env.timeout(20.0, value="second")
+            return (value, env.now)
+
+    victim = env.process(sleeper())
+
+    def killer():
+        yield env.timeout(5.0)
+        victim.interrupt()
+
+    env.process(killer())
+    assert env.run(until=victim) == ("second", 25.0)
+
+
+def test_interrupt_right_after_yielding_a_dispatched_event():
+    """The wake that delivers a dispatched event's value is abandoned by
+    the interrupt, so it cannot resume the process's next wait."""
+    env = Environment()
+    done = env.event()
+    done.succeed("early")
+    env.run()
+    log = []
+
+    def waiter():
+        try:
+            yield done
+        except Interrupt:
+            log.append(("interrupted", env.now))
+        value = yield env.timeout(10.0, value="later")
+        log.append((value, env.now))
+
+    victim = env.process(waiter())
+
+    def killer():
+        victim.interrupt()
+        yield env.timeout(0.0)
+
+    env.process(killer())
+    env.run()
+    assert log == [("interrupted", 0.0), ("later", 10.0)]
+
+
+def test_interrupt_from_a_callback_of_the_awaited_event():
+    """A process interrupted while the event it waits on is being
+    dispatched is resumed by the interrupt alone, not also by the event."""
+    env = Environment()
+    gate = env.event()
+    log = []
+
+    def waiter():
+        try:
+            yield gate
+            log.append(("gate", env.now))
+        except Interrupt:
+            log.append(("interrupted", env.now))
+        value = yield env.timeout(10.0, value="later")
+        log.append((value, env.now))
+
+    def opener():
+        yield gate
+        victim.interrupt()
+
+    env.process(opener())  # waits on the gate before the victim does
+    victim = env.process(waiter())
+
+    def trigger():
+        yield env.timeout(1.0)
+        gate.succeed()
+
+    env.process(trigger())
+    env.run()
+    assert log == [("interrupted", 1.0), ("later", 11.0)]
+
+
 def test_all_of_waits_for_every_event():
     env = Environment()
 
