@@ -14,7 +14,10 @@ honestly resolve 5% on shared or virtualized hardware — on a noisy CI
 box the same campaign's runtime swings far more than that between
 back-to-back runs — so the asserted metric is *interpreter work*: total
 function calls executed during the campaign, counted with the profiler
-and byte-reproducible for a given seed.  That proxy is conservative:
+and byte-reproducible for a given seed.  Each side is counted in a fresh
+interpreter, so no campaign run earlier in the process (a warm-up, the
+other side, another benchmark) can pre-pay one-time work such as lazy
+imports and cache fills for it.  That proxy is conservative:
 the monitoring stack's calls are tiny leaf operations (list appends,
 dict probes), cheaper than the simulator's average call, so the call
 ratio overstates the true time ratio.  Wall clock is still measured and
@@ -32,7 +35,11 @@ from __future__ import annotations
 
 import cProfile
 import gc
+import json
+import os
 import pstats
+import subprocess
+import sys
 import time
 
 from helpers import print_rows
@@ -64,22 +71,48 @@ def _campaign(n_nodes: int, monitored: bool):
     return stack, per_node, span
 
 
-def _work(n_nodes: int, monitored: bool):
-    """One campaign under the deterministic work counter.
+def _count(n_nodes: int, monitored: bool) -> None:
+    """One campaign under the deterministic work counter; prints JSON.
 
-    GC is pinned off during the count: abandoned generators collected
+    Runs in the fresh interpreter :func:`_work` starts.  The package is
+    imported before counting, since imports are not campaign work.  GC
+    is pinned off during the count: abandoned generators collected
     mid-run would otherwise execute cleanup frames at arbitrary points
     and break run-to-run reproducibility of the call count.
     """
+    import repro.monitoring  # noqa: F401
+
     gc.disable()
     try:
         prof = cProfile.Profile()
         prof.enable()
-        result = _campaign(n_nodes, monitored)
+        stack, per_node, span = _campaign(n_nodes, monitored)
         prof.disable()
     finally:
         gc.enable()
-    return pstats.Stats(prof).total_calls, result
+    print(json.dumps({
+        "calls": pstats.Stats(prof).total_calls,
+        "nodes": per_node,
+        "span": span,
+        "packets": stack.aggregator.packets_received if stack else 0,
+        "series": stack.store.n_series if stack else 0,
+    }))
+
+
+def _work(n_nodes: int, monitored: bool) -> dict:
+    """Count one campaign's calls in a fresh interpreter (see _count)."""
+    import repro
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = (f"import bench_monitoring_overhead as b; "
+            f"b._count({n_nodes}, {monitored})")
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([here, src])),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 def _wall(n_nodes: int, monitored: bool, repeats: int) -> float:
@@ -95,21 +128,22 @@ def _wall(n_nodes: int, monitored: bool, repeats: int) -> float:
 
 
 def _compare(n_nodes: int, repeats: int = REPEATS):
-    plain_work, (_, plain_nodes, plain_span) = _work(n_nodes, False)
-    mon_work, (stack, mon_nodes, mon_span) = _work(n_nodes, True)
+    plain = _work(n_nodes, False)
+    mon = _work(n_nodes, True)
     plain_s = _wall(n_nodes, False, repeats)
     mon_s = _wall(n_nodes, True, repeats)
     return {
-        "stack": stack,
-        "plain_nodes": plain_nodes,
-        "mon_nodes": mon_nodes,
-        "plain_span": plain_span,
-        "mon_span": mon_span,
-        "plain_work": plain_work,
-        "mon_work": mon_work,
+        "packets": mon["packets"],
+        "series": mon["series"],
+        "plain_nodes": plain["nodes"],
+        "mon_nodes": mon["nodes"],
+        "plain_span": plain["span"],
+        "mon_span": mon["span"],
+        "plain_work": plain["calls"],
+        "mon_work": mon["calls"],
         "plain_s": plain_s,
         "mon_s": mon_s,
-        "overhead": mon_work / plain_work - 1.0,
+        "overhead": mon["calls"] / plain["calls"] - 1.0,
     }
 
 
@@ -118,9 +152,8 @@ def _assert_observational(r) -> None:
     assert r["mon_nodes"] == r["plain_nodes"]
     assert r["mon_span"] == r["plain_span"]
     # ...while the agents really were watching the whole campaign.
-    stack = r["stack"]
-    assert stack.aggregator.packets_received > 0
-    assert stack.store.n_series > 0
+    assert r["packets"] > 0
+    assert r["series"] > 0
 
 
 def bench_monitoring_observational(benchmark):
@@ -131,7 +164,7 @@ def bench_monitoring_observational(benchmark):
     )
     _assert_observational(r)
     benchmark.extra_info["span_minutes"] = round(r["mon_span"], 3)
-    benchmark.extra_info["series"] = r["stack"].store.n_series
+    benchmark.extra_info["series"] = r["series"]
 
 
 def bench_monitoring_work_budget(benchmark):
@@ -179,9 +212,8 @@ def main(argv=None) -> int:
              f"{r['mon_work']}", f"{r['mon_s']:.2f}"),
         ],
     )
-    stack = r["stack"]
-    print(f"\nagents heard: {stack.aggregator.packets_received} packets "
-          f"into {stack.store.n_series} series")
+    print(f"\nagents heard: {r['packets']} packets "
+          f"into {r['series']} series")
     print("simulated results: "
           + ("bit-identical per node" if identical else "DIVERGED"))
     print(f"interpreter-work overhead: {100 * r['overhead']:+.2f}% "

@@ -155,8 +155,6 @@ def main(argv=None) -> int:
     auto = _run(n, True, args.seed)
     base = _run(n, False, args.seed)
     print(auto.render())
-    if auto.autoscaler is not None:
-        print(auto.autoscaler.render_events())
     print()
     print(base.render())
     verdict = _verdict(auto, base)

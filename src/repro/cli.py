@@ -332,9 +332,6 @@ def _cmd_storm(args: argparse.Namespace) -> int:
     )
     result = run_storm(options)
     print(result.render())
-    if result.autoscaler is not None and result.scale_events:
-        print()
-        print(result.autoscaler.render_events())
     if args.slo:
         with open(args.slo, "w", encoding="utf-8") as fh:
             fh.write(result.slo_json())

@@ -9,7 +9,6 @@ from .campaign import (
 )
 from .cluster_fork import (
     cluster_fork,
-    cluster_fork_exec,
     cluster_kill,
     frontend_groups,
     targets_from_query,
@@ -28,7 +27,6 @@ __all__ = [
     "NodeOutcome",
     "ReinstallCampaign",
     "cluster_fork",
-    "cluster_fork_exec",
     "cluster_kill",
     "frontend_groups",
     "targets_from_query",

@@ -10,25 +10,20 @@ SQL ``query`` returning hostnames (first column), or — the brute-force
 default the paper starts from — every name with the ``compute-`` prefix
 in /etc/hosts.
 
-Two transports share that targeting:
-
-* :func:`cluster_fork` — the original synchronous rexec sweep;
-* :func:`cluster_fork_exec` — the fault-tolerant engine
-  (:class:`~repro.exec.task.ExecTask`): sliding fanout window, per-node
-  timeout/retry, typed ``NODE_DEAD`` results, gathered-output report.
+Both commands run one synchronous REXEC sweep over the targets
+(:meth:`~repro.scheduler.Rexec.run`).
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from ...exec import ExecOptions, ExecReport, ExecTask, GroupResolver, NodeSet
-from ...scheduler import RemoteEnvironment, Rexec, RexecSession
+from ...exec import GroupResolver, NodeSet
+from ...scheduler import RemoteEnvironment, RexecSession
 from ..frontend import RocksFrontend
 
 __all__ = [
     "cluster_fork",
-    "cluster_fork_exec",
     "cluster_kill",
     "frontend_groups",
     "targets_from_query",
@@ -112,33 +107,6 @@ def cluster_fork(
     """Run ``command`` (a RemoteCommand callable) on the selected nodes."""
     targets = _resolve_targets(frontend, nodes, query)
     return frontend.rexec.run(targets, command, environment)
-
-
-def cluster_fork_exec(
-    frontend: RocksFrontend,
-    command,
-    nodes: Optional[Targets] = None,
-    query: Optional[str] = None,
-    environment: RemoteEnvironment = _ROOT,
-    options: ExecOptions = ExecOptions(),
-) -> ExecReport:
-    """cluster-fork over the fault-tolerant engine; runs to completion.
-
-    Unlike :func:`cluster_fork` this survives nodes that are down, die
-    mid-command, or straggle: the returned
-    :class:`~repro.exec.task.ExecReport` classifies every target.
-    """
-    targets = _resolve_targets(frontend, nodes, query)
-    task = ExecTask(
-        frontend.env,
-        frontend.rexec,
-        options,
-        environment=environment,
-        resolver=frontend_groups(frontend),
-    )
-    driver = task.run(targets, command)
-    frontend.env.run(until=driver)
-    return driver.value
 
 
 def cluster_kill(

@@ -17,7 +17,7 @@ for the same seed across ``PYTHONHASHSEED`` values.
 
 from .lab import ExecLab, LabOptions
 from .msgtree import MsgTree
-from .nodeset import GroupResolver, NodeSet, NodeSetParseError, fold_nodes
+from .nodeset import GroupResolver, NodeSet, NodeSetParseError
 from .rangeset import RangeSet, RangeSetParseError
 from .task import ExecOptions, ExecReport, ExecState, ExecTask, NodeResult
 
@@ -27,7 +27,6 @@ __all__ = [
     "NodeSet",
     "NodeSetParseError",
     "GroupResolver",
-    "fold_nodes",
     "MsgTree",
     "ExecState",
     "ExecOptions",

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .rangeset import RangeSet, RangeSetParseError
 
-__all__ = ["NodeSet", "NodeSetParseError", "GroupResolver", "fold_nodes"]
+__all__ = ["NodeSet", "NodeSetParseError", "GroupResolver"]
 
 
 class NodeSetParseError(ValueError):
@@ -80,10 +80,6 @@ class NodeSet:
             self._parse(text, resolver)
 
     # -- construction ------------------------------------------------------
-    @classmethod
-    def parse(cls, text: str, resolver: Optional[GroupResolver] = None) -> "NodeSet":
-        return cls(text, resolver=resolver)
-
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "NodeSet":
         ns = cls()
@@ -247,7 +243,3 @@ class NodeSet:
     def __repr__(self) -> str:  # pragma: no cover
         return f"NodeSet({self.fold()!r})"
 
-
-def fold_nodes(names: Iterable[str]) -> str:
-    """Convenience: fold a plain list of hostnames to compact text."""
-    return NodeSet.from_names(names).fold()

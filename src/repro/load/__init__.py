@@ -1,28 +1,15 @@
-"""Open-loop load generation and the install-storm scenario driver.
+"""The install-storm scenario driver.
 
-Two halves:
-
-* :mod:`~repro.load.arrivals` / :mod:`~repro.load.generator` — seeded
-  open-loop arrival processes (Poisson, diurnal, flash-crowd) and a
-  generator that replays them against an HTTP target without ever
-  waiting for responses: load that does not slow down when the server
-  does;
-* :mod:`~repro.load.storm` — the whole-site power-restore scenario
-  (every PDU drops, then re-energizes at once) measured end to end,
-  producing a canonical-JSON SLO report of p99 latency, shed rate, and
-  time-to-stable-cluster.
+:mod:`~repro.load.storm` replays the whole-site power restore (every
+PDU drops, then re-energizes at once) end to end: every node boots
+together and pulls its full distribution from one frontend.  It reports
+p99 install-HTTP latency, shed rate and time-to-stable-cluster as a
+canonical-JSON SLO report.
 """
 
-from .arrivals import ArrivalProcess, Diurnal, FlashCrowd, Poisson
-from .generator import LoadGenerator
 from .storm import StormOptions, StormResult, run_storm, slo_json
 
 __all__ = [
-    "ArrivalProcess",
-    "Diurnal",
-    "FlashCrowd",
-    "Poisson",
-    "LoadGenerator",
     "StormOptions",
     "StormResult",
     "run_storm",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..cluster import MachineState
@@ -90,7 +90,6 @@ class StormResult:
     monitoring: object
     autoscaler: Optional[object] = None
     replica_set: Optional[InstallReplicaSet] = None
-    scale_events: list = field(default_factory=list)
 
     @property
     def stable(self) -> bool:
@@ -137,6 +136,10 @@ class StormResult:
             f"  autoscaler: {scaler['actions']} action(s), "
             f"peak {scaler['peak_replicas']} replica(s), "
             f"final {scaler['final_replicas']}"
+        )
+        lines.extend(
+            f"    [{e['t_s']:7.1f}s] {e['action']:<10} -> {e['replicas']}"
+            for e in scaler["events"]
         )
         return "\n".join(lines)
 
@@ -280,7 +283,6 @@ def run_storm(
         monitoring=monitoring,
         autoscaler=autoscaler,
         replica_set=replica_set,
-        scale_events=list(autoscaler.events) if autoscaler else [],
     )
 
 

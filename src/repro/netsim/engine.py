@@ -200,7 +200,7 @@ class AnyOf(_Condition):
     An **empty** AnyOf triggers immediately (value ``()``), mirroring
     ``AllOf([])`` and SimPy's vacuous-condition semantics.  The
     alternative — an event that can never trigger — silently deadlocks
-    any process that yields it, which is how ``env.any_of([])`` in a
+    any process that yields it, which is how ``AnyOf(env, [])`` in a
     dynamically built wait-set used to hang whole scenarios.
     """
 
@@ -476,12 +476,6 @@ class Environment:
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling -------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:

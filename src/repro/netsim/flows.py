@@ -235,7 +235,6 @@ class FlowNetwork:
         "_flows",
         "_flow_seq_counter",
         "_dirty",
-        "_dirty_all",
         "_eta_heap",
         "_wakeup",
         "_wakeup_time",
@@ -255,7 +254,6 @@ class FlowNetwork:
         # Links whose flow set or capacity changed since the last
         # reallocation (dict-as-set, marked in deterministic op order).
         self._dirty: dict[Link, None] = {}
-        self._dirty_all = False
         # Lazy min-heap of (eta, flow_seq, eta_gen, flow, rel, anchor):
         # the next completion instant per live flow.  Entries whose gen
         # no longer matches flow._eta_gen are skipped at pop time.
@@ -376,21 +374,17 @@ class FlowNetwork:
                     total += min(flow.remaining, rate * (now - flow._last_credit))
         return total
 
-    def recompute(self, links: Optional[Iterable[Link]] = None) -> None:
+    def recompute(self, links: Iterable[Link]) -> None:
         """Re-run fair sharing after an exogenous capacity change.
 
         Link capacities are read only when rates are allocated, so fault
         injection (degrading a NIC mid-transfer) must credit progress at
-        the old rates and then redistribute.  Pass the changed ``links``
-        to confine the recomputation to their components; with no
-        argument every component is refreshed (the safe legacy default).
+        the old rates and then redistribute.  ``links`` are the changed
+        links; only their components are recomputed.
         """
-        if links is None:
-            self._dirty_all = True
-        else:
-            dirty = self._dirty
-            for link in links:
-                dirty[link] = None
+        dirty = self._dirty
+        for link in links:
+            dirty[link] = None
         self._reallocate()
 
     # -- internals ----------------------------------------------------------
@@ -487,14 +481,10 @@ class FlowNetwork:
         are applied).
         """
         comps: dict[_Component, None] = {}
-        if self._dirty_all:
-            for flow in self._flows:
+        for link in self._dirty:
+            for flow in link._flows:
                 comps[flow._comp] = None
-        else:
-            for link in self._dirty:
-                for flow in link._flows:
-                    comps[flow._comp] = None
-                    break
+                break
         groups = [list(comp.flows) for comp in comps]
         if len(groups) == 1:
             return groups[0], groups
@@ -520,7 +510,6 @@ class FlowNetwork:
         else:
             self._util_touched = None
         self._dirty.clear()
-        self._dirty_all = False
         if not affected and not comps:
             self._schedule_wakeup()
             return

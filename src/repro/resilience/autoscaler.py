@@ -82,9 +82,6 @@ class ScaleEvent:
     replicas: int    # replica count after the action
     reason: str
 
-    def __str__(self) -> str:
-        return f"[{self.t:9.1f}s] {self.action:<10} -> {self.replicas} ({self.reason})"
-
 
 class Autoscaler:
     """Watches aggregator gauges; adds/drains install-server replicas.
@@ -230,10 +227,3 @@ class Autoscaler:
         if span is not None:
             span.end(replicas=self.n_replicas)
             tracer.metrics.gauge("autoscaler.replicas", self.n_replicas)
-
-    # -- reporting ---------------------------------------------------------
-    def render_events(self) -> str:
-        header = f"autoscaler: {len(self.events)} action(s)"
-        if not self.events:
-            return "\n".join([header, "  (no scaling activity)"])
-        return "\n".join([header, *(f"  {e}" for e in self.events)])

@@ -73,9 +73,10 @@ class RemoteProcess:
 
 #: a command is fn(machine, process) -> exit_code; it may write to
 #: process.stdout/stderr and read the propagated environment.  A command
-#: may instead return a *generator of events* (a timed command): rexecd
-#: then runs it on the simulation clock and its return value is the exit
-#: code.
+#: may instead return a *generator of events* (a timed command):
+#: :meth:`Rexec.spawn` then runs it on the simulation clock and its
+#: return value is the exit code; the synchronous :meth:`Rexec.run`
+#: refuses it.
 RemoteCommand = Callable[
     [Machine, RemoteProcess], Union[int, Generator]
 ]
@@ -227,7 +228,11 @@ class Rexec:
         command: RemoteCommand,
         environment: RemoteEnvironment,
     ) -> RexecSession:
-        """Execute ``command`` on each reachable, up host."""
+        """Execute ``command`` on each reachable, up host, synchronously.
+
+        A timed command (one that returns a generator) raises
+        ``TypeError``: only :meth:`spawn` runs it on the simulation clock.
+        """
         processes: list[RemoteProcess] = []
         unreachable: list[str] = []
         for rank, host in enumerate(hosts):
@@ -241,9 +246,16 @@ class Rexec:
                 continue
             proc = RemoteProcess(host=host, rank=rank, env=environment)
             try:
-                proc.exit_code = command(machine, proc)
+                rv = command(machine, proc)
             except Exception as err:
                 proc.stderr.append(str(err))
-                proc.exit_code = 1
+                rv = 1
+            if hasattr(rv, "send") and hasattr(rv, "throw"):
+                raise TypeError(
+                    f"{host}: the command returned a generator (a timed "
+                    "command), which Rexec.run cannot run; use Rexec.spawn "
+                    "or repro.exec.ExecTask"
+                )
+            proc.exit_code = rv
             processes.append(proc)
         return RexecSession(processes, unreachable)

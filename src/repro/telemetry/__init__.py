@@ -24,14 +24,13 @@ start with the no-op :data:`NULL_TRACER`.  Opt in per run::
 
 from .metrics import Metrics, NullMetrics
 from .tracer import NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer
-from .export import iter_trace_records, to_dict, to_jsonl, write_jsonl
-from .chrome import chrome_trace_events, to_chrome_json, write_chrome_json
+from .export import iter_trace_records, to_jsonl, write_jsonl
+from .chrome import chrome_trace_events, to_chrome_json
 from .critpath import (
     TraceDAG,
     build_dag,
     critical_path,
     dag_from_tracer,
-    explain_tracer,
     pick_root,
     render_report,
 )
@@ -54,17 +53,14 @@ __all__ = [
     "Span",
     "Tracer",
     "iter_trace_records",
-    "to_dict",
     "to_jsonl",
     "write_jsonl",
     "chrome_trace_events",
     "to_chrome_json",
-    "write_chrome_json",
     "TraceDAG",
     "build_dag",
     "critical_path",
     "dag_from_tracer",
-    "explain_tracer",
     "pick_root",
     "render_report",
     "KNOWN_KINDS",

@@ -22,7 +22,7 @@ from typing import Iterable
 from .export import iter_trace_records
 from .tracer import Tracer
 
-__all__ = ["chrome_trace_events", "to_chrome_json", "write_chrome_json"]
+__all__ = ["chrome_trace_events", "to_chrome_json"]
 
 #: attrs keys consulted (in order) to place a record on a host track.
 _TRACK_KEYS = ("host", "server", "node", "client", "target")
@@ -134,10 +134,3 @@ def to_chrome_json(tracer: Tracer) -> str:
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
-
-def write_chrome_json(tracer: Tracer, path: str) -> int:
-    """Write the Chrome trace to ``path``; returns the event count."""
-    text = to_chrome_json(tracer)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return text.count('"ph"')

@@ -34,7 +34,6 @@ __all__ = [
     "blocked_stats",
     "pick_root",
     "render_report",
-    "explain_tracer",
 ]
 
 #: Root-span kinds `pick_root` prefers, most interesting first.
@@ -335,11 +334,3 @@ def render_report(dag: TraceDAG, root: SpanNode,
         lines.append(f"orphan spans promoted to roots: {len(dag.orphans)}")
     return "\n".join(lines)
 
-
-def explain_tracer(tracer: Tracer, top: Optional[int] = None) -> str:
-    """Convenience: DAG + root pick + report straight from a tracer."""
-    dag = dag_from_tracer(tracer)
-    root = pick_root(dag)
-    if root is None:
-        return "no spans recorded — nothing to explain"
-    return render_report(dag, root, top=top)

@@ -13,7 +13,7 @@ from typing import Iterator
 from .schema import TRACE_FORMAT, TRACE_VERSION
 from .tracer import Tracer
 
-__all__ = ["iter_trace_records", "to_jsonl", "write_jsonl", "to_dict"]
+__all__ = ["iter_trace_records", "to_jsonl", "write_jsonl"]
 
 
 def _dumps(obj: dict) -> str:
@@ -57,13 +57,3 @@ def write_jsonl(tracer: Tracer, path: str) -> int:
             n += 1
     return n
 
-
-def to_dict(tracer: Tracer) -> dict:
-    """The trace as one JSON-ready object (records + metrics)."""
-    records = list(iter_trace_records(tracer))
-    return {
-        "meta": records[0],
-        "records": [r for r in records[1:] if r["type"] in ("span", "event")],
-        "counters": {r["name"]: r["value"] for r in records if r["type"] == "counter"},
-        "gauges": {r["name"]: r["samples"] for r in records if r["type"] == "gauge"},
-    }

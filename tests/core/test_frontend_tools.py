@@ -218,6 +218,18 @@ def test_cluster_fork_rejects_both_selectors(sim):
         cluster_fork(sim.frontend, lambda m, p: 0, nodes=["a"], query="select 1")
 
 
+def test_cluster_fork_refuses_a_timed_command(sim):
+    """The synchronous sweep cannot run a command that yields; it must
+    say so rather than record the generator as the exit code."""
+
+    def timed(machine, proc):
+        yield sim.env.timeout(5.0)
+        return 0
+
+    with pytest.raises(TypeError, match=r"Rexec\.spawn.*ExecTask"):
+        cluster_fork(sim.frontend, timed)
+
+
 # -- queued cluster reinstall (§5) -----------------------------------------------------------
 
 

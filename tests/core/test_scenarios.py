@@ -113,8 +113,14 @@ def test_fork_cli_reproduces_its_manifest_row(capsys):
 
 
 def test_storm_slo_cli_reproduces_its_manifest_row(tmp_path, capsys):
-    """``storm --slo`` writes the ``storm`` row's text."""
+    """``storm --slo`` writes the ``storm`` row's text, and its stdout
+    prints each scale event once, at the time the SLO JSON records."""
     path = tmp_path / "slo.json"
     assert main(["storm", "--nodes", "12", "--slo", str(path)]) == 0
-    capsys.readouterr()
-    assert sha256(path.read_text(encoding="utf-8")) == ROWS["storm 12 42"]
+    out = capsys.readouterr().out
+    text = path.read_text(encoding="utf-8")
+    assert sha256(text) == ROWS["storm 12 42"]
+    events = json.loads(text)["autoscaler"]["events"]
+    assert events[0]["t_s"] == 195.0
+    assert out.count("scale-") == len(events)
+    assert "[  195.0s] scale-up   -> 1" in out

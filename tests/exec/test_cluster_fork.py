@@ -1,15 +1,14 @@
 """Nodeset targeting through the frontend tool surfaces (§6.4).
 
-cluster-fork / cluster-fork-exec over nodeset expressions and database
-group sources, and campaign targeting via ``chaos_reinstall(targets=)``.
+cluster-fork over nodeset expressions and database group sources, and
+campaign targeting via ``chaos_reinstall(targets=)``.
 """
 
 import pytest
 
 from repro import build_cluster
-from repro.cluster import MachineState
-from repro.core.tools import cluster_fork, cluster_fork_exec, frontend_groups
-from repro.exec import ExecOptions, ExecState, NodeSet
+from repro.core.tools import cluster_fork, frontend_groups
+from repro.exec import NodeSet
 from repro.faults import campaign_size, chaos_reinstall, select_machines
 
 
@@ -51,30 +50,6 @@ class TestClusterForkNodesets:
     def test_fork_accepts_group(self, sim):
         session = cluster_fork(sim.frontend, echo, nodes="@compute")
         assert len(session.processes) == 4
-
-    def test_fork_exec_classifies_down_node(self, sim):
-        sim.nodes[3].power_off()
-        try:
-            report = cluster_fork_exec(
-                sim.frontend, echo, nodes="@compute",
-                options=ExecOptions(seed=1),
-            )
-            assert report.count(ExecState.OK) == 3
-            dead = report.results["compute-0-3"]
-            assert dead.state is ExecState.NODE_DEAD
-        finally:
-            sim.nodes[3].power_on()
-            sim.env.run(until=sim.nodes[3].wait_for_state(MachineState.UP))
-
-    def test_fork_exec_report_is_gathered(self, sim):
-        def uname(machine, proc):
-            proc.stdout.append("2.4.9-5")
-            return 0
-
-        report = cluster_fork_exec(sim.frontend, uname,
-                                   nodes="compute-0-[0-2]")
-        assert report.msgtree().render() == \
-            "compute-0-[0-2] (3): 2.4.9-5"
 
 
 class TestCampaignTargeting:

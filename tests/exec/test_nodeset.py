@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exec import NodeSet, NodeSetParseError, fold_nodes
+from repro.exec import NodeSet, NodeSetParseError
 
 
 class TestParsingAndFolding:
@@ -21,7 +21,7 @@ class TestParsingAndFolding:
             assert NodeSet(ns.fold()) == ns
 
     def test_plain_names_with_numbers_fold_together(self):
-        assert fold_nodes(["node3", "node1", "node2"]) == "node[1-3]"
+        assert NodeSet.from_names(["node3", "node1", "node2"]).fold() == "node[1-3]"
 
     def test_scalar_names_kept_verbatim(self):
         ns = NodeSet("gateway,frontend-0")

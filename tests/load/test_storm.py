@@ -92,7 +92,7 @@ def test_slo_report_shape():
 def test_autoscale_off_runs_without_a_scaler():
     result = run_storm(small_storm(autoscale=False))
     assert result.autoscaler is None
-    assert result.scale_events == []
+    assert result.report["autoscaler"]["events"] == []
     assert result.report["autoscaler"]["actions"] == 0
     assert result.report["autoscale"] is False
 

@@ -54,15 +54,12 @@ class FullRecomputeNetwork(FlowNetwork):
         """Every bottleneck component, walked from the live flow set.
 
         ``affected`` is the dirty closure in start order: every flow
-        transitively sharing a link with a dirty link's flows (every
-        flow when everything is dirty).  ``comps`` holds its components
-        and then every other one, each in start order.
+        transitively sharing a link with a dirty link's flows.
+        ``comps`` holds its components and then every other one, each
+        in start order.
         """
         seen_flows, seen_links = set(), set()
-        if self._dirty_all:
-            seeds = self._flows
-        else:
-            seeds = [flow for link in self._dirty for flow in link._flows]
+        seeds = [flow for link in self._dirty for flow in link._flows]
         comps = list(walk_components(seeds, seen_flows, seen_links))
         affected = sorted((flow for comp in comps for flow in comp), key=_flow_seq)
         comps += walk_components(self._flows, seen_flows, seen_links)

@@ -92,7 +92,7 @@ def test_components_match_a_fresh_walk_after_every_operation(script):
         elif op == "recompute":
             net.recompute([links[i] for i in args[0]])
         elif op == "recompute_all":
-            net.recompute()
+            net.recompute(links)
         else:
             j, cap = args
             links[j].capacity = cap

@@ -39,7 +39,7 @@ def test_empty_anyof_triggers_immediately():
     log = []
 
     def proc():
-        value = yield env.any_of([])
+        value = yield AnyOf(env, [])
         log.append((env.now, value))
 
     env.process(proc())
@@ -52,7 +52,7 @@ def test_empty_allof_still_triggers_immediately():
     log = []
 
     def proc():
-        value = yield env.all_of([])
+        value = yield AllOf(env, [])
         log.append((env.now, value))
 
     env.process(proc())
@@ -67,7 +67,7 @@ def test_empty_anyof_mixed_with_real_work_does_not_deadlock():
 
     def waiter():
         pending = []  # e.g. "wait for any in-flight download" with none active
-        yield env.any_of(pending)
+        yield AnyOf(env, pending)
         order.append("anyof")
         yield env.timeout(3)
         order.append("done")
@@ -191,7 +191,7 @@ def test_utilization_clamped_under_transient_oversubscription():
     # Degrade the capacity under a live flow, before recompute() runs.
     link.capacity = 40.0
     assert link.utilization() == 1.0
-    net.recompute()
+    net.recompute([link])
     assert link.utilization() == pytest.approx(1.0)
 
 
@@ -210,7 +210,7 @@ def test_recompute_storm_keeps_event_queue_bounded():
     net.transfer([link], 1e9)  # completes far in the future
     baseline = len(env._queue)
     for _ in range(500):
-        net.recompute()
+        net.recompute([link])
     # The needed wake time never moved, so no new Timeout was pushed at
     # all (the seed behaviour leaked one dead Timeout per recompute).
     assert len(env._queue) <= baseline + 1
@@ -222,9 +222,9 @@ def test_flapping_recompute_keeps_event_queue_bounded():
     net.transfer([link], 1e9)
     for _ in range(300):
         link.capacity = 10.0  # degrade: completion recedes
-        net.recompute()
+        net.recompute([link])
         link.capacity = 100.0  # restore: completion moves closer -> new wakeup
-        net.recompute()
+        net.recompute([link])
     # Superseded wakeups are cancelled and compacted, so the heap holds
     # a bounded number of dead entries (compaction threshold), not one
     # per flap.
@@ -247,7 +247,7 @@ def test_completion_times_survive_recompute_storm():
     link = Link("l", 100.0)
     flow = net.transfer([link], 1000.0)
     for _ in range(50):
-        net.recompute()
+        net.recompute([link])
     env.run(until=flow.done)
     assert env.now == pytest.approx(10.0)
 

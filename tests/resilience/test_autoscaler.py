@@ -203,11 +203,3 @@ def test_missing_gauges_are_a_no_op_tick():
     env.run(until=50.0)
     assert rs.n_replicas == 0
     assert scaler.events == []
-
-
-def test_render_events():
-    env, rs, scaler, _ = make_scaler(dict(CALM))
-    assert "no scaling activity" in scaler.render_events()
-    env2, rs2, scaler2, _ = make_scaler(dict(CALM, **{"net.tx_util": 1.0}))
-    env2.run(until=10.0)
-    assert "scale-up" in scaler2.render_events()

@@ -114,3 +114,17 @@ def test_mpirun_program_visible_then_reaped(sim):
     assert all("gamess.x" in snapshot for snapshot in observed)
     for node in sim.nodes:
         assert "gamess.x" not in node.user_processes
+
+
+def test_mpirun_refuses_a_timed_command(sim):
+    """A rank command that yields would never run under mpirun's
+    synchronous launch, so it is refused instead of reported as done."""
+
+    def timed(machine, proc):
+        yield sim.env.timeout(5.0)
+        return 0
+
+    with pytest.raises(TypeError, match=r"Rexec\.spawn.*ExecTask"):
+        sim.frontend.mpirun.run(2, timed, RENV, program="timed.x")
+    for node in sim.nodes:
+        assert "timed.x" not in node.user_processes

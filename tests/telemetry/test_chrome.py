@@ -69,15 +69,17 @@ def test_chrome_json_is_valid_trace_event_document():
 
 SUBPROCESS_SCRIPT = """
 from repro import build_cluster
-from repro.telemetry import Tracer, to_chrome_json
-from repro.telemetry.critpath import explain_tracer
+from repro.telemetry import (
+    Tracer, dag_from_tracer, pick_root, render_report, to_chrome_json,
+)
 tracer = Tracer()
 sim = build_cluster(n_compute=3, tracer=tracer)
 sim.integrate_all()
 sim.reinstall_all()
 import sys
 sys.stdout.write(to_chrome_json(tracer))
-sys.stdout.write(explain_tracer(tracer))
+dag = dag_from_tracer(tracer)
+sys.stdout.write(render_report(dag, pick_root(dag)))
 """
 
 

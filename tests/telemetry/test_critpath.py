@@ -11,7 +11,6 @@ from repro.telemetry.critpath import (
     classify,
     critical_path,
     dag_from_tracer,
-    explain_tracer,
     pick_root,
     render_report,
 )
@@ -291,7 +290,7 @@ def test_explain_real_reinstall_attributes_nearly_everything():
 
 
 def test_explain_tracer_empty():
-    assert explain_tracer(Tracer()) == "no spans recorded — nothing to explain"
+    assert pick_root(dag_from_tracer(Tracer())) is None
 
 
 def test_committed_explain_golden_matches_fresh_run():
@@ -307,4 +306,5 @@ def test_committed_explain_golden_matches_fresh_run():
     golden = (
         pathlib.Path(__file__).parent / "golden" / "explain_reinstall_8.txt"
     ).read_text(encoding="utf-8")
-    assert explain_tracer(tracer) + "\n" == golden
+    dag = dag_from_tracer(tracer)
+    assert render_report(dag, pick_root(dag)) + "\n" == golden
