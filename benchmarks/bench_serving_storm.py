@@ -16,33 +16,28 @@ time-to-stable, the scale-event timeline) is canonical JSON —
 byte-identical for the same seed — and ``--record`` writes it to
 ``BENCH_serving.json``.
 
-Run standalone for a narrated report::
+Run standalone for a narrated report at the 64 nodes the claim is made
+for (CI runs exactly this)::
 
-    PYTHONPATH=src python benchmarks/bench_serving_storm.py --quick
+    PYTHONPATH=src python benchmarks/bench_serving_storm.py
 """
 
 from __future__ import annotations
-
-import json
 
 from helpers import print_rows
 from repro.load import StormOptions, run_storm, slo_json
 
 STORM_NODES = 64
-QUICK_NODES = 12
 SEED = 42
 
 _cache: dict = {}
 
 
-def _options(n_nodes: int, autoscale: bool, seed: int = SEED) -> StormOptions:
-    return StormOptions(n_nodes=n_nodes, seed=seed, autoscale=autoscale)
-
-
 def _run(n_nodes: int, autoscale: bool, seed: int = SEED):
     key = (n_nodes, autoscale, seed)
     if key not in _cache:
-        _cache[key] = run_storm(_options(n_nodes, autoscale, seed))
+        _cache[key] = run_storm(
+            StormOptions(n_nodes=n_nodes, seed=seed, autoscale=autoscale))
     return _cache[key]
 
 
@@ -97,20 +92,6 @@ def bench_storm_baseline_stalls_or_2x(benchmark):
     )
 
 
-def bench_storm_slo_byte_identity(benchmark):
-    """Same seed => byte-identical SLO artifact (the CI invariant)."""
-
-    def run_twice():
-        a = run_storm(_options(QUICK_NODES, True))
-        b = run_storm(_options(QUICK_NODES, True))
-        return a.slo_json(), b.slo_json()
-
-    a, b = benchmark.pedantic(run_twice, rounds=1, iterations=1)
-    assert a.encode() == b.encode()
-    # canonical form round-trips
-    assert a == slo_json(json.loads(a))
-
-
 def _row(result, label):
     rep = result.report
     return (
@@ -145,12 +126,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nodes", type=int, default=STORM_NODES)
     parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument("--quick", action="store_true",
-                        help=f"use {QUICK_NODES} nodes (CI smoke test)")
     parser.add_argument("--record", metavar="PATH",
                         help="write the SLO trajectory as canonical JSON")
     args = parser.parse_args(argv)
-    n = QUICK_NODES if args.quick else args.nodes
+    n = args.nodes
 
     auto = _run(n, True, args.seed)
     base = _run(n, False, args.seed)

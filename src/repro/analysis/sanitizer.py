@@ -37,6 +37,7 @@ import random
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
@@ -100,6 +101,7 @@ class DispatchRecord:
         return (self.label, self.site)
 
 
+@cache  # resolving a path is file-system work, and the frames repeat
 def _relpath(filename: str) -> str:
     try:
         return Path(filename).resolve().relative_to(_REPO_ROOT).as_posix()
@@ -163,15 +165,13 @@ class SanitizedEnvironment(InstrumentedEnvironment):
             and not (f.filename == _THIS_FILE
                      and f.name in self._INTERNAL_FRAMES)
         ]
-        trimmed = frames[-_STACK_DEPTH:]
+        depth = _STACK_DEPTH if self.options.record_stacks else 1
         rendered = tuple(
             f"{_relpath(f.filename)}:{f.lineno} in {f.name}"
-            for f in reversed(trimmed)
+            for f in reversed(frames[-depth:])
         )
         site = rendered[0] if rendered else "<unknown>"
-        if not self.options.record_stacks:
-            return site, ()
-        return site, rendered
+        return site, rendered if self.options.record_stacks else ()
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         event._scheduled = True

@@ -20,12 +20,12 @@ shapes, and each is mechanically detectable in the AST:
   (``store.open_series(...)`` as a bare statement): nothing holds the
   handle, so nothing records into it or closes it, and the monitoring
   export carries a permanently empty (or never-flushed) series;
-* **RK206** — an unbounded queue constructed in the ``load``/``netsim``
-  packages (``deque()`` with no ``maxlen``, ``Queue()``/``SimpleQueue()``
-  with no size bound): open-loop load makes any unbounded buffer an
-  eventual memory-shaped outage, so storm-path queues must either carry
-  an explicit bound or a baseline entry justifying the invariant that
-  bounds them;
+* **RK206** — an unbounded queue constructed in the ``load``/``netsim``/
+  ``exec`` packages (``deque()`` with no ``maxlen``, ``Queue()``/
+  ``SimpleQueue()`` with no size bound): these hold the request paths
+  that every node can feed at once, so a buffer there grows with the
+  cluster and must carry an explicit bound or a baseline entry naming
+  the invariant that bounds it;
 * **RK207** — a ``for`` loop over cluster membership whose body waits on
   the simulation per host (``env.step``/``env.run``/``yield``/
   ``wait_for_state``) in a campaign surface: serial per-host waits
@@ -91,9 +91,9 @@ _GLOBAL_RANDOM_FUNCS = frozenset({
 
 #: package subdirectories whose loops are determinism-critical (RK203)
 _HOT_PACKAGES = ("netsim", "installer", "exec", "load", "monitoring")
-#: packages where open-loop load can reach (RK206; exec included: a
-#: 4096-target fan-out gathers output through MsgTree and per-node
-#: buffers, which an open-loop caller can grow without bound)
+#: packages holding request paths that every node can feed (RK206; exec
+#: included: a 4096-target fan-out gathers output through MsgTree and
+#: per-node buffers)
 _QUEUE_HOT_PACKAGES = ("load", "netsim", "exec")
 
 
@@ -470,11 +470,11 @@ def _queue_is_bounded(name: str, node: ast.Call) -> bool:
 
 @register_self("RK206")
 def check_unbounded_queues(ctx: SelfLintContext):
-    """Queues on the open-loop load paths must carry an explicit bound.
+    """A buffer on a request path every node can feed must be bounded.
 
-    An open-loop arrival process keeps producing no matter how slow the
-    consumer is; any unbounded buffer between the two converts overload
-    into unbounded memory growth instead of visible backpressure.  A
+    A power restore sends every node's requests at once and a fan-out
+    gathers a reply per target, so these buffers grow with the cluster:
+    unbounded, overload turns into memory growth, not backpressure.  A
     queue whose boundedness is enforced elsewhere (e.g. an accept queue
     that is length-checked before every append) is suppressed via the
     lint baseline, which doubles as an inventory of such invariants.
@@ -490,8 +490,8 @@ def check_unbounded_queues(ctx: SelfLintContext):
                 continue
             yield ctx.diag(
                 "RK206",
-                f"{name}() constructed without a bound on an open-loop "
-                f"load path",
+                f"{name}() constructed without a bound on a request "
+                f"path every node can feed",
                 pf, node,
                 hint="pass maxlen=/maxsize=, or add a baseline entry "
                      "naming the invariant that bounds it",

@@ -43,31 +43,30 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
+def _span(reports) -> float:
+    """Seconds from the first reinstall's start to the last one's end."""
+    return max(r.finished_at for r in reports) - min(r.started_at for r in reports)
+
+
 def _cmd_reinstall(args: argparse.Namespace) -> int:
-    sim = build_cluster(n_compute=args.nodes)
-    sim.integrate_all()
-    reports = sim.reinstall_all()
-    span = max(r.finished_at for r in reports) - min(r.started_at for r in reports)
-    for r in sorted(reports, key=lambda r: r.host):
+    from .scenarios import reinstall_point
+
+    _, reports = reinstall_point(args.nodes)
+    for r in reports:
         print(f"  {r.host:<14} {r.method:<9} {r.minutes:6.2f} min")
-    print(f"total: {len(reports)} concurrent reinstalls in {span / 60:.2f} minutes")
+    print(f"total: {len(reports)} concurrent reinstalls in "
+          f"{_span(reports) / 60:.2f} minutes")
     return 0
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    paper = {1: 10.3, 2: 9.8, 4: 10.1, 8: 10.4, 16: 11.1, 32: 13.7}
+    from .scenarios import TABLE1_MINUTES, reinstall_point
+
     print(f"{'nodes':>5}  {'paper':>6}  {'measured':>8}")
-    for n in sorted(paper):
-        if n > args.max_nodes:
-            continue
-        sim = build_cluster(n_compute=n)
-        sim.integrate_all()
-        reports = sim.reinstall_all()
-        span = (
-            max(r.finished_at for r in reports)
-            - min(r.started_at for r in reports)
-        ) / 60
-        print(f"{n:>5}  {paper[n]:>6.1f}  {span:>8.2f}")
+    for n, paper in sorted(TABLE1_MINUTES.items()):
+        if n <= args.max_nodes:
+            _, reports = reinstall_point(n)
+            print(f"{n:>5}  {paper:>6.1f}  {_span(reports) / 60:>8.2f}")
     return 0
 
 
@@ -267,6 +266,14 @@ def _cmd_reports(args: argparse.Namespace) -> int:
     return 0
 
 
+def _node_count(value: str) -> int:
+    """The argparse type of every node-count flag: an integer, at least 1."""
+    if not value.isdecimal() or int(value) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a node count of at least 1, got {value!r}")
+    return int(value)
+
+
 def _campaign_nodes(value: str) -> tuple[int, Optional[str]]:
     """Parse a ``--nodes`` value: a count, or a nodeset of targets.
 
@@ -275,11 +282,14 @@ def _campaign_nodes(value: str) -> tuple[int, Optional[str]]:
     sizes the cluster to cover the set and targets exactly those nodes.
     Returns ``(n_nodes, targets-or-None)``.
     """
-    if value.isdigit():
-        return int(value), None
+    if value.lstrip("-").isdigit():
+        return _node_count(value), None
     from .faults import campaign_size
 
-    return campaign_size(value), value
+    try:
+        return campaign_size(value), value
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -292,7 +302,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         # require the hardened stack to recover it.
         plan = "frontend-crash"
         resilience = True
-    n_nodes, targets = _campaign_nodes(args.nodes)
+    n_nodes, targets = args.nodes
     result = chaos_reinstall(
         n_nodes=n_nodes, plan=plan, seed=args.seed, resilience=resilience,
         targets=targets,
@@ -349,7 +359,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         if args.watch is not None:
             stack.start_watch(period=args.watch)
 
-    n_nodes, targets = _campaign_nodes(args.nodes)
+    n_nodes, targets = args.nodes
     result = chaos_reinstall(
         n_nodes=n_nodes,
         plan=args.plan,
@@ -529,7 +539,7 @@ def _scenario_arguments(p, name: str, traced: bool = True, **kwargs) -> None:
 
     p.add_argument(name, default="reinstall", choices=sorted(SCENARIOS),
                    **kwargs)
-    p.add_argument("--nodes", type=int, help="default: the scenario's own")
+    p.add_argument("--nodes", type=_node_count, help="default: the scenario's own")
     if traced:
         p.add_argument("--seed", type=int, help="default: the scenario's own")
         p.add_argument("--plan", default="default", choices=sorted(PLANS),
@@ -544,15 +554,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="frontend + insert-ethers integration")
-    p.add_argument("--nodes", type=int, default=4)
+    p.add_argument("--nodes", type=_node_count, default=4)
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("reinstall", help="concurrent reinstall (Table I point)")
-    p.add_argument("--nodes", type=int, default=8)
+    p.add_argument("--nodes", type=_node_count, default=8)
     p.set_defaults(fn=_cmd_reinstall)
 
     p = sub.add_parser("table1", help="the full Table I sweep")
-    p.add_argument("--max-nodes", type=int, default=32)
+    p.add_argument("--max-nodes", type=_node_count, default=32)
     p.set_defaults(fn=_cmd_table1)
 
     p = sub.add_parser("dist", help="rocks-dist build report")
@@ -621,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "chaos", help="reinstall campaign under a fault-injection plan"
     )
-    p.add_argument("--nodes", default="32",
+    p.add_argument("--nodes", type=_campaign_nodes, default="32",
                    help="node count, or a nodeset of campaign targets "
                         "(node[0-4095], compute-0-[0-15], @compute)")
     from .faults import PLANS
@@ -645,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
              "circuit breakers, and gauge-driven autoscaling under the "
              "thundering herd; exits nonzero if the cluster never stabilizes",
     )
-    p.add_argument("--nodes", type=int, default=32)
+    p.add_argument("--nodes", type=_node_count, default=32)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--no-autoscale", action="store_true",
                    help="run the single-frontend baseline (expect it to "
@@ -663,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="reinstall campaign observed by the gmond/gmetad monitoring "
              "stack: cluster-top, alerts, RRD export, Ganglia XML",
     )
-    p.add_argument("--nodes", default="32",
+    p.add_argument("--nodes", type=_campaign_nodes, default="32",
                    help="node count, or a nodeset of campaign targets "
                         "(node[0-4095], compute-0-[0-15], @compute)")
     from .faults import PLANS as _mon_plans
@@ -699,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", default="node[0-511]",
                    help="nodeset of targets, e.g. node[0-4095] or "
                         "@cabinet0 (default node[0-511])")
-    p.add_argument("--size", type=int, default=None,
+    p.add_argument("--size", type=_node_count, default=None,
                    help="lab cluster size; required when --nodes uses "
                         "@groups, otherwise inferred from the nodeset")
     p.add_argument("--fanout", type=int, default=64,
@@ -755,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_explain)
 
     p = sub.add_parser("reports", help="database-derived config files (§6.4)")
-    p.add_argument("--nodes", type=int, default=4)
+    p.add_argument("--nodes", type=_node_count, default=4)
     p.add_argument("--report", default="all",
                    choices=["all", "hosts", "dhcpd", "pbsnodes"])
     p.set_defaults(fn=_cmd_reports)

@@ -1,7 +1,7 @@
 """End-to-end chaos experiment: the Table I campaign under a fault plan.
 
-This is the shared driver behind ``python -m repro chaos`` and
-``benchmarks/bench_chaos_reinstall.py``: stand up a cluster, integrate
+This is the one implementation behind ``python -m repro chaos``, ``repro
+monitor`` and the ``chaos`` scenario: stand up a cluster, integrate
 its nodes cleanly, then arm a fault plan and run a self-healing
 :class:`~repro.core.tools.campaign.ReinstallCampaign` over every node.
 The result pairs the campaign's graceful-degradation report with the

@@ -1,16 +1,22 @@
 """The named scenarios: one definition each, shared by every verb.
 
-``repro trace``, ``explain`` and ``sanitize`` look scenarios up here.  A
-runner ``run(nodes, seed, tracer)`` returns canonical text that digests
-to its row in ``tests/core/golden/manifest.json``; tracing never changes
-it.  Runners import their drivers lazily, so this module is cheap.
+``repro trace``, ``explain`` and ``sanitize`` look scenarios up here, and
+``repro reinstall`` and ``table1`` run its Table I point.  A runner
+``run(nodes, seed, tracer)`` returns canonical text that digests to its
+row in ``tests/core/golden/manifest.json``; tracing never changes it.
+Runners import what they run lazily, so this module is cheap.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, NamedTuple
 
-__all__ = ["SCENARIOS", "Scenario"]
+__all__ = ["SCENARIOS", "Scenario", "TABLE1_MINUTES", "reinstall_point"]
+
+#: The paper's Table I: minutes for n nodes to reinstall at once from
+#: one 100 Mbit install server (§6.3).
+TABLE1_MINUTES = {1: 10.3, 2: 9.8, 4: 10.1, 8: 10.4, 16: 11.1, 32: 13.7}
 
 
 class Scenario(NamedTuple):
@@ -24,15 +30,42 @@ class Scenario(NamedTuple):
                         self.seed if seed is None else seed, tracer, **knobs)
 
 
-def _reinstall(nodes: int, seed: int, tracer) -> str:
-    """The paper's Table I point: integrate + concurrently reinstall."""
+def reinstall_point(nodes: int, seed: int = 0, tracer=None, change_server=None):
+    """One Table I point: build the cluster, let ``change_server(frontend)``
+    alter its install server, integrate, then reinstall every node at once.
+    Returns the cluster and its shoot reports sorted by host.
+    """
     from . import build_cluster
 
     sim = build_cluster(n_compute=nodes, seed=seed, tracer=tracer)
+    if change_server is not None:
+        change_server(sim.frontend)
     sim.integrate_all()
-    reports = sorted(sim.reinstall_all(), key=lambda r: r.host)
+    return sim, sorted(sim.reinstall_all(), key=lambda r: r.host)
+
+
+def _reinstall(nodes: int, seed: int, tracer, change_server=None) -> str:
+    """A Table I point: one ``host method started finished`` line per host."""
+    _, reports = reinstall_point(nodes, seed, tracer, change_server)
     return "".join(f"{r.host} {r.method} {r.started_at!r} {r.finished_at!r}\n"
                    for r in reports)
+
+
+def _gigabit(frontend) -> None:
+    """§6.3: the install server's NIC upgraded to Gigabit Ethernet."""
+    from .netsim import GIGABIT_ETHERNET
+
+    frontend.cluster.network.host(frontend.machine.mac).set_speed(GIGABIT_ETHERNET)
+    frontend.install_server.http.refresh_link_speed()
+
+
+def _replicas(frontend) -> None:
+    """§6.3: a second, read-only install server behind a load balancer."""
+    from .services import InstallReplicaSet
+
+    replicas = InstallReplicaSet(frontend.install_server)
+    replicas.add_replica()
+    frontend.installer.source = replicas
 
 
 def _storm(nodes: int, seed: int, tracer) -> str:
@@ -84,7 +117,9 @@ def _race_fixture(nodes: int, seed: int, tracer) -> str:
 SCENARIOS: dict[str, Scenario] = {
     "chaos": Scenario(8, 0, _chaos),
     "fork": Scenario(512, 42, _fork),
+    "gigabit": Scenario(32, 0, partial(_reinstall, change_server=_gigabit)),
     "race-fixture": Scenario(8, 0, _race_fixture),
     "reinstall": Scenario(8, 0, _reinstall),
+    "replicas": Scenario(32, 0, partial(_reinstall, change_server=_replicas)),
     "storm": Scenario(12, 42, _storm),
 }

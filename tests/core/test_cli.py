@@ -193,3 +193,27 @@ def test_explain_command_byte_identical_across_runs(capsys):
     _, first = run_cli(capsys, "explain", "--nodes", "2")
     _, second = run_cli(capsys, "explain", "--nodes", "2")
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--nodes", "-2"],
+    ["reinstall", "--nodes", "0"],
+    ["table1", "--max-nodes", "0"],
+    ["chaos", "--nodes", "0"],
+    ["chaos", "--nodes", "-2"],
+    ["monitor", "--nodes", "0"],
+    ["storm", "--nodes", "0"],
+    ["fork", "--nodes", "@compute", "--size", "0"],
+    ["reports", "--nodes", "0"],
+    ["trace", "--nodes", "0"],
+    ["explain", "--nodes", "0"],
+    ["sanitize", "race-fixture", "--nodes", "0"],
+], ids=" ".join)
+def test_node_count_below_one_is_a_usage_error(capsys, argv):
+    """An empty cluster is not a run: the count is refused before any."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a node count of at least 1" in captured.err
