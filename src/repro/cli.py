@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 from . import Tracer, build_cluster
 from .core.kickstart import KickstartGenerator, default_graph, default_node_files
 from .rpm import Repository, community_packages, npaci_packages, stock_redhat
+from .scenarios import SCENARIOS, TABLE1_MINUTES, reinstall_point
 
 __all__ = ["main"]
 
@@ -43,30 +44,20 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _span(reports) -> float:
-    """Seconds from the first reinstall's start to the last one's end."""
-    return max(r.finished_at for r in reports) - min(r.started_at for r in reports)
-
-
 def _cmd_reinstall(args: argparse.Namespace) -> int:
-    from .scenarios import reinstall_point
-
-    _, reports = reinstall_point(args.nodes)
+    reports, minutes, _ = reinstall_point(args.nodes)
     for r in reports:
         print(f"  {r.host:<14} {r.method:<9} {r.minutes:6.2f} min")
-    print(f"total: {len(reports)} concurrent reinstalls in "
-          f"{_span(reports) / 60:.2f} minutes")
+    print(f"total: {len(reports)} concurrent reinstalls in {minutes:.2f} minutes")
     return 0
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    from .scenarios import TABLE1_MINUTES, reinstall_point
-
     print(f"{'nodes':>5}  {'paper':>6}  {'measured':>8}")
     for n, paper in sorted(TABLE1_MINUTES.items()):
         if n <= args.max_nodes:
-            _, reports = reinstall_point(n)
-            print(f"{n:>5}  {paper:>6.1f}  {_span(reports) / 60:>8.2f}")
+            _, minutes, _ = reinstall_point(n)
+            print(f"{n:>5}  {paper:>6.1f}  {minutes:>8.2f}")
     return 0
 
 
@@ -268,10 +259,14 @@ def _cmd_reports(args: argparse.Namespace) -> int:
 
 def _node_count(value: str) -> int:
     """The argparse type of every node-count flag: an integer, at least 1."""
-    if not value.isdecimal() or int(value) < 1:
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0  # not an integer: refused like an empty cluster
+    if count < 1:
         raise argparse.ArgumentTypeError(
-            f"expected a node count of at least 1, got {value!r}")
-    return int(value)
+            f"expected a node count (an integer of at least 1), got {value!r}")
+    return count
 
 
 def _campaign_nodes(value: str) -> tuple[int, Optional[str]]:
@@ -282,14 +277,16 @@ def _campaign_nodes(value: str) -> tuple[int, Optional[str]]:
     sizes the cluster to cover the set and targets exactly those nodes.
     Returns ``(n_nodes, targets-or-None)``.
     """
-    if value.lstrip("-").isdigit():
-        return _node_count(value), None
     from .faults import campaign_size
 
     try:
-        return campaign_size(value), value
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        int(value)
+    except ValueError:
+        try:
+            return campaign_size(value), value
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return _node_count(value), None
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -436,8 +433,6 @@ def _cmd_fork(args: argparse.Namespace) -> int:
 
 def _traced(args: argparse.Namespace) -> Tracer:
     """Run the scenario ``args`` names under a fresh tracer; returns it."""
-    from .scenarios import SCENARIOS
-
     tracer = Tracer()
     knobs = {"plan": args.plan} if args.scenario == "chaos" else {}
     SCENARIOS[args.scenario](args.nodes, args.seed, tracer, **knobs)
@@ -535,7 +530,6 @@ TRACE_SUMMARY_NOTE = "repro-trace JSONL"
 def _scenario_arguments(p, name: str, traced: bool = True, **kwargs) -> None:
     """A registry scenario and its size; if traced, its seed and plan."""
     from .faults import PLANS
-    from .scenarios import SCENARIOS
 
     p.add_argument(name, default="reinstall", choices=sorted(SCENARIOS),
                    **kwargs)

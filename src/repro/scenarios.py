@@ -12,7 +12,8 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, NamedTuple
 
-__all__ = ["SCENARIOS", "Scenario", "TABLE1_MINUTES", "reinstall_point"]
+__all__ = ["SCENARIOS", "Scenario", "TABLE1_MINUTES", "gigabit_nic",
+           "reinstall_point", "replicated_servers"]
 
 #: The paper's Table I: minutes for n nodes to reinstall at once from
 #: one 100 Mbit install server (§6.3).
@@ -33,7 +34,8 @@ class Scenario(NamedTuple):
 def reinstall_point(nodes: int, seed: int = 0, tracer=None, change_server=None):
     """One Table I point: build the cluster, let ``change_server(frontend)``
     alter its install server, integrate, then reinstall every node at once.
-    Returns the cluster and its shoot reports sorted by host.
+    Returns the reports sorted by host, minutes from first start to last
+    finish, and bytes the frontend's install server sent for the reinstall.
     """
     from . import build_cluster
 
@@ -41,17 +43,21 @@ def reinstall_point(nodes: int, seed: int = 0, tracer=None, change_server=None):
     if change_server is not None:
         change_server(sim.frontend)
     sim.integrate_all()
-    return sim, sorted(sim.reinstall_all(), key=lambda r: r.host)
+    http = sim.frontend.install_server.http
+    integrated = http.bytes_served
+    reports = sorted(sim.reinstall_all(), key=lambda r: r.host)
+    span = max(r.finished_at for r in reports) - min(r.started_at for r in reports)
+    return reports, span / 60, http.bytes_served - integrated
 
 
 def _reinstall(nodes: int, seed: int, tracer, change_server=None) -> str:
     """A Table I point: one ``host method started finished`` line per host."""
-    _, reports = reinstall_point(nodes, seed, tracer, change_server)
+    reports, _, _ = reinstall_point(nodes, seed, tracer, change_server)
     return "".join(f"{r.host} {r.method} {r.started_at!r} {r.finished_at!r}\n"
                    for r in reports)
 
 
-def _gigabit(frontend) -> None:
+def gigabit_nic(frontend) -> None:
     """§6.3: the install server's NIC upgraded to Gigabit Ethernet."""
     from .netsim import GIGABIT_ETHERNET
 
@@ -59,7 +65,7 @@ def _gigabit(frontend) -> None:
     frontend.install_server.http.refresh_link_speed()
 
 
-def _replicas(frontend) -> None:
+def replicated_servers(frontend) -> None:
     """§6.3: a second, read-only install server behind a load balancer."""
     from .services import InstallReplicaSet
 
@@ -117,9 +123,9 @@ def _race_fixture(nodes: int, seed: int, tracer) -> str:
 SCENARIOS: dict[str, Scenario] = {
     "chaos": Scenario(8, 0, _chaos),
     "fork": Scenario(512, 42, _fork),
-    "gigabit": Scenario(32, 0, partial(_reinstall, change_server=_gigabit)),
+    "gigabit": Scenario(32, 0, partial(_reinstall, change_server=gigabit_nic)),
     "race-fixture": Scenario(8, 0, _race_fixture),
     "reinstall": Scenario(8, 0, _reinstall),
-    "replicas": Scenario(32, 0, partial(_reinstall, change_server=_replicas)),
+    "replicas": Scenario(32, 0, partial(_reinstall, change_server=replicated_servers)),
     "storm": Scenario(12, 42, _storm),
 }

@@ -198,6 +198,7 @@ def test_explain_command_byte_identical_across_runs(capsys):
 @pytest.mark.parametrize("argv", [
     ["build", "--nodes", "-2"],
     ["reinstall", "--nodes", "0"],
+    ["reinstall", "--nodes", "eight"],
     ["table1", "--max-nodes", "0"],
     ["chaos", "--nodes", "0"],
     ["chaos", "--nodes", "-2"],
@@ -209,11 +210,21 @@ def test_explain_command_byte_identical_across_runs(capsys):
     ["explain", "--nodes", "0"],
     ["sanitize", "race-fixture", "--nodes", "0"],
 ], ids=" ".join)
-def test_node_count_below_one_is_a_usage_error(capsys, argv):
-    """An empty cluster is not a run: the count is refused before any."""
+def test_bad_node_count_is_a_usage_error(capsys, argv):
+    """An empty cluster is not a run, nor is a count that is not an
+    integer: the value is refused before any."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "expected a node count of at least 1" in captured.err
+    assert "expected a node count (an integer of at least 1)" in captured.err
+
+
+@pytest.mark.parametrize("value", ["8", "+8", " 8 "])
+def test_node_count_is_what_int_reads(value):
+    """One parse decides what a count is, for plain and campaign flags."""
+    assert build_parser().parse_args(["reinstall", "--nodes", value]).nodes == 8
+    assert build_parser().parse_args(["chaos", "--nodes", value]).nodes == (8, None)
+    nodeset = build_parser().parse_args(["chaos", "--nodes", "node[0-7]"])
+    assert nodeset.nodes == (8, "node[0-7]")

@@ -2,43 +2,33 @@
 
 Table I (§6.3): reinstall time stays flat while one 100 Mbit install
 server keeps up with the nodes, then rises as the server saturates.
-§6.3 names two ways to scale that server, a Gigabit NIC (``gigabit``)
-and replicated servers (``replicas``); each takes the contention away at
-Table I's 32-node point.  The bounds state the shape of each claim; the
-measured minutes are in EXPERIMENTS.md.
+§6.3 names two ways to scale that server, a Gigabit NIC (the ``gigabit``
+scenario) and replicated servers (``replicas``); each takes the
+contention away at Table I's 32-node point.  Every check runs the
+registry's point function, as its scenario does.  The bounds state the
+shape of each claim; the measured minutes are in EXPERIMENTS.md.
 """
 
 import pytest
 
 from repro import Tracer
-from repro.scenarios import SCENARIOS, TABLE1_MINUTES, reinstall_point
+from repro.scenarios import (
+    SCENARIOS,
+    TABLE1_MINUTES,
+    gigabit_nic,
+    reinstall_point,
+    replicated_servers,
+)
 from repro.telemetry import summarize
 
 #: bytes of one compute node's packages (§6.3: ~225 MB)
 PAYLOAD = 225e6
 
 
-def span_minutes(started, finished) -> float:
-    return (max(finished) - min(started)) / 60
-
-
 @pytest.fixture(scope="module")
 def table1():
-    """n -> (minutes, bytes the install server sent) at seed 0."""
-    points = {}
-    for n in TABLE1_MINUTES:
-        sim, reports = reinstall_point(n)
-        took = span_minutes([r.started_at for r in reports],
-                            [r.finished_at for r in reports])
-        points[n] = took, sim.frontend.install_server.http.bytes_served
-    return points
-
-
-def scenario_minutes(name: str) -> float:
-    """A registry scenario's span, read from its canonical text."""
-    rows = [line.split() for line in SCENARIOS[name]().splitlines()]
-    return span_minutes([float(r[2]) for r in rows],
-                        [float(r[3]) for r in rows])
+    """n -> (minutes, bytes the install server sent for the reinstall)."""
+    return {n: reinstall_point(n)[1:] for n in TABLE1_MINUTES}
 
 
 @pytest.mark.parametrize("n", sorted(TABLE1_MINUTES))
@@ -47,9 +37,8 @@ def test_table1_point_moves_every_payload_in_minutes(table1, n):
     # §5's "5-10 minutes"; the 32-node point stretches past it, as in
     # the paper
     assert 8 <= took <= 22
-    # integration installs every node once before the reinstall does,
-    # so the server sends each node's payload twice
-    assert served == pytest.approx(2 * n * PAYLOAD, rel=0.06)
+    # every node moved its full payload, counted from after integration
+    assert served == pytest.approx(n * PAYLOAD, rel=0.06)
 
 
 def test_table1_is_flat_then_rises_sublinearly(table1):
@@ -73,12 +62,12 @@ def test_traced_reinstall_carries_the_evidence():
 
 
 def test_gigabit_server_removes_the_contention(table1):
-    gigabit = scenario_minutes("gigabit")
+    _, gigabit, _ = reinstall_point(32, change_server=gigabit_nic)
     assert gigabit == pytest.approx(table1[1][0], rel=0.12)
     assert gigabit < table1[32][0]
 
 
 def test_two_replicated_servers_beat_one(table1):
-    replicas = scenario_minutes("replicas")
+    _, replicas, _ = reinstall_point(32, change_server=replicated_servers)
     assert replicas < table1[32][0]
     assert replicas <= 1.35 * table1[1][0]
