@@ -253,20 +253,6 @@ class Machine:
             self._state_waiters.append((state, event))
         return event
 
-    def cancel_wait(self, event) -> None:
-        """Drop a pending wait_for_state event (the waiter lost interest).
-
-        Dead-watches are armed per remote command; without cancellation
-        every finished command would leave its never-to-trigger waiter
-        in ``_state_waiters`` for the machine's whole lifetime — a slow
-        leak at 10k-node campaign scale.
-        """
-        if not event.triggered:
-            self._state_waiters = [
-                (wanted, ev) for (wanted, ev) in self._state_waiters
-                if ev is not event
-            ]
-
     def _run_lifecycle(self) -> Generator:
         tracer = self.env.tracer
         boot_span = None

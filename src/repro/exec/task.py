@@ -30,10 +30,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, Optional, Sequence, Union
 
-from ..netsim import AnyOf, Environment, Process
+from ..netsim import Environment, Interrupt, Process
 from ..scheduler.rexec import (
     RemoteCommand,
     RemoteEnvironment,
+    RemoteProcess,
     Rexec,
 )
 from .msgtree import MsgTree
@@ -326,10 +327,21 @@ class ExecTask:
             self._fill_window(state)
 
     def _worker(self, state: _TaskState, name: str, rank: int) -> Generator:
-        """One node's attempt loop: dispatch -> classify -> maybe retry."""
+        """One node's attempt loop: dispatch -> classify -> maybe retry.
+
+        The rexec session runs inline, so this is the node's only
+        process.  The deadline and the session's dead-watch interrupt it
+        at most once per attempt, and the interrupt is caught here, in
+        the process's outermost frame: caught in a frame below it,
+        ``cProfile`` records an all-zero ``generator.throw`` edge.
+        """
         env = self.env
         opts = self.options
-        rng = random.Random(("repro.exec", opts.seed, name).__repr__())
+        timeout = opts.command_timeout
+        worker = env.active_process
+        # Built on the first retry: it is seeded per node, so the jitter
+        # sequence does not depend on when, and most nodes never retry.
+        rng = None
         result = NodeResult(
             node=name, state=ExecState.OK, exit_code=None,
             attempts=0, started_at=env.now,
@@ -340,82 +352,79 @@ class ExecTask:
             if env.tracer.enabled
             else None
         )
+
+        def expire(_event) -> None:
+            if proc.error is None:  # else a death interrupted it first
+                proc.error = f"timeout after {timeout:g}s"
+                worker.interrupt(proc.error)
+
         try:
-            result = yield from self._attempts(
-                state, name, rank, rng, result, node_span
-            )
+            while True:
+                result.attempts += 1
+                state.active[name] = env.now
+                proc = RemoteProcess(host=name, rank=rank,
+                                     env=self.environment)
+                deadline = None
+                if timeout is not None:
+                    deadline = env.timeout(timeout)
+                    deadline.callbacks.append(expire)
+                try:
+                    yield from self.rexec.session(name, state.command, proc)
+                except Interrupt:
+                    pass  # proc.node_dead tells a death from the deadline
+                finally:
+                    if deadline is not None:
+                        env.cancel(deadline)
+                result.stdout = proc.stdout
+                result.stderr = proc.stderr
+                result.exit_code = proc.exit_code
+                if proc.node_dead:
+                    # Dead is terminal immediately: rebooting hardware is
+                    # the reinstall campaign's job, not the command fabric's.
+                    result.state = ExecState.NODE_DEAD
+                    result.error = proc.error
+                    result.finished_at = env.now
+                    return result
+                if proc.error is not None:
+                    result.error = (
+                        f"timed out after {timeout:g}s "
+                        f"(attempt {result.attempts})"
+                    )
+                    terminal = ExecState.TIMEOUT
+                elif proc.exit_code == 0:
+                    result.state = ExecState.OK
+                    result.error = None
+                    result.finished_at = env.now
+                    return result
+                else:
+                    result.error = (
+                        f"exit {proc.exit_code} (attempt {result.attempts})"
+                    )
+                    terminal = ExecState.RETRIES_EXHAUSTED
+                if result.attempts > opts.max_retries:
+                    result.state = terminal
+                    result.finished_at = env.now
+                    return result
+                if rng is None:
+                    rng = random.Random(
+                        ("repro.exec", opts.seed, name).__repr__())
+                delay = opts.backoff * opts.backoff_factor ** (
+                    result.attempts - 1)
+                delay *= 1.0 + opts.jitter * rng.random()
+                if env.tracer.enabled:
+                    # Backoff between command attempts: straggler time the
+                    # critical-path analyzer attributes to retry chains.
+                    with env.tracer.span("exec-retry", name, parent=node_span,
+                                         host=name, attempt=result.attempts,
+                                         delay=delay):
+                        yield env.timeout(delay)
+                else:
+                    yield env.timeout(delay)
         finally:
             if node_span is not None:
                 node_span.end(
                     outcome=result.state.value, attempts=result.attempts
                 )
-        return result
-
-    def _attempts(self, state: _TaskState, name: str, rank: int, rng,
-                  result: NodeResult, node_span=None) -> Generator:
-        env = self.env
-        opts = self.options
-        while True:
-            result.attempts += 1
-            state.active[name] = env.now
-            dispatch = self.rexec.spawn(
-                name, state.command, self.environment, rank=rank
-            )
-            timer = (
-                env.timeout(opts.command_timeout)
-                if opts.command_timeout is not None
-                else None
-            )
-            waits = (dispatch.process,) if timer is None else (
-                dispatch.process, timer)
-            yield AnyOf(env, waits)
-            timed_out = not dispatch.process.triggered
-            if timed_out:
-                dispatch.abort(f"timeout after {opts.command_timeout:g}s")
-            elif timer is not None:
-                env.cancel(timer)
-            proc = dispatch.proc
-            result.stdout = proc.stdout
-            result.stderr = proc.stderr
-            result.exit_code = proc.exit_code
-            if timed_out:
-                result.error = (
-                    f"timed out after {opts.command_timeout:g}s "
-                    f"(attempt {result.attempts})"
-                )
-                terminal = ExecState.TIMEOUT
-            elif proc.node_dead:
-                # Dead is terminal immediately: rebooting hardware is the
-                # reinstall campaign's job, not the command fabric's.
-                result.state = ExecState.NODE_DEAD
-                result.error = proc.error
-                result.finished_at = env.now
-                return result
-            elif proc.exit_code == 0:
-                result.state = ExecState.OK
-                result.error = None
-                result.finished_at = env.now
-                return result
-            else:
-                result.error = (
-                    f"exit {proc.exit_code} (attempt {result.attempts})"
-                )
-                terminal = ExecState.RETRIES_EXHAUSTED
-            if result.attempts > opts.max_retries:
-                result.state = terminal
-                result.finished_at = env.now
-                return result
-            delay = opts.backoff * opts.backoff_factor ** (result.attempts - 1)
-            delay *= 1.0 + opts.jitter * rng.random()
-            if env.tracer.enabled:
-                # Backoff between command attempts: straggler time the
-                # critical-path analyzer attributes to retry chains.
-                with env.tracer.span("exec-retry", name, parent=node_span,
-                                     host=name, attempt=result.attempts,
-                                     delay=delay):
-                    yield env.timeout(delay)
-            else:
-                yield env.timeout(delay)
 
     def _straggle_monitor(self, state: _TaskState) -> Generator:
         """Flag in-flight nodes running far behind the completed pack."""

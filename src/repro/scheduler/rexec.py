@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional, Sequence, Union
 
 from ..cluster import Machine, MachineState
-from ..netsim import AnyOf, Environment, Interrupt, Process
+from ..netsim import Environment, Interrupt
 
 __all__ = [
     "Rexec",
     "RexecSession",
     "RemoteProcess",
-    "RemoteDispatch",
     "Signal",
     "RemoteEnvironment",
 ]
@@ -74,7 +73,7 @@ class RemoteProcess:
 #: a command is fn(machine, process) -> exit_code; it may write to
 #: process.stdout/stderr and read the propagated environment.  A command
 #: may instead return a *generator of events* (a timed command):
-#: :meth:`Rexec.spawn` then runs it on the simulation clock and its
+#: :meth:`Rexec.session` then runs it on the simulation clock and its
 #: return value is the exit code; the synchronous :meth:`Rexec.run`
 #: refuses it.
 RemoteCommand = Callable[
@@ -119,27 +118,6 @@ class RexecSession:
         return n
 
 
-@dataclass
-class RemoteDispatch:
-    """One in-flight remote command: the live record plus its session.
-
-    ``process`` is the DES process driving the session; it triggers with
-    the finished :class:`RemoteProcess` — *always*, even when the target
-    host dies mid-command (``node_dead`` is then set and ``exit_code``
-    stays ``None``).  ``proc`` is the same record, readable while the
-    command is still running (stdout accumulates live).
-    """
-
-    host: str
-    proc: RemoteProcess
-    process: Process
-
-    def abort(self, cause: str = "aborted") -> None:
-        """Tear the session down (timeout expiry, operator cancel)."""
-        if self.process.is_alive:
-            self.process.interrupt(cause)
-
-
 class Rexec:
     """The rexec client + per-node daemons."""
 
@@ -149,32 +127,25 @@ class Rexec:
         self.resolve = resolve
 
     # -- event-driven dispatch (the repro.exec transport) ------------------
-    def spawn(
-        self,
-        host: str,
-        command: RemoteCommand,
-        environment: RemoteEnvironment,
-        rank: int = 0,
-    ) -> RemoteDispatch:
-        """Dispatch one command asynchronously; never hangs on a dead host.
-
-        The returned dispatch's ``process`` resolves with the
-        :class:`RemoteProcess` when the command finishes — or *promptly*
-        with ``node_dead=True`` when the target is unresolvable, not UP,
-        or dies (power-off / hang / teardown) mid-command.  Before the
-        dead-watch existed, a session awaiting a command on a host that
-        a PDU killed mid-run waited forever; now death is a first-class
-        typed result.
-        """
-        proc = RemoteProcess(host=host, rank=rank, env=environment)
-        process = self.env.process(
-            self._session(host, command, proc), name=f"rexecd:{host}"
-        )
-        return RemoteDispatch(host=host, proc=proc, process=process)
-
-    def _session(
+    def session(
         self, host: str, command: RemoteCommand, proc: RemoteProcess
     ) -> Generator:
+        """Run one command inline in the calling process; return ``proc``.
+
+        Drive it with ``yield from`` inside a process, or wrap it in
+        ``env.process`` for a dispatch of its own.  An unresolvable or
+        not-UP host returns at once with ``node_dead`` set.  If the host
+        powers off or hangs mid-command, the dead-watch interrupts the
+        calling process one event later, so a command that ends at that
+        instant (even by cutting its own host) still finishes, and a
+        deadline due then still wins; the
+        :class:`~repro.netsim.Interrupt` leaves the session with
+        ``node_dead`` set and ``exit_code`` still ``None``.
+
+        An attempt is interrupted at most once: whoever interrupts the
+        caller first sets ``proc.error`` (a caller's deadline must too),
+        and the dead-watch stands down when it finds it set.
+        """
         env = self.env
         try:
             machine = self.resolve(host)
@@ -186,40 +157,41 @@ class Rexec:
             proc.node_dead = True
             proc.error = f"host is {machine.state.value}"
             return proc
+        caller = env.active_process
+        death = None
 
-        def body() -> Generator:
-            try:
-                rv = command(machine, proc)
-                if hasattr(rv, "send") and hasattr(rv, "throw"):
-                    rv = yield from rv
-            except Interrupt:
-                raise
-            except Exception as err:
-                proc.stderr.append(str(err))
-                return 1
-            return rv if isinstance(rv, int) else 0
+        def kill(_event) -> None:
+            if proc.error is None:
+                proc.node_dead = True
+                proc.error = (
+                    f"host died mid-command (now {machine.state.value})"
+                )
+                caller.interrupt(proc.error)
 
-        child = env.process(body(), name=f"rexecd-cmd:{host}")
-        # The dead-watch: resolve the session the instant the host's OS
-        # stops running underneath the command.
-        went_off = machine.wait_for_state(MachineState.OFF)
-        went_hung = machine.wait_for_state(MachineState.HUNG)
+        def watch(_machine: Machine, state: MachineState) -> None:
+            nonlocal death
+            if death is None and (
+                state is MachineState.OFF or state is MachineState.HUNG
+            ):
+                death = env.timeout(0)
+                death.callbacks.append(kill)
+
+        listeners = machine.on_state_change
+        listeners.append(watch)
         try:
-            yield AnyOf(env, (child, went_off, went_hung))
-        except Interrupt as interrupt:
-            if child.is_alive:
-                child.interrupt(interrupt.cause)
-            proc.error = str(interrupt.cause or "aborted")
-            return proc
+            rv = command(machine, proc)
+            if hasattr(rv, "send") and hasattr(rv, "throw"):
+                rv = yield from rv
+        except Interrupt:
+            raise
+        except Exception as err:
+            proc.stderr.append(str(err))
+            rv = 1
         finally:
-            machine.cancel_wait(went_off)
-            machine.cancel_wait(went_hung)
-        if child.triggered:
-            proc.exit_code = child.value if child.ok else 1
-            return proc
-        child.interrupt("node died")
-        proc.node_dead = True
-        proc.error = f"host died mid-command (now {machine.state.value})"
+            listeners.remove(watch)
+            if death is not None:
+                env.cancel(death)
+        proc.exit_code = rv if isinstance(rv, int) else 0
         return proc
 
     def run(
@@ -231,7 +203,7 @@ class Rexec:
         """Execute ``command`` on each reachable, up host, synchronously.
 
         A timed command (one that returns a generator) raises
-        ``TypeError``: only :meth:`spawn` runs it on the simulation clock.
+        ``TypeError``: only :meth:`session` runs it on the simulation clock.
         """
         processes: list[RemoteProcess] = []
         unreachable: list[str] = []
@@ -253,7 +225,7 @@ class Rexec:
             if hasattr(rv, "send") and hasattr(rv, "throw"):
                 raise TypeError(
                     f"{host}: the command returned a generator (a timed "
-                    "command), which Rexec.run cannot run; use Rexec.spawn "
+                    "command), which Rexec.run cannot run; use Rexec.session "
                     "or repro.exec.ExecTask"
                 )
             proc.exit_code = rv

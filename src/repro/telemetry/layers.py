@@ -91,7 +91,13 @@ def rollup(stats: dict, package: str) -> dict:
         if total <= 0:
             weights = {c: v[0] for c, v in callers.items() if c not in active}
             total = sum(weights.values())
-        result = {} if total > 0 else {UNATTRIBUTED: 1.0}
+        if total <= 0:
+            # No caller, or no caller edge with time or calls (cProfile's
+            # edge for a generator.throw caught below the top of a
+            # process's yield-from chain): nothing to split by.
+            splits[func] = {UNATTRIBUTED: 1.0}
+            return splits[func]
+        result = {}
         for caller, weight in weights.items():
             for layer, frac in split(caller, active | {func}).items():
                 result[layer] = result.get(layer, 0.0) + frac * weight / total

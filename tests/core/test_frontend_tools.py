@@ -226,7 +226,7 @@ def test_cluster_fork_refuses_a_timed_command(sim):
         yield sim.env.timeout(5.0)
         return 0
 
-    with pytest.raises(TypeError, match=r"Rexec\.spawn.*ExecTask"):
+    with pytest.raises(TypeError, match=r"Rexec\.session.*ExecTask"):
         cluster_fork(sim.frontend, timed)
 
 

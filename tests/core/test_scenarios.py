@@ -33,12 +33,12 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-#: prints {row: digest} for the manifest rows read from stdin
+#: prints {row: digest} for the manifest rows given as a JSON argument
 _ROW_DIGESTS = """
 import hashlib, json, sys
 from repro.scenarios import SCENARIOS
 digests = {}
-for row in json.load(sys.stdin):
+for row in json.loads(sys.argv[1]):
     name, nodes, seed = row.split()
     text = SCENARIOS[name].run(int(nodes), int(seed), None)
     digests[row] = hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -51,19 +51,23 @@ def row_digests():
     """Every row's digest from two fresh interpreters pinned to hash seeds
     0 and 1.  A digest that depends on the order of a set of strings
     will likely differ under one of them, and every run draws the same
-    two seeds.
+    two seeds.  The two interpreters run at the same time.
     """
-    by_seed = {}
-    for hash_seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=str(REPO_ROOT / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c", _ROW_DIGESTS],
-            input=json.dumps(sorted(ROWS)),
-            capture_output=True, text=True, env=env, cwd=REPO_ROOT,
+    procs = {
+        hash_seed: subprocess.Popen(
+            [sys.executable, "-c", _ROW_DIGESTS, json.dumps(sorted(ROWS))],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed,
+                     PYTHONPATH=str(REPO_ROOT / "src")),
+            cwd=REPO_ROOT,
         )
-        assert proc.returncode == 0, proc.stderr
-        by_seed[hash_seed] = json.loads(proc.stdout)
+        for hash_seed in ("0", "1")
+    }
+    by_seed = {}
+    for hash_seed, proc in procs.items():
+        out, err = proc.communicate()
+        assert proc.returncode == 0, err
+        by_seed[hash_seed] = json.loads(out)
     return by_seed
 
 

@@ -156,6 +156,108 @@ class TestDeadWatchRegression:
         run_task(env, machines, lambda m, p: 0, max_retries=0)
         assert machines["node0"]._state_waiters == []
 
+    def test_dead_watch_listeners_do_not_accumulate(self):
+        env = Environment()
+        machines = small_cluster(env, n=1)
+        node = machines["node0"]
+
+        def bystander(machine, state):
+            pass
+
+        node.on_state_change.append(bystander)
+        calls = []
+
+        def command(machine, proc):
+            calls.append(env.now)
+            if len(calls) % 3 == 0:
+                raise RuntimeError("flaky")
+            yield env.timeout(1.0 if len(calls) % 2 else 50.0)
+            return 1
+
+        report = run_task(env, machines, command, max_retries=40,
+                          command_timeout=10.0, backoff=1.0,
+                          backoff_factor=1.0)
+        result = report.results["node0"]
+        assert result.attempts == 41
+        assert node.on_state_change == [bystander]
+        # a later death reaches no stale watch
+        node.power_off(hard=True)
+        env.run()
+        assert node.on_state_change == [bystander]
+
+    @pytest.mark.parametrize("waits", [False, True])
+    def test_command_that_cuts_its_own_host_and_returns_is_ok(self, waits):
+        env = Environment()
+        machines = small_cluster(env, n=1)
+
+        def sync_cut(machine, proc):
+            machine.power_off(hard=True)
+            return 0
+
+        def generator_cut(machine, proc):
+            machine.power_off(hard=True)
+            return 0
+            yield  # a generator that never waits
+
+        command = generator_cut if waits else sync_cut
+        report = run_task(env, machines, command, max_retries=0)
+        result = report.results["node0"]
+        assert (result.state, result.exit_code, result.error) == (
+            ExecState.OK, 0, None)
+        assert machines["node0"].state is MachineState.OFF
+
+    def test_command_that_cuts_its_own_host_then_waits_is_node_dead(self):
+        env = Environment()
+        machines = small_cluster(env, n=1)
+
+        def cut_then_wait(machine, proc):
+            yield env.timeout(2.0)
+            machine.power_off(hard=True)
+            yield env.timeout(5.0)
+            return 0
+
+        report = run_task(env, machines, cut_then_wait)
+        result = report.results["node0"]
+        assert result.state is ExecState.NODE_DEAD
+        assert result.exit_code is None
+        assert result.error == "host died mid-command (now off)"
+        assert (result.attempts, result.finished_at) == (1, 2.0)
+
+    @pytest.mark.parametrize("cut_first", [True, False])
+    def test_deadline_and_pdu_cut_at_one_instant_classify_once(
+            self, cut_first):
+        """The deadline wins that instant whichever event is queued
+        first, and the backoff wait after it runs to its end: no second
+        interrupt is left queued for it or for the retry."""
+        env = Environment()
+        machines = small_cluster(env, n=1)
+
+        def pdu():
+            if not cut_first:
+                # born after the worker armed its deadline
+                yield env.timeout(0.0)
+                yield env.timeout(0.0)
+            yield env.timeout(10.0)
+            machines["node0"].power_off(hard=True)
+
+        env.process(pdu(), name="pdu")
+
+        def long(machine, proc):
+            yield env.timeout(100.0)
+            return 0
+
+        opts = ExecOptions(command_timeout=10.0, max_retries=1)
+        task = ExecTask(env, Rexec(env, machines.__getitem__), opts)
+        driver = task.run(["node0"], long)
+        env.run(until=driver)
+        result = driver.value.results["node0"]
+        assert result.attempts == 2
+        assert result.state is ExecState.NODE_DEAD
+        assert result.error == "host is off"
+        # the retry started after the whole jittered backoff
+        assert opts.backoff <= result.finished_at - 10.0 <= (
+            opts.backoff * (1 + opts.jitter))
+
 
 class TestFanoutWindow:
     def test_window_never_exceeds_fanout(self):
@@ -224,6 +326,16 @@ class TestScale:
         # the gathered report folds 3892 identical answers into one line
         tree_lines = report.msgtree().render().splitlines()
         assert len(tree_lines) == 1
+
+    def test_fork_scenario_dispatches_at_most_four_events_per_attempt(self):
+        """The session runs inside the node's worker: an attempt costs
+        the worker's start, the command's own timeout and the worker's
+        end, with no session or command Process of its own."""
+        lab = ExecLab(LabOptions(512, 42, 0.05, 0.02))  # the fork scenario
+        report = lab.run()
+        attempts = sum(r.attempts for r in report.results.values())
+        assert attempts == 512
+        assert lab.env.events_dispatched <= 4 * attempts
 
 
 SUBPROCESS_SCRIPT = """\

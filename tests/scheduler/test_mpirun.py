@@ -124,7 +124,7 @@ def test_mpirun_refuses_a_timed_command(sim):
         yield sim.env.timeout(5.0)
         return 0
 
-    with pytest.raises(TypeError, match=r"Rexec\.spawn.*ExecTask"):
+    with pytest.raises(TypeError, match=r"Rexec\.session.*ExecTask"):
         sim.frontend.mpirun.run(2, timed, RENV, program="timed.x")
     for node in sim.nodes:
         assert "timed.x" not in node.user_processes

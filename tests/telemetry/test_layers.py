@@ -95,6 +95,21 @@ def test_time_with_no_repro_frame_above_is_unattributed():
     assert out["netsim.engine"] == pytest.approx(1.0)
 
 
+def test_caller_edges_with_no_time_and_no_calls_are_unattributed():
+    # cProfile records generator.throw under Process._resume with an
+    # all-zero edge when a frame below the top of the process's
+    # yield-from chain catches the thrown exception.
+    throw = builtin("throw")
+    stats = {
+        ENGINE: entry(1.0),
+        throw: (3, 3, 0.25, 0.25, {ENGINE: (0, 0, 0.0, 0.0)}),
+    }
+    out = layers.rollup(stats, PKG)
+    assert out[layers.UNATTRIBUTED] == pytest.approx(0.25)
+    assert out["netsim.engine"] == pytest.approx(1.0)
+    assert out["total"] == pytest.approx(1.25)
+
+
 def test_layers_sum_to_total():
     heappush = builtin("heappush")
     stats = {
