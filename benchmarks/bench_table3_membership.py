@@ -65,16 +65,16 @@ def bench_table3_cluster_kill_join(benchmark):
         for node in sim.nodes:
             node.user_processes.append("bad-job")
         nfs.user_processes.append("bad-job")
-        session = cluster_kill(sim.frontend, "bad-job", query=PAPER_QUERY)
-        return session
+        return cluster_kill(sim.frontend, "bad-job", query=PAPER_QUERY)
 
-    session = benchmark.pedantic(seed_and_kill, rounds=5, iterations=1)
-    assert session.ok
+    report = benchmark.pedantic(seed_and_kill, rounds=5, iterations=1)
+    assert report.ok
     # compute nodes cleaned, the NFS appliance untouched:
+    assert report.targets == [n.hostid for n in sim.nodes]
     assert all("bad-job" not in n.user_processes for n in sim.nodes)
     assert nfs.user_processes.count("bad-job") >= 1
     print_rows(
         "§6.4: cluster-kill --query (paper's join)",
         ("target", "killed"),
-        [(p.host, p.stdout[0]) for p in session.processes],
+        [(host, report.results[host].stdout[0]) for host in report.targets],
     )

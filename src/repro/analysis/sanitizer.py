@@ -203,12 +203,12 @@ class SanitizedEnvironment(InstrumentedEnvironment):
         if not self._queue:
             raise SimulationError("no more events to step through")
         when, _, event = heapq.heappop(self._queue)
-        self._now = when
         meta = self._meta.pop(event, None)
         if event._cancelled:
             self._n_cancelled -= 1
             event._scheduled = False
             return
+        self._now = when
         if meta is None:
             meta = (_event_label(event), "<unknown>", ())
         self.dispatch_log.append(

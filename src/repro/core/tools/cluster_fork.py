@@ -10,16 +10,19 @@ SQL ``query`` returning hostnames (first column), or — the brute-force
 default the paper starts from — every name with the ``compute-`` prefix
 in /etc/hosts.
 
-Both commands run one synchronous REXEC sweep over the targets
-(:meth:`~repro.scheduler.Rexec.run`).
+Both commands run one :class:`~repro.exec.ExecTask` over the targets on
+the frontend's clock, so a timed command takes its simulated time and a
+dead host ends ``NODE_DEAD``.  A command runs once per host: a query
+that fails is reported, not retried.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from ...exec import GroupResolver, NodeSet
-from ...scheduler import RemoteEnvironment, RexecSession
+from ...exec import ExecOptions, ExecReport, ExecTask, GroupResolver, NodeSet
+from ...exec.task import _ROOT
+from ...scheduler import RemoteEnvironment
 from ..frontend import RocksFrontend
 
 __all__ = [
@@ -28,8 +31,6 @@ __all__ = [
     "frontend_groups",
     "targets_from_query",
 ]
-
-_ROOT = RemoteEnvironment(user="root", uid=0, gid=0, cwd="/root")
 
 #: targets may be a nodeset expression, an explicit name sequence, or a
 #: pre-built NodeSet
@@ -78,15 +79,11 @@ def _resolve_targets(
     frontend: RocksFrontend,
     nodes: Optional[Targets],
     query: Optional[str],
-) -> list[str]:
+) -> Targets:
     if nodes is not None and query is not None:
         raise ValueError("give either nodes or query, not both")
-    if isinstance(nodes, str):
-        return NodeSet(nodes, resolver=frontend_groups(frontend)).expand()
-    if isinstance(nodes, NodeSet):
-        return nodes.expand()
     if nodes is not None:
-        return list(nodes)
+        return nodes
     if query is not None:
         return targets_from_query(frontend, query)
     # the paper's first-cut heuristic: grep compute- out of /etc/hosts
@@ -103,10 +100,15 @@ def cluster_fork(
     nodes: Optional[Targets] = None,
     query: Optional[str] = None,
     environment: RemoteEnvironment = _ROOT,
-) -> RexecSession:
+) -> ExecReport:
     """Run ``command`` (a RemoteCommand callable) on the selected nodes."""
-    targets = _resolve_targets(frontend, nodes, query)
-    return frontend.rexec.run(targets, command, environment)
+    task = ExecTask(
+        frontend.env, frontend.rexec, ExecOptions(max_retries=0),
+        environment, resolver=frontend_groups(frontend),
+    )
+    driver = task.run(_resolve_targets(frontend, nodes, query), command)
+    frontend.env.run(until=driver)
+    return driver.value
 
 
 def cluster_kill(
@@ -114,7 +116,7 @@ def cluster_kill(
     process_name: str,
     nodes: Optional[Targets] = None,
     query: Optional[str] = None,
-) -> RexecSession:
+) -> ExecReport:
     """Kill every process matching ``process_name`` on the selected nodes.
 
     The paper's §6.4 example:

@@ -4,17 +4,36 @@
 our own set of rudimentary scripts to interactively control and monitor
 the nodes."  These are those scripts, built on cluster-fork and hence on
 REXEC: parallel ps/uptime/rpm-query with merged, host-tagged output, and
-the same ``--query`` SQL targeting as cluster-kill.
+the same ``--query`` SQL targeting as cluster-kill.  Each returns
+host -> answer for every host that ran the command; a ``NODE_DEAD`` host
+is left out.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from ...exec import ExecState, NodeResult
+from ...scheduler.rexec import RemoteCommand
 from ..frontend import RocksFrontend
 from .cluster_fork import cluster_fork
 
 __all__ = ["cluster_ps", "cluster_uptime", "cluster_rpm_q", "cluster_lsmod"]
+
+
+def _answers(
+    frontend: RocksFrontend,
+    command: RemoteCommand,
+    nodes: Optional[Sequence[str]],
+    query: Optional[str],
+) -> dict[str, NodeResult]:
+    """Run ``command`` by cluster-fork; host -> result, dead hosts left out."""
+    report = cluster_fork(frontend, command, nodes=nodes, query=query)
+    results = report.results
+    return {
+        host: results[host] for host in report.targets
+        if results[host].state is not ExecState.NODE_DEAD
+    }
 
 
 def cluster_ps(
@@ -29,8 +48,8 @@ def cluster_ps(
             proc.stdout.append(name)
         return 0
 
-    session = cluster_fork(frontend, ps, nodes=nodes, query=query)
-    return {p.host: list(p.stdout) for p in session.processes}
+    answers = _answers(frontend, ps, nodes, query)
+    return {host: list(r.stdout) for host, r in answers.items()}
 
 
 def cluster_uptime(
@@ -47,8 +66,8 @@ def cluster_uptime(
         )
         return 0
 
-    session = cluster_fork(frontend, uptime, nodes=nodes, query=query)
-    return {p.host: p.stdout[0] for p in session.processes}
+    answers = _answers(frontend, uptime, nodes, query)
+    return {host: r.stdout[0] for host, r in answers.items()}
 
 
 def cluster_rpm_q(
@@ -68,11 +87,11 @@ def cluster_rpm_q(
         proc.stdout.append(pkg.nevra if pkg else f"package {package} is not installed")
         return 0 if pkg else 1
 
-    session = cluster_fork(frontend, rpm_q, nodes=nodes, query=query)
-    out: dict[str, Optional[str]] = {}
-    for p in session.processes:
-        out[p.host] = p.stdout[0] if p.exit_code == 0 else None
-    return out
+    answers = _answers(frontend, rpm_q, nodes, query)
+    return {
+        host: r.stdout[0] if r.exit_code == 0 else None
+        for host, r in answers.items()
+    }
 
 
 def cluster_lsmod(
@@ -87,5 +106,5 @@ def cluster_lsmod(
             proc.stdout.append(mod)
         return 0
 
-    session = cluster_fork(frontend, lsmod, nodes=nodes, query=query)
-    return {p.host: list(p.stdout) for p in session.processes}
+    answers = _answers(frontend, lsmod, nodes, query)
+    return {host: list(r.stdout) for host, r in answers.items()}

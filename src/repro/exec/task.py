@@ -201,7 +201,7 @@ class _TaskState:
 
     __slots__ = (
         "names", "command", "launched", "active", "results",
-        "durations", "flagged", "started", "done", "span",
+        "durations", "flagged", "started", "done", "span", "tick",
     )
 
     def __init__(self, names: list[str], command: RemoteCommand, done) -> None:
@@ -221,6 +221,9 @@ class _TaskState:
         self.flagged: dict[str, None] = {}
         self.started = 0.0
         self.done = done
+        #: the straggler monitor's pending timer, cancelled when the last
+        #: node finishes so no event outlives the task
+        self.tick = None
 
 
 class ExecTask:
@@ -323,6 +326,8 @@ class ExecTask:
         if len(state.results) == len(state.names):
             if not state.done.triggered:
                 state.done.succeed()
+            if state.tick is not None:
+                self.env.cancel(state.tick)
         else:
             self._fill_window(state)
 
@@ -431,7 +436,8 @@ class ExecTask:
         env = self.env
         opts = self.options
         while len(state.results) < len(state.names):
-            yield env.timeout(opts.straggler_interval)
+            state.tick = env.timeout(opts.straggler_interval)
+            yield state.tick
             finished = state.durations
             if len(finished) < max(
                 2, int(opts.straggler_after * len(state.names))

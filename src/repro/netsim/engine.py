@@ -516,11 +516,11 @@ class Environment:
         if not self._queue:
             raise SimulationError("no more events to step through")
         when, _, event = heapq.heappop(self._queue)
-        self._now = when
         if event._cancelled:
             self._n_cancelled -= 1
             event._scheduled = False
             return
+        self._now = when
         callbacks, event.callbacks = event.callbacks, []
         event._scheduled = False
         self.events_dispatched += 1
@@ -556,11 +556,11 @@ class Environment:
                         "simulation ran out of events before the awaited event triggered"
                     )
                 when, _, event = heappop(self._queue)
-                self._now = when
                 if event._cancelled:
                     self._n_cancelled -= 1
                     event._scheduled = False
                     continue
+                self._now = when
                 callbacks, event.callbacks = event.callbacks, []
                 event._scheduled = False
                 self.events_dispatched += 1
@@ -574,11 +574,11 @@ class Environment:
             if self._queue[0][0] > deadline:
                 break
             when, _, event = heappop(self._queue)
-            self._now = when
             if event._cancelled:
                 self._n_cancelled -= 1
                 event._scheduled = False
                 continue
+            self._now = when
             callbacks, event.callbacks = event.callbacks, []
             event._scheduled = False
             self.events_dispatched += 1

@@ -3,13 +3,7 @@
 from .maui import MauiScheduler
 from .mpirun import Mpirun, MpirunError
 from .pbs import Job, JobState, NodeState, PbsError, PbsServer
-from .rexec import (
-    RemoteEnvironment,
-    RemoteProcess,
-    Rexec,
-    RexecSession,
-    Signal,
-)
+from .rexec import RemoteEnvironment, RemoteProcess, Rexec
 
 __all__ = [
     "MauiScheduler",
@@ -23,6 +17,4 @@ __all__ = [
     "RemoteEnvironment",
     "RemoteProcess",
     "Rexec",
-    "RexecSession",
-    "Signal",
 ]

@@ -7,34 +7,21 @@ stdout and stderr from each parallel process and it propagates a local
 environment including environment variables, user ID, group ID and
 current working directory."
 
-The simulated rexecd runs a Python callable "command" per selected node,
-capturing its stdout/stderr and honouring forwarded signals; this is
-also the transport cluster-fork/cluster-kill ride on (§6.4).
+The simulated rexecd runs a Python callable "command" on one node inside
+the caller's process and captures its stdout/stderr; signal forwarding
+is not modelled.  :class:`~repro.exec.ExecTask` drives it across many
+nodes, and cluster-fork, cluster-kill (§6.4) and mpirun run on that.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional, Sequence, Union
+from typing import Callable, Generator, Optional, Union
 
 from ..cluster import Machine, MachineState
 from ..netsim import Environment, Interrupt
 
-__all__ = [
-    "Rexec",
-    "RexecSession",
-    "RemoteProcess",
-    "Signal",
-    "RemoteEnvironment",
-]
-
-
-class Signal(enum.Enum):
-    SIGTERM = 15
-    SIGKILL = 9
-    SIGINT = 2
-    SIGUSR1 = 10
+__all__ = ["Rexec", "RemoteProcess", "RemoteEnvironment"]
 
 
 @dataclass(frozen=True)
@@ -58,64 +45,21 @@ class RemoteProcess:
     stdout: list[str] = field(default_factory=list)
     stderr: list[str] = field(default_factory=list)
     exit_code: Optional[int] = None
-    signals_received: list[Signal] = field(default_factory=list)
     #: the target died (powered off, hung, or was unresolvable) before
     #: the command could finish — the typed NODE_DEAD terminal state
     node_dead: bool = False
     #: why the command never produced an exit code (death cause, abort)
     error: Optional[str] = None
 
-    @property
-    def finished(self) -> bool:
-        return self.exit_code is not None
-
 
 #: a command is fn(machine, process) -> exit_code; it may write to
 #: process.stdout/stderr and read the propagated environment.  A command
 #: may instead return a *generator of events* (a timed command):
 #: :meth:`Rexec.session` then runs it on the simulation clock and its
-#: return value is the exit code; the synchronous :meth:`Rexec.run`
-#: refuses it.
+#: return value is the exit code.
 RemoteCommand = Callable[
     [Machine, RemoteProcess], Union[int, Generator]
 ]
-
-
-class RexecSession:
-    """A dispatched command: one RemoteProcess per node."""
-
-    def __init__(self, processes: list[RemoteProcess], unreachable: list[str]):
-        self.processes = processes
-        self.unreachable = unreachable
-
-    @property
-    def stdout(self) -> list[str]:
-        """Interleaved stdout, each line tagged with its origin (rank)."""
-        out = []
-        for p in self.processes:
-            out.extend(f"{p.host}: {line}" for line in p.stdout)
-        return out
-
-    @property
-    def exit_codes(self) -> dict[str, Optional[int]]:
-        return {p.host: p.exit_code for p in self.processes}
-
-    @property
-    def ok(self) -> bool:
-        return not self.unreachable and all(
-            p.exit_code == 0 for p in self.processes
-        )
-
-    def forward_signal(self, signal: Signal) -> int:
-        """Deliver a local signal to every remote process; returns count."""
-        n = 0
-        for p in self.processes:
-            if not p.finished:
-                p.signals_received.append(signal)
-                if signal in (Signal.SIGTERM, Signal.SIGKILL, Signal.SIGINT):
-                    p.exit_code = 128 + signal.value
-                n += 1
-        return n
 
 
 class Rexec:
@@ -193,41 +137,3 @@ class Rexec:
                 env.cancel(death)
         proc.exit_code = rv if isinstance(rv, int) else 0
         return proc
-
-    def run(
-        self,
-        hosts: Sequence[str],
-        command: RemoteCommand,
-        environment: RemoteEnvironment,
-    ) -> RexecSession:
-        """Execute ``command`` on each reachable, up host, synchronously.
-
-        A timed command (one that returns a generator) raises
-        ``TypeError``: only :meth:`session` runs it on the simulation clock.
-        """
-        processes: list[RemoteProcess] = []
-        unreachable: list[str] = []
-        for rank, host in enumerate(hosts):
-            try:
-                machine = self.resolve(host)
-            except KeyError:
-                unreachable.append(host)
-                continue
-            if machine.state is not MachineState.UP:
-                unreachable.append(host)
-                continue
-            proc = RemoteProcess(host=host, rank=rank, env=environment)
-            try:
-                rv = command(machine, proc)
-            except Exception as err:
-                proc.stderr.append(str(err))
-                rv = 1
-            if hasattr(rv, "send") and hasattr(rv, "throw"):
-                raise TypeError(
-                    f"{host}: the command returned a generator (a timed "
-                    "command), which Rexec.run cannot run; use Rexec.session "
-                    "or repro.exec.ExecTask"
-                )
-            proc.exit_code = rv
-            processes.append(proc)
-        return RexecSession(processes, unreachable)

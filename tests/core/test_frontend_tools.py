@@ -13,9 +13,11 @@ from repro.core.tools import (
     NoVideoSignal,
     cluster_fork,
     cluster_kill,
+    cluster_uptime,
     queue_cluster_reinstall,
     shoot_node,
 )
+from repro.exec import ExecState
 from repro.scheduler import JobState
 
 
@@ -172,13 +174,11 @@ def test_crash_cart_no_video_when_off(sim):
 
 
 def test_cluster_fork_default_targets_compute_prefix(sim):
-    session = cluster_fork(
+    report = cluster_fork(
         sim.frontend, lambda m, p: (p.stdout.append(m.spec.model), 0)[1]
     )
-    assert {p.host for p in session.processes} == {
-        f"compute-0-{i}" for i in range(4)
-    }
-    assert session.ok
+    assert set(report.results) == {f"compute-0-{i}" for i in range(4)}
+    assert report.ok
 
 
 def test_cluster_kill_with_sql_join(sim):
@@ -186,7 +186,7 @@ def test_cluster_kill_with_sql_join(sim):
     for node in sim.nodes:
         node.user_processes.append("bad-job")
     sim.frontend.machine.user_processes.append("bad-job")  # not compute!
-    session = cluster_kill(
+    report = cluster_kill(
         sim.frontend,
         "bad-job",
         query=(
@@ -195,8 +195,10 @@ def test_cluster_kill_with_sql_join(sim):
             "memberships.name = 'Compute'"
         ),
     )
-    assert session.ok
-    assert all("killed 1" in line for line in session.stdout)
+    assert report.ok
+    assert report.targets == [f"compute-0-{i}" for i in range(4)]
+    assert all(r.stdout == ["killed 1 'bad-job' process(es)"]
+               for r in report.results.values())
     assert all("bad-job" not in n.user_processes for n in sim.nodes)
     # the join kept the frontend out of the blast radius
     assert "bad-job" in sim.frontend.machine.user_processes
@@ -205,12 +207,27 @@ def test_cluster_kill_with_sql_join(sim):
 
 def test_cluster_kill_by_rack_query(sim):
     sim.nodes[0].user_processes.append("runaway")
-    session = cluster_kill(
+    report = cluster_kill(
         sim.frontend, "runaway", query="select name from nodes where rack=0 "
         "and name like 'compute%'"
     )
-    assert session.ok
+    assert report.ok
     assert "runaway" not in sim.nodes[0].user_processes
+
+
+def test_cluster_fork_reports_a_down_host_node_dead(sim):
+    """A powered-off host ends NODE_DEAD instead of stalling the sweep,
+    and the scalable commands leave it out of their answers."""
+    node = sim.nodes[2]
+    node.power_off()
+    try:
+        report = cluster_fork(sim.frontend, lambda m, p: 0)
+        assert report.nodes(ExecState.NODE_DEAD).fold() == node.hostid
+        assert report.count(ExecState.OK) == 3
+        assert node.hostid not in cluster_uptime(sim.frontend)
+    finally:
+        node.power_on()
+        sim.env.run(until=node.wait_for_state(MachineState.UP))
 
 
 def test_cluster_fork_rejects_both_selectors(sim):
@@ -218,16 +235,18 @@ def test_cluster_fork_rejects_both_selectors(sim):
         cluster_fork(sim.frontend, lambda m, p: 0, nodes=["a"], query="select 1")
 
 
-def test_cluster_fork_refuses_a_timed_command(sim):
-    """The synchronous sweep cannot run a command that yields; it must
-    say so rather than record the generator as the exit code."""
+def test_cluster_fork_runs_a_timed_command(sim):
+    """A command that waits runs on the frontend's clock: cluster-fork
+    returns when the last host finishes, 5 simulated seconds on."""
 
     def timed(machine, proc):
         yield sim.env.timeout(5.0)
         return 0
 
-    with pytest.raises(TypeError, match=r"Rexec\.session.*ExecTask"):
-        cluster_fork(sim.frontend, timed)
+    start = sim.env.now
+    report = cluster_fork(sim.frontend, timed)
+    assert report.count(ExecState.OK) == 4
+    assert sim.env.now == start + 5.0
 
 
 # -- queued cluster reinstall (§5) -----------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from repro import build_cluster
 from repro.core.tools import cluster_fork, frontend_groups
-from repro.exec import NodeSet
+from repro.exec import ExecState, NodeSet
 from repro.faults import campaign_size, chaos_reinstall, select_machines
 
 
@@ -44,12 +44,13 @@ class TestFrontendGroups:
 
 class TestClusterForkNodesets:
     def test_fork_accepts_nodeset_expression(self, sim):
-        session = cluster_fork(sim.frontend, echo, nodes="compute-0-[1-2]")
-        assert sorted(session.exit_codes) == ["compute-0-1", "compute-0-2"]
+        report = cluster_fork(sim.frontend, echo, nodes="compute-0-[1-2]")
+        assert report.targets == ["compute-0-1", "compute-0-2"]
+        assert report.results["compute-0-2"].stdout == ["compute-0-2"]
 
     def test_fork_accepts_group(self, sim):
-        session = cluster_fork(sim.frontend, echo, nodes="@compute")
-        assert len(session.processes) == 4
+        report = cluster_fork(sim.frontend, echo, nodes="@compute")
+        assert report.count(ExecState.OK) == 4
 
 
 class TestCampaignTargeting:

@@ -34,9 +34,10 @@ def small_cluster(env, n=4):
     return machines
 
 
-def run_task(env, machines, command, targets=None, **opts):
+def run_task(env, machines, command, targets=None, environment=ROOT,
+             **opts):
     rexec = Rexec(env, machines.__getitem__)
-    task = ExecTask(env, rexec, ExecOptions(**opts))
+    task = ExecTask(env, rexec, ExecOptions(**opts), environment)
     driver = task.run(targets or sorted(machines), command)
     env.run(until=driver)
     return driver.value
@@ -46,22 +47,38 @@ class TestClassification:
     def test_all_ok(self):
         env = Environment()
         machines = small_cluster(env)
+        amy = RemoteEnvironment("amy", 501, 501, "/home/amy",
+                                {"OMP_NUM_THREADS": "2"})
 
         def command(machine, proc):
-            proc.stdout.append("hello")
+            threads = proc.env.variables["OMP_NUM_THREADS"]
+            proc.stdout.append(f"hello {proc.env.user} in {proc.env.cwd}, "
+                               f"{threads} threads")
             return 0
 
-        report = run_task(env, machines, command, fanout=2)
+        report = run_task(env, machines, command, environment=amy, fanout=2)
         assert report.ok
         assert report.count(ExecState.OK) == 4
         assert all(r.attempts == 1 for r in report.results.values())
+        # the task's RemoteEnvironment reaches every command
+        assert all(r.stdout == ["hello amy in /home/amy, 2 threads"]
+                   for r in report.results.values())
 
     def test_nonzero_exit_exhausts_retries(self):
         env = Environment()
         machines = small_cluster(env, n=2)
-        report = run_task(env, machines, lambda m, p: 1, max_retries=2)
+
+        def failing(machine, proc):
+            # a command that raises: its message is stderr, its exit is 1
+            if machine.hostid == "node1":
+                raise RuntimeError("segfault")
+            return 1
+
+        report = run_task(env, machines, failing, max_retries=2)
         assert report.count(ExecState.RETRIES_EXHAUSTED) == 2
-        assert all(r.attempts == 3 for r in report.results.values())
+        assert all(r.attempts == 3 and r.exit_code == 1
+                   for r in report.results.values())
+        assert report.results["node1"].stderr == ["segfault"]
 
     def test_retry_recovers_flaky_node(self):
         env = Environment()
@@ -307,6 +324,18 @@ class TestStragglers:
         # stragglers still completed OK — slow is not dead
         assert all(report.results[n].state is ExecState.OK
                    for n in report.stragglers)
+
+    def test_no_event_outlives_the_task(self):
+        """Once the last node finishes, only the driver's own completion
+        is left: the monitor's pending timer is cancelled, and draining
+        the cancelled deadlines does not move the clock."""
+        env = Environment()
+        machines = small_cluster(env, n=2)
+        report = run_task(env, machines, lambda m, p: 0)
+        dispatched = env.events_dispatched
+        env.run()
+        assert env.events_dispatched - dispatched == 1
+        assert env.now == report.finished_at == 0.0
 
 
 class TestScale:

@@ -541,3 +541,20 @@ def test_cancel_never_scheduled_event_is_accounted():
     env.timeout(1.0)
     env.run()
     assert env.now == 1.0
+
+
+@pytest.mark.parametrize("drain", ["run", "step", "sanitized-step"])
+def test_cancelled_timer_does_not_move_the_clock(drain):
+    """Draining a queue whose last entry is a cancelled deadline ends at
+    the last event that happened, not at the deadline's due time."""
+    from repro.analysis.sanitizer import SanitizedEnvironment
+
+    env = SanitizedEnvironment() if drain == "sanitized-step" else Environment()
+    env.timeout(5.0)
+    env.cancel(env.timeout(300.0))
+    if drain == "run":
+        env.run()
+    else:
+        while env.peek() != float("inf"):
+            env.step()
+    assert env.now == 5.0

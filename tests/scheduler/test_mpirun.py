@@ -3,7 +3,8 @@
 import pytest
 
 from repro import build_cluster
-from repro.scheduler import MpirunError, RemoteEnvironment, Signal
+from repro.exec import ExecState
+from repro.scheduler import MpirunError, RemoteEnvironment
 
 
 @pytest.fixture(scope="module")
@@ -30,20 +31,39 @@ def pi_worker(machine, proc):
 
 
 def test_mpirun_assigns_ranks_round_robin(sim):
-    session = sim.frontend.mpirun.run(6, pi_worker, RENV, program="cpi")
-    assert session.ok
-    assert len(session.processes) == 6
-    # 6 ranks over 3 nodes: each node hosts exactly 2
-    hosts = [p.host for p in session.processes]
-    assert all(hosts.count(f"compute-0-{i}") == 2 for i in range(3))
-    ranks = sorted(int(p.env.variables["MPI_RANK"]) for p in session.processes)
-    assert ranks == list(range(6))
+    report = sim.frontend.mpirun.run(6, pi_worker, RENV, program="cpi")
+    assert report.ok
+    # 6 ranks over 3 nodes: each node hosts exactly 2, run in rank order
+    ranks = {
+        host: [line.split()[1] for line in result.stdout]
+        for host, result in report.results.items()
+    }
+    assert ranks == {
+        "compute-0-0": ["0/6", "3/6"],
+        "compute-0-1": ["1/6", "4/6"],
+        "compute-0-2": ["2/6", "5/6"],
+    }
+
+
+def test_mpirun_host_exit_code_is_its_first_failing_rank(sim):
+    def exit_rank(machine, proc):
+        proc.stderr.append(f"rank {proc.rank}")
+        return proc.rank
+
+    report = sim.frontend.mpirun.run(6, exit_rank, RENV)
+    outcome = {h: (r.exit_code, r.stderr) for h, r in report.results.items()}
+    assert outcome == {
+        "compute-0-0": (3, ["rank 0", "rank 3"]),
+        "compute-0-1": (1, ["rank 1", "rank 4"]),
+        "compute-0-2": (2, ["rank 2", "rank 5"]),
+    }
+    assert report.count(ExecState.RETRIES_EXHAUSTED) == 3
 
 
 def test_mpirun_partials_sum_to_pi(sim):
-    session = sim.frontend.mpirun.run(4, pi_worker, RENV)
-    total = sum(float(line.split()[-1]) for p in session.processes
-                for line in p.stdout)
+    report = sim.frontend.mpirun.run(4, pi_worker, RENV)
+    total = sum(float(line.split()[-1]) for r in report.results.values()
+                for line in r.stdout)
     assert total == pytest.approx(3.14159, abs=1e-3)
 
 
@@ -61,20 +81,20 @@ def test_mpirun_propagates_caller_environment(sim):
 def test_mpirun_skips_down_nodes(sim):
     sim.nodes[1].power_off()
     try:
-        session = sim.frontend.mpirun.run(4, pi_worker, RENV)
-        hosts = {p.host for p in session.processes}
-        assert "compute-0-1" not in hosts
-        assert session.ok
+        report = sim.frontend.mpirun.run(4, pi_worker, RENV)
+        assert report.targets == ["compute-0-0", "compute-0-2"]
+        assert report.ok
     finally:
         sim.nodes[1].power_on()
         sim.env.run(until=sim.nodes[1].wait_for_state(sim.nodes[1].state.UP))
 
 
 def test_mpirun_machinefile_restricts_placement(sim):
-    session = sim.frontend.mpirun.run(
+    report = sim.frontend.mpirun.run(
         4, pi_worker, RENV, machinefile=["compute-0-2"]
     )
-    assert {p.host for p in session.processes} == {"compute-0-2"}
+    assert list(report.results) == ["compute-0-2"]
+    assert len(report.results["compute-0-2"].stdout) == 4
 
 
 def test_mpirun_no_nodes_raises(sim):
@@ -85,20 +105,6 @@ def test_mpirun_no_nodes_raises(sim):
 def test_mpirun_bad_np(sim):
     with pytest.raises(MpirunError, match="-np"):
         sim.frontend.mpirun.run(0, pi_worker, RENV)
-
-
-def test_mpirun_signal_forwarding(sim):
-    """§4.1: 'a sophisticated signal handling system which provides
-    remote forwarding of signals'."""
-
-    def spinner(machine, proc):
-        proc.stdout.append("spinning")
-        return None  # still running
-
-    session = sim.frontend.mpirun.run(3, spinner, RENV)
-    n = session.forward_signal(Signal.SIGINT)
-    assert n == 3
-    assert all(p.exit_code == 130 for p in session.processes)
 
 
 def test_mpirun_program_visible_then_reaped(sim):
@@ -116,15 +122,17 @@ def test_mpirun_program_visible_then_reaped(sim):
         assert "gamess.x" not in node.user_processes
 
 
-def test_mpirun_refuses_a_timed_command(sim):
-    """A rank command that yields would never run under mpirun's
-    synchronous launch, so it is refused instead of reported as done."""
+def test_mpirun_runs_a_timed_command(sim):
+    """Ranks that wait run on the frontend's clock, and the program is
+    reaped when they end."""
 
     def timed(machine, proc):
         yield sim.env.timeout(5.0)
         return 0
 
-    with pytest.raises(TypeError, match=r"Rexec\.session.*ExecTask"):
-        sim.frontend.mpirun.run(2, timed, RENV, program="timed.x")
+    start = sim.env.now
+    report = sim.frontend.mpirun.run(2, timed, RENV, program="timed.x")
+    assert report.count(ExecState.OK) == 2
+    assert sim.env.now == start + 5.0
     for node in sim.nodes:
         assert "timed.x" not in node.user_processes

@@ -12,8 +12,8 @@ from repro.scheduler import (
     PbsError,
     PbsServer,
     RemoteEnvironment,
+    RemoteProcess,
     Rexec,
-    Signal,
 )
 
 
@@ -177,6 +177,12 @@ def up_cluster(n=3):
     return env, cluster, machines
 
 
+def run_session(env, rexec, host, command, renv):
+    """One REXEC session on ``host``, in a process of its own."""
+    proc = RemoteProcess(host=host, rank=0, env=renv)
+    return env.run(until=env.process(rexec.session(host, command, proc)))
+
+
 def test_rexec_runs_on_all_nodes():
     env, cluster, machines = up_cluster()
     rexec = Rexec(env, cluster.find)
@@ -186,10 +192,9 @@ def test_rexec_runs_on_all_nodes():
         proc.stdout.append(f"hello from {machine.hostid} cwd={proc.env.cwd}")
         return 0
 
-    session = rexec.run([m.hostid for m in machines], command, renv)
-    assert session.ok
-    assert len(session.stdout) == 3
-    assert "compute-0-1: hello from compute-0-1 cwd=/home/bruno" in session.stdout
+    procs = [run_session(env, rexec, m.hostid, command, renv) for m in machines]
+    assert [p.exit_code for p in procs] == [0, 0, 0]
+    assert procs[1].stdout == ["hello from compute-0-1 cwd=/home/bruno"]
 
 
 def test_rexec_propagates_environment():
@@ -203,7 +208,7 @@ def test_rexec_propagates_environment():
         seen["uid"] = proc.env.uid
         return 0
 
-    rexec.run(["compute-0-0"], command, renv)
+    run_session(env, rexec, "compute-0-0", command, renv)
     assert seen == {"OMP_NUM_THREADS": "2", "uid": 501}
 
 
@@ -212,30 +217,20 @@ def test_rexec_reports_unreachable_down_nodes():
     machines[1].power_off()
     rexec = Rexec(env, cluster.find)
     renv = RemoteEnvironment("u", 1, 1, "/")
-    session = rexec.run(
-        [m.hostid for m in machines] + ["ghost-node"],
-        lambda m, p: 0,
-        renv,
-    )
-    assert session.unreachable == ["compute-0-1", "ghost-node"]
-    assert not session.ok
-    assert len(session.processes) == 2
+    ran = []
 
+    def command(machine, proc):
+        ran.append(machine.hostid)
+        return 0
 
-def test_rexec_signal_forwarding():
-    env, cluster, machines = up_cluster(2)
-    rexec = Rexec(env, cluster.find)
-    renv = RemoteEnvironment("u", 1, 1, "/")
-
-    def never_ending(machine, proc):
-        proc.stdout.append("spinning")
-        return None  # still running
-
-    session = rexec.run([m.hostid for m in machines], never_ending, renv)
-    delivered = session.forward_signal(Signal.SIGTERM)
-    assert delivered == 2
-    assert all(p.exit_code == 143 for p in session.processes)
-    assert all(Signal.SIGTERM in p.signals_received for p in session.processes)
+    procs = [
+        run_session(env, rexec, host, command, renv)
+        for host in ("compute-0-0", "compute-0-1", "ghost-node")
+    ]
+    assert [(p.node_dead, p.error) for p in procs] == [
+        (False, None), (True, "host is off"), (True, "unknown host"),
+    ]
+    assert ran == ["compute-0-0"]
 
 
 def test_rexec_command_exception_becomes_stderr():
@@ -245,6 +240,7 @@ def test_rexec_command_exception_becomes_stderr():
     def bad(machine, proc):
         raise RuntimeError("segfault")
 
-    session = rexec.run(["compute-0-0"], bad, RemoteEnvironment("u", 1, 1, "/"))
-    assert session.processes[0].exit_code == 1
-    assert session.processes[0].stderr == ["segfault"]
+    proc = run_session(env, rexec, "compute-0-0", bad,
+                       RemoteEnvironment("u", 1, 1, "/"))
+    assert proc.exit_code == 1
+    assert proc.stderr == ["segfault"]
