@@ -104,7 +104,8 @@ class ExecLab:
             + rng.random() * options.command_time
             for name in self.doomed
         }
-        alive = [i for i in range(options.nodes) if i not in set(dead)]
+        dead_set = set(dead)
+        alive = [i for i in range(options.nodes) if i not in dead_set]
         n_slow = int(options.straggler_fraction * len(alive))
         self.slow = {f"node{i}" for i in sorted(rng.sample(alive, n_slow))}
 

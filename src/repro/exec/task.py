@@ -3,9 +3,10 @@
 :class:`ExecTask` runs one command across a nodeset over the
 :class:`~repro.scheduler.rexec.Rexec` transport with
 
-* a **sliding fanout window** — at most ``fanout`` nodes in flight; a
-  completion immediately launches the next pending node (no barrier
-  between waves, so one slow node never stalls the window);
+* a **sliding fanout window** — ``min(fanout, targets)`` slot
+  processes, each running one node at a time and taking the next
+  pending node the instant its last one ends (no barrier between
+  waves, so one slow node never stalls the window);
 * a **per-node timeout** — an attempt that exceeds ``command_timeout``
   is aborted and retried after seeded-jitter exponential backoff;
 * **typed terminal classification** — every target ends in exactly one
@@ -30,7 +31,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, Optional, Sequence, Union
 
-from ..netsim import Environment, Interrupt, Process
+from ..netsim import AllOf, Environment, Interrupt, Process
 from ..scheduler.rexec import (
     RemoteCommand,
     RemoteEnvironment,
@@ -93,11 +94,13 @@ class ExecOptions:
         if self.max_retries < 0:
             raise ValueError("max_retries cannot be negative")
         if self.backoff <= 0 or self.backoff_factor < 1:
-            raise ValueError("backoff must be positive, factor >= 1")
+            raise ValueError("backoff must be positive, backoff_factor >= 1")
         if self.jitter < 0:
             raise ValueError("jitter must be non-negative")
         if not 0 < self.straggler_percentile <= 1:
             raise ValueError("straggler_percentile must be in (0, 1]")
+        if self.straggler_interval <= 0:
+            raise ValueError("straggler_interval must be positive")
 
 
 @dataclass
@@ -197,16 +200,17 @@ class ExecReport:
 
 
 class _TaskState:
-    """Mutable bookkeeping shared by the window driver and workers."""
+    """Mutable bookkeeping shared by the slots and the straggler monitor."""
 
     __slots__ = (
         "names", "command", "launched", "active", "results",
-        "durations", "flagged", "started", "done", "span", "tick",
+        "durations", "flagged", "started", "span", "tick",
     )
 
-    def __init__(self, names: list[str], command: RemoteCommand, done) -> None:
+    def __init__(self, names: list[str], command: RemoteCommand) -> None:
         self.names = names
         self.command = command
+        #: targets taken by a slot so far; the next one's launch index
         self.launched = 0
         #: the fanout's root `exec` span (None when tracing is off);
         #: per-node `exec-node` spans parent here
@@ -220,7 +224,6 @@ class _TaskState:
         #: nodes the straggler monitor has flagged while still running
         self.flagged: dict[str, None] = {}
         self.started = 0.0
-        self.done = done
         #: the straggler monitor's pending timer, cancelled when the last
         #: node finishes so no event outlives the task
         self.tick = None
@@ -271,8 +274,7 @@ class ExecTask:
 
     def _drive(self, names: list[str], command: RemoteCommand) -> Generator:
         env = self.env
-        done = env.event()
-        state = _TaskState(names, command, done)
+        state = _TaskState(names, command)
         state.started = env.now
         tracer = env.tracer
         span = (
@@ -282,14 +284,14 @@ class ExecTask:
             else None
         )
         state.span = span
-        if not names:
-            done.succeed()
-        else:
-            self._fill_window(state)
-            if self.options.straggler_factor > 0 and len(names) > 1:
-                env.process(self._straggle_monitor(state),
-                            name="exec:straggler-monitor")
-        yield done
+        slots = [
+            env.process(self._slot(state), name=f"exec:slot{i}")
+            for i in range(min(self.options.fanout, len(names)))
+        ]
+        if self.options.straggler_factor > 0 and len(names) > 1:
+            env.process(self._straggle_monitor(state),
+                        name="exec:straggler-monitor")
+        yield AllOf(env, slots)
         report = ExecReport(
             targets=names,
             options=self.options,
@@ -302,68 +304,47 @@ class ExecTask:
                      stragglers=len(report.stragglers))
         return report
 
-    def _fill_window(self, state: _TaskState) -> None:
-        """Launch pending targets until the fanout window is full."""
-        while (state.launched < len(state.names)
-               and len(state.active) < self.options.fanout):
-            name = state.names[state.launched]
-            rank = state.launched
-            state.launched += 1
-            state.active[name] = self.env.now
-            worker = self.env.process(
-                self._worker(state, name, rank), name=f"exec:{name}"
-            )
-            worker.callbacks.append(
-                lambda ev, s=state: self._on_worker_done(s, ev.value)
-            )
+    def _slot(self, state: _TaskState) -> Generator:
+        """One fanout slot: run pending targets one after another.
 
-    def _on_worker_done(self, state: _TaskState, result: NodeResult) -> None:
-        state.active.pop(result.node, None)
-        result.straggler = result.node in state.flagged
-        state.results[result.node] = result
-        if result.state is ExecState.OK:
-            bisect.insort(state.durations, result.seconds)
-        if len(state.results) == len(state.names):
-            if not state.done.triggered:
-                state.done.succeed()
-            if state.tick is not None:
-                self.env.cancel(state.tick)
-        else:
-            self._fill_window(state)
-
-    def _worker(self, state: _TaskState, name: str, rank: int) -> Generator:
-        """One node's attempt loop: dispatch -> classify -> maybe retry.
-
-        The rexec session runs inline, so this is the node's only
-        process.  The deadline and the session's dead-watch interrupt it
-        at most once per attempt, and the interrupt is caught here, in
-        the process's outermost frame: caught in a frame below it,
-        ``cProfile`` records an all-zero ``generator.throw`` edge.
+        Each target's attempt loop (dispatch -> classify -> maybe retry)
+        runs inline, and the slot takes the next pending target at the
+        instant the last one ends, so a target costs only its command's
+        own events.  The deadline and the session's dead-watch interrupt
+        the slot at most once per attempt, and the interrupt is caught
+        here, in the process's outermost frame: caught in a frame below
+        it, ``cProfile`` records an all-zero ``generator.throw`` edge.
         """
         env = self.env
         opts = self.options
         timeout = opts.command_timeout
-        worker = env.active_process
-        # Built on the first retry: it is seeded per node, so the jitter
-        # sequence does not depend on when, and most nodes never retry.
-        rng = None
-        result = NodeResult(
-            node=name, state=ExecState.OK, exit_code=None,
-            attempts=0, started_at=env.now,
-        )
-        node_span = (
-            env.tracer.span("exec-node", name, parent=state.span,
-                            host=name, rank=rank)
-            if env.tracer.enabled
-            else None
-        )
+        tracer = env.tracer
+        names = state.names
+        slot = env.active_process
 
         def expire(_event) -> None:
             if proc.error is None:  # else a death interrupted it first
                 proc.error = f"timeout after {timeout:g}s"
-                worker.interrupt(proc.error)
+                slot.interrupt(proc.error)
 
-        try:
+        while state.launched < len(names):
+            rank = state.launched
+            name = names[rank]
+            state.launched += 1
+            # Built on the first retry: it is seeded per node, so the
+            # jitter sequence does not depend on when, and most nodes
+            # never retry.
+            rng = None
+            result = NodeResult(
+                node=name, state=ExecState.OK, exit_code=None,
+                attempts=0, started_at=env.now,
+            )
+            node_span = (
+                tracer.span("exec-node", name, parent=state.span,
+                            host=name, rank=rank)
+                if tracer.enabled
+                else None
+            )
             while True:
                 result.attempts += 1
                 state.active[name] = env.now
@@ -388,8 +369,7 @@ class ExecTask:
                     # the reinstall campaign's job, not the command fabric's.
                     result.state = ExecState.NODE_DEAD
                     result.error = proc.error
-                    result.finished_at = env.now
-                    return result
+                    break
                 if proc.error is not None:
                     result.error = (
                         f"timed out after {timeout:g}s "
@@ -397,10 +377,8 @@ class ExecTask:
                     )
                     terminal = ExecState.TIMEOUT
                 elif proc.exit_code == 0:
-                    result.state = ExecState.OK
                     result.error = None
-                    result.finished_at = env.now
-                    return result
+                    break
                 else:
                     result.error = (
                         f"exit {proc.exit_code} (attempt {result.attempts})"
@@ -408,28 +386,34 @@ class ExecTask:
                     terminal = ExecState.RETRIES_EXHAUSTED
                 if result.attempts > opts.max_retries:
                     result.state = terminal
-                    result.finished_at = env.now
-                    return result
+                    break
                 if rng is None:
                     rng = random.Random(
                         ("repro.exec", opts.seed, name).__repr__())
                 delay = opts.backoff * opts.backoff_factor ** (
                     result.attempts - 1)
                 delay *= 1.0 + opts.jitter * rng.random()
-                if env.tracer.enabled:
+                if node_span is not None:
                     # Backoff between command attempts: straggler time the
                     # critical-path analyzer attributes to retry chains.
-                    with env.tracer.span("exec-retry", name, parent=node_span,
-                                         host=name, attempt=result.attempts,
-                                         delay=delay):
+                    with tracer.span("exec-retry", name, parent=node_span,
+                                     host=name, attempt=result.attempts,
+                                     delay=delay):
                         yield env.timeout(delay)
                 else:
                     yield env.timeout(delay)
-        finally:
+            result.finished_at = env.now
             if node_span is not None:
                 node_span.end(
                     outcome=result.state.value, attempts=result.attempts
                 )
+            del state.active[name]
+            result.straggler = name in state.flagged
+            state.results[name] = result
+            if result.state is ExecState.OK:
+                bisect.insort(state.durations, result.seconds)
+        if len(state.results) == len(names) and state.tick is not None:
+            env.cancel(state.tick)
 
     def _straggle_monitor(self, state: _TaskState) -> Generator:
         """Flag in-flight nodes running far behind the completed pack."""

@@ -43,6 +43,28 @@ def run_task(env, machines, command, targets=None, environment=ROOT,
     return driver.value
 
 
+@pytest.mark.parametrize("field, value", [
+    ("fanout", 0),
+    ("fanout", -1),
+    ("command_timeout", 0.0),
+    ("command_timeout", -5.0),
+    ("max_retries", -1),
+    ("backoff", 0.0),
+    ("backoff", -1.0),
+    ("backoff_factor", 0.5),
+    ("jitter", -0.1),
+    ("straggler_percentile", 0.0),
+    ("straggler_percentile", 1.5),
+    # 0 would hold the monitor's timer at one instant forever; a
+    # negative interval would fail the monitor with nothing waiting on it
+    ("straggler_interval", 0.0),
+    ("straggler_interval", -1.0),
+])
+def test_options_reject_invalid_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExecOptions(**{field: value})
+
+
 class TestClassification:
     def test_all_ok(self):
         env = Environment()
@@ -365,6 +387,27 @@ class TestScale:
         attempts = sum(r.attempts for r in report.results.values())
         assert attempts == 512
         assert lab.env.events_dispatched <= 4 * attempts
+
+    def test_fork_scenario_dispatches_at_most_one_and_a_half_events_per_attempt(
+            self):
+        """A slot runs its targets one after another, so an attempt
+        costs its command's own timer; each of the 64 slots adds only
+        its start and its end."""
+        lab = ExecLab(LabOptions(512, 42, 0.05, 0.02))  # the fork scenario
+        report = lab.run(exec_options=ExecOptions(fanout=64, seed=42))
+        attempts = sum(r.attempts for r in report.results.values())
+        assert attempts == 512
+        assert lab.env.events_dispatched <= 1.5 * attempts
+
+    def test_instant_targets_cost_no_events_of_their_own(self):
+        """100 instant targets at fanout 4: the task process's start,
+        each slot's start and end, the monitor's start and end, and the
+        AllOf the task waits on; no target adds an event."""
+        env = Environment()
+        machines = small_cluster(env, n=100)
+        report = run_task(env, machines, lambda m, p: 0, fanout=4)
+        assert report.count(ExecState.OK) == 100
+        assert env.events_dispatched <= 12
 
 
 SUBPROCESS_SCRIPT = """\
