@@ -5,7 +5,9 @@ through :class:`repro.exec.ExecTask` at fanout 64 / 256 / 1024 and
 reports, per point:
 
   * simulated completion time (launch of first worker to last terminal
-    classification, including dead-node timeout+retry chains);
+    classification).  The stragglers' 10x slow commands set its floor:
+    a dead node ends NODE_DEAD on its first attempt, so no timeout or
+    retry chain runs;
   * wall-clock cost of driving the simulation;
   * the per-state classification counts — every target must land in
     exactly one terminal state at every fanout.  (The counts themselves

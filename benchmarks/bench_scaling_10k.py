@@ -99,14 +99,13 @@ def build(n_nodes: int, seed: int):
 
     for name in names:
         env.process(heartbeat(name), name=f"hb:{name}")
-    # Staggered first wakeups, created in bulk: one heapify instead of
-    # one sift per timer.
+    # Staggered first wakeups, all created before any loop starts.
     pair_span = PAIR_SIZE / FAST_ETHERNET + PAIR_THINK
     pair_names = [(names[i], names[i + 1]) for i in range(0, n_nodes - 1, 2)]
-    pair_starts = env.timeout_batch(rng.uniform(0.0, pair_span) for _ in pair_names)
+    pair_starts = [env.timeout(rng.uniform(0.0, pair_span)) for _ in pair_names]
     for (src, dst), start in zip(pair_names, pair_starts):
         env.process(pair_loop(src, dst, start), name=f"pair:{src}")
-    fetch_starts = env.timeout_batch(rng.uniform(0.0, FETCH_PERIOD) for _ in names)
+    fetch_starts = [env.timeout(rng.uniform(0.0, FETCH_PERIOD)) for _ in names]
     for name, start in zip(names, fetch_starts):
         env.process(fetch_loop(name, start), name=f"fetch:{name}")
     return env, net, stats
@@ -158,7 +157,7 @@ def check_sanitizer_off_overhead(quick_result: dict) -> int:
     env = Environment()
     if type(env) is not Environment:
         failures.append(f"default Environment() builds {type(env).__name__}")
-    for name in ("_schedule", "step", "run", "timeout_batch"):
+    for name in ("_schedule", "step", "run"):
         if getattr(type(env), name) is not getattr(Environment, name):
             failures.append(f"Environment.{name} is overridden by default")
     # Telemetry must also be off by default: tracing-off runs ride the

@@ -12,8 +12,8 @@ context.  Two families are registered here:
 
 ``run_passes`` is the only execution path: it runs every selected pass,
 sorts the result deterministically, and applies ``--select``/``--ignore``
-code-prefix filters, so every front end (CLI, CI,
-``KickstartGenerator.lint_diagnostics``) sees identical behaviour.
+code-prefix filters, so every front end (the CLI, CI, tests) sees
+identical behaviour.
 """
 
 from __future__ import annotations

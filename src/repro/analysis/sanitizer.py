@@ -39,7 +39,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Optional
 
 from ..netsim.engine import (
     Event,
@@ -154,7 +154,7 @@ class SanitizedEnvironment(InstrumentedEnvironment):
 
     # -- scheduling with perturbed tie-breaks ------------------------------
     _INTERNAL_FRAMES = frozenset(
-        {"_capture", "_schedule", "timeout_batch", "step"})
+        {"_capture", "_schedule", "step"})
 
     def _capture(self) -> tuple[str, tuple[str, ...]]:
         """(site, stack) of the schedule call, machinery frames dropped."""
@@ -190,13 +190,6 @@ class SanitizedEnvironment(InstrumentedEnvironment):
              (self._pert.getrandbits(32), next(self._seq)),
              event),
         )
-
-    def timeout_batch(self, delays: Iterable[float],
-                      value: Any = None) -> list[Timeout]:
-        # The base class pushes raw (due, seq, event) entries; sanitized
-        # heaps need perturbed keys, so fall back to one-by-one creation
-        # (identical semantics and sequence-number order, just slower).
-        return [Timeout(self, delay, value) for delay in delays]
 
     # -- dispatch with logging ---------------------------------------------
     def step(self) -> None:

@@ -654,8 +654,8 @@ def check_leaked_series(ctx: SelfLintContext):
                     "metric series opened and discarded: nothing records "
                     "into it or flushes it",
                     pf, node,
-                    hint="bind the returned RoundRobinSeries and record "
-                         "into it, or route writes through store.record()",
+                    hint="bind the returned RoundRobinSeries and feed "
+                         "it with feed_series()",
                 )
 
 

@@ -269,6 +269,23 @@ def _node_count(value: str) -> int:
     return count
 
 
+def _positive_seconds(value: str) -> float:
+    """The argparse type of a period flag: simulated seconds, above 0.
+
+    ``monitor`` builds its agents and watch loop only after the cluster
+    is integrated, so their own checks would refuse these values after
+    a simulation has already run.
+    """
+    try:
+        seconds = float(value)
+    except ValueError:
+        seconds = 0.0
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a period in seconds (above 0), got {value!r}")
+    return seconds
+
+
 def _campaign_nodes(value: str) -> tuple[int, Optional[str]]:
     """Parse a ``--nodes`` value: a count, or a nodeset of targets.
 
@@ -330,13 +347,17 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_storm(args: argparse.Namespace) -> int:
     from .load import StormOptions, run_storm
 
-    options = StormOptions(
-        n_nodes=args.nodes,
-        seed=args.seed,
-        autoscale=not args.no_autoscale,
-        dhcp_stagger=args.stagger,
-        deadline=args.deadline,
-    )
+    try:
+        options = StormOptions(
+            n_nodes=args.nodes,
+            seed=args.seed,
+            autoscale=not args.no_autoscale,
+            dhcp_stagger=args.stagger,
+            deadline=args.deadline,
+        )
+    except ValueError as exc:
+        print(f"storm: {exc}", file=sys.stderr)
+        return 2
     result = run_storm(options)
     print(result.render())
     if args.slo:
@@ -413,20 +434,26 @@ def _cmd_fork(args: argparse.Namespace) -> int:
                 return 2
             indices.append(int(name[4:]))
         size = max(max(indices) + 1, args.size or 0)
-    lab = ExecLab(LabOptions(
-        nodes=size,
-        seed=args.seed,
-        dead_fraction=args.dead,
-        straggler_fraction=args.stragglers,
-    ))
-    report = lab.run(targets, exec_options=ExecOptions(
-        fanout=args.fanout,
-        command_timeout=args.timeout,
-        max_retries=args.retries,
-        seed=args.seed,
-        straggler_interval=args.straggler_interval,
-        straggler_factor=args.straggler_factor,
-    ))
+    # Both option sets check their values before the lab is built.
+    try:
+        lab_options = LabOptions(
+            nodes=size,
+            seed=args.seed,
+            dead_fraction=args.dead,
+            straggler_fraction=args.stragglers,
+        )
+        exec_options = ExecOptions(
+            fanout=args.fanout,
+            command_timeout=args.timeout,
+            max_retries=args.retries,
+            seed=args.seed,
+            straggler_interval=args.straggler_interval,
+            straggler_factor=args.straggler_factor,
+        )
+    except ValueError as exc:
+        print(f"fork: {exc}", file=sys.stderr)
+        return 2
+    report = ExecLab(lab_options).run(targets, exec_options=exec_options)
     print(report.render())
     return 0
 
@@ -676,10 +703,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fault plan to run the campaign under")
     p.add_argument("--seed", type=int, default=None,
                    help="re-seed the plan (default: the plan's own seed)")
-    p.add_argument("--interval", type=float, default=15.0,
+    p.add_argument("--interval", type=_positive_seconds, default=15.0,
                    help="gmond sampling interval in simulated seconds")
-    p.add_argument("--watch", type=float, nargs="?", const=120.0, default=None,
-                   metavar="PERIOD",
+    p.add_argument("--watch", type=_positive_seconds, nargs="?", const=120.0,
+                   default=None, metavar="PERIOD",
                    help="print cluster-top every PERIOD simulated seconds "
                         "during the campaign (default 120)")
     p.add_argument("--export", metavar="PATH", default=None,

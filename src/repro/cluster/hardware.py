@@ -142,17 +142,11 @@ class MacAllocator:
             raise ValueError(f"OUI must be three octets, got {oui!r}")
         self.oui = oui
         self._next = 0
-        self._issued: set[str] = set()
 
     def allocate(self) -> str:
         n = self._next
         self._next += 1
-        mac = f"{self.oui}:{(n >> 16) & 0xFF:02x}:{(n >> 8) & 0xFF:02x}:{n & 0xFF:02x}"
-        self._issued.add(mac)
-        return mac
-
-    def issued(self) -> frozenset[str]:
-        return frozenset(self._issued)
+        return f"{self.oui}:{(n >> 16) & 0xFF:02x}:{(n >> 8) & 0xFF:02x}:{n & 0xFF:02x}"
 
 
 #: Named configurations used across examples and benchmarks.  The

@@ -42,14 +42,6 @@ class PowerDistributionUnit:
             raise OutletError(f"outlet {outlet} on {self.name} already wired")
         self._outlets[outlet] = machine
 
-    def unplug(self, outlet: int) -> Machine:
-        """Unplug a wired outlet (rack rework); returns the machine."""
-        self._check_outlet(outlet)
-        try:
-            return self._outlets.pop(outlet)
-        except KeyError:
-            raise OutletError(f"outlet {outlet} on {self.name} is not wired") from None
-
     def machine_at(self, outlet: int) -> Machine:
         self._check_outlet(outlet)
         try:

@@ -173,30 +173,6 @@ class KickstartGenerator:
         self._cache[key] = profile
         return profile
 
-    def lint_diagnostics(
-        self, dist_name: str, arches: tuple[str, ...] = ("i386",)
-    ):
-        """Run the typed config analyzers (:mod:`repro.analysis`).
-
-        Returns sorted :class:`~repro.analysis.Diagnostic` objects for
-        every defect class the engine knows — dangling edges, orphans,
-        cycles, dead arch edges, duplicate declarations, unresolvable
-        packages with their chains, unknown database attributes, and
-        unknown distributions.  Site admins run this after editing the
-        XML (§6.1 footnote) and before reinstalling anything.
-        """
-        from ...analysis import ConfigContext, analyze_config
-
-        graph, node_files = self._xml_for(dist_name)
-        ctx = ConfigContext(
-            graph=graph,
-            node_files=node_files,
-            dist_name=dist_name,
-            dist_resolver=self.dist_resolver,
-            arches=tuple(arches),
-        )
-        return analyze_config(ctx)
-
     def profile_for_row(self, row: NodeRow, db: ClusterDatabase) -> InstallProfile:
         """Per-node generation: appliance/arch/dist come from the database."""
         appliance, root_node = db.appliance_for_membership(row.membership)

@@ -41,6 +41,3 @@ class CrashCart:
             return machine.console
 
         return self.env.process(go(), name=f"crash-cart:{machine.hostid}")
-
-    def detach(self) -> None:
-        self.attached_to = None

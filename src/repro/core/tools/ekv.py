@@ -82,9 +82,3 @@ class EkvConsole:
         self._require()
         self.keys_sent.append(key)
         self.machine.console_write(f"eKV: operator pressed <{key}>")
-
-    def abort_install(self) -> None:
-        """Operator bail-out: reboot the node (restarts the install)."""
-        self._require()
-        self.send_key("ctrl-alt-del")
-        self.machine.reboot()

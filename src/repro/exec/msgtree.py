@@ -36,9 +36,6 @@ class MsgTree:
         self._lines.setdefault(node, []).append(line)
         self._sealed = None
 
-    def message_of(self, node: str) -> str:
-        return "\n".join(self._lines.get(node, []))
-
     def __len__(self) -> int:
         return len(self._lines)
 

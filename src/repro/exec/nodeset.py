@@ -1,12 +1,12 @@
-"""NodeSet: folded hostname sets with group sources and set algebra.
+"""NodeSet: folded hostname sets with group sources.
 
 ``node[0-1023]``, ``compute-0-[0-15]``, ``@compute`` — the addressing
 layer every 10k-node campaign is expressed in.  A NodeSet is a set of
 hostnames stored in folded form: names sharing a ``<prefix><NUM><suffix>``
 shape collapse into one :class:`~repro.exec.rangeset.RangeSet` per
 (prefix, suffix, padding) pattern; names with no numeric component are
-kept as scalars.  Union/intersection/difference/xor, membership, length
-and ordered expansion all operate on the folded representation.
+kept as scalars.  Union, membership, length and ordered expansion all
+operate on the folded representation.
 
 Group sources (``@compute``, ``@cabinet0``) are resolved through a
 caller-supplied resolver callable — the cluster database and the rack
@@ -181,45 +181,12 @@ class NodeSet:
         theirs = {k: v for k, v in other._patterns.items() if v}
         return mine == theirs and set(self._scalars) == set(other._scalars)
 
-    # -- set algebra -------------------------------------------------------
+    # -- union -------------------------------------------------------------
     def update(self, other: "NodeSet") -> None:
         for (prefix, suffix, _pad), rs in other._patterns.items():
             self._merge_pattern(prefix, suffix, rs)
         for name in other._scalars:
             self._scalars[name] = None
-
-    def _binary(self, other: "NodeSet", op: str) -> "NodeSet":
-        out = NodeSet()
-        keys = sorted(set(self._patterns) | set(other._patterns))
-        empty = RangeSet()
-        for key in keys:
-            a = self._patterns.get(key, empty)
-            b = other._patterns.get(key, empty)
-            rs = getattr(a, op)(b)
-            if rs:
-                out._patterns[key] = rs
-        mine, theirs = set(self._scalars), set(other._scalars)
-        combined = {
-            "__or__": mine | theirs,
-            "__and__": mine & theirs,
-            "__sub__": mine - theirs,
-            "__xor__": mine ^ theirs,
-        }[op]
-        for name in sorted(combined):
-            out._scalars[name] = None
-        return out
-
-    def __or__(self, other: "NodeSet") -> "NodeSet":
-        return self._binary(other, "__or__")
-
-    def __and__(self, other: "NodeSet") -> "NodeSet":
-        return self._binary(other, "__and__")
-
-    def __sub__(self, other: "NodeSet") -> "NodeSet":
-        return self._binary(other, "__sub__")
-
-    def __xor__(self, other: "NodeSet") -> "NodeSet":
-        return self._binary(other, "__xor__")
 
     # -- folding -----------------------------------------------------------
     def fold(self) -> str:

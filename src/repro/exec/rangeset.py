@@ -5,7 +5,7 @@ node10239`` is unreadable and unshippable.  ClusterShell's answer is the
 *folded range*: ``node[0-10239]``, with zero-padding (``node[001-099]``)
 and step parsing (``0-30/2``).  This module is the integer half of that
 idea: a set of non-negative integers that parses from and folds back to
-the compact textual form, with full set algebra.
+the compact textual form.
 
 Determinism rules apply: internal storage is a plain ``set`` of ints,
 but every iteration point goes through ``sorted()`` so folding, string
@@ -14,7 +14,7 @@ output, and expansion are byte-identical regardless of hash seeding.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = ["RangeSet", "RangeSetParseError"]
 
@@ -27,9 +27,9 @@ class RangeSet:
     """A set of non-negative integers with folded-text round-tripping.
 
     ``padding`` is the zero-fill width applied when formatting members
-    (``padding=3`` renders ``7`` as ``007``); 0 means no padding.  When
-    two sets combine, the result keeps the widest padding so folded
-    output never loses digits.
+    (``padding=3`` renders ``7`` as ``007``); 0 means no padding.  A
+    merge (:meth:`update`) keeps the widest padding so folded output
+    never loses digits.
     """
 
     __slots__ = ("_values", "padding")
@@ -40,14 +40,7 @@ class RangeSet:
         if text:
             self._parse(text)
 
-    # -- construction ------------------------------------------------------
-    @classmethod
-    def from_ints(cls, values: Iterable[int], padding: int = 0) -> "RangeSet":
-        rs = cls(padding=padding)
-        for v in values:
-            rs.add(v)
-        return rs
-
+    # -- parsing -----------------------------------------------------------
     def _parse(self, text: str) -> None:
         for token in text.split(","):
             token = token.strip()
@@ -87,9 +80,6 @@ class RangeSet:
             raise RangeSetParseError(f"negative index {value!r}")
         self._values.add(value)
 
-    def discard(self, value: int) -> None:
-        self._values.discard(value)
-
     def __contains__(self, value: int) -> bool:
         return value in self._values
 
@@ -110,24 +100,7 @@ class RangeSet:
     def __hash__(self) -> int:
         return hash((frozenset(self._values), self.padding))
 
-    # -- set algebra -------------------------------------------------------
-    def _combine(self, other: "RangeSet", values: set[int]) -> "RangeSet":
-        out = RangeSet(padding=max(self.padding, other.padding))
-        out._values = values
-        return out
-
-    def __or__(self, other: "RangeSet") -> "RangeSet":
-        return self._combine(other, self._values | other._values)
-
-    def __and__(self, other: "RangeSet") -> "RangeSet":
-        return self._combine(other, self._values & other._values)
-
-    def __sub__(self, other: "RangeSet") -> "RangeSet":
-        return self._combine(other, self._values - other._values)
-
-    def __xor__(self, other: "RangeSet") -> "RangeSet":
-        return self._combine(other, self._values ^ other._values)
-
+    # -- merging -----------------------------------------------------------
     def update(self, other: "RangeSet") -> None:
         self._values |= other._values
         self.padding = max(self.padding, other.padding)

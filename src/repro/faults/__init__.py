@@ -27,7 +27,6 @@ from .plan import (
     PackageCorruption,
     PowerRestore,
     ServerCrash,
-    ServiceFlap,
     ServiceOutage,
     SitePowerFailure,
     named_plan,
@@ -53,7 +52,6 @@ __all__ = [
     "PackageCorruption",
     "PowerRestore",
     "ServerCrash",
-    "ServiceFlap",
     "ServiceOutage",
     "SitePowerFailure",
     "named_plan",

@@ -34,7 +34,6 @@ from .plan import (
     NodeHang,
     PackageCorruption,
     PowerRestore,
-    ServiceFlap,
     ServiceOutage,
     SitePowerFailure,
 )
@@ -146,8 +145,6 @@ class FaultInjector:
         yield env.timeout(fault.at)
         if isinstance(fault, FrontendCrash):
             self._deliver_frontend_crash(env, frontend, fault)
-        elif isinstance(fault, ServiceFlap):
-            yield from self._deliver_service_flap(env, frontend, fault)
         elif isinstance(fault, ServiceOutage):
             yield from self._deliver_outage(env, frontend, fault)
         elif isinstance(fault, LinkDegrade):
@@ -204,30 +201,6 @@ class FaultInjector:
             frontend.config.name,
             "database lost" if fault.lose_database else "services only",
         )
-
-    def _deliver_service_flap(self, env, frontend, fault: ServiceFlap) -> Generator:
-        services = {
-            "install": frontend.install_server,
-            "dhcp": frontend.dhcp,
-            "nfs": frontend.nfs,
-        }
-        try:
-            service = services[fault.service]
-        except KeyError:
-            raise ValueError(
-                f"unknown service {fault.service!r}; have {sorted(services)}"
-            ) from None
-        span = self._fault_span(env, fault)
-        for cycle in range(1, fault.times + 1):
-            if not service.faulted:
-                with env.tracer.context(span):
-                    service.fail()
-            self._record(env, "service-flap", fault.service,
-                         f"kill {cycle}/{fault.times}", parent=span)
-            if cycle < fault.times:
-                yield env.timeout(fault.period)
-        if span is not None:
-            span.end(kills=fault.times)
 
     def _resolve_machine(
         self, frontend: RocksFrontend, targets: list[Machine], selector: str

@@ -28,7 +28,6 @@ __all__ = [
     "DhcpBlackout",
     "NfsOutage",
     "FrontendCrash",
-    "ServiceFlap",
     "LinkDegrade",
     "LinkFlap",
     "NodeHang",
@@ -97,17 +96,6 @@ class FrontendCrash(Fault):
     """
 
     lose_database: bool = True
-
-
-@dataclass(frozen=True)
-class ServiceFlap(Fault):
-    """A frontend service dies repeatedly: ``times`` failures, ``period``
-    seconds apart — the pathological case a supervisor's backoff and
-    restart budget exist for."""
-
-    service: str = "install"  # "install" | "dhcp" | "nfs"
-    times: int = 3
-    period: float = 60.0
 
 
 @dataclass(frozen=True)

@@ -204,10 +204,6 @@ class InstallReport:
     def total_seconds(self) -> float:
         return self.finished_at - self.started_at
 
-    @property
-    def total_minutes(self) -> float:
-        return self.total_seconds / 60.0
-
 
 class KickstartInstaller:
     """Builds install-driver processes for machines (Machine.install_driver)."""

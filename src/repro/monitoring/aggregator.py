@@ -13,7 +13,7 @@ packets on the floor, and its view goes uniformly stale.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..netsim import Environment, MulticastGroup
 from ..services.base import Service
@@ -68,10 +68,6 @@ class MetricAggregator(Service):
     def expect(self, host: str) -> None:
         """Register a host whose silence should count as *down*."""
         self._expected[host] = None
-
-    def expect_hosts(self, hosts: Iterable[str]) -> None:
-        for host in hosts:
-            self.expect(host)
 
     def expected_hosts(self) -> list[str]:
         return list(self._expected)

@@ -238,9 +238,6 @@ class AlertEngine:
         self._active: dict[tuple[str, str], Alert] = {}
         self.evaluations = 0
 
-    def add_rule(self, rule: AlertRule) -> None:
-        self.rules.append(rule)
-
     def evaluate(self, agg, now: float) -> list[Alert]:
         """Run every rule against the aggregator; returns newly fired."""
         self.evaluations += 1

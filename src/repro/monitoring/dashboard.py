@@ -18,10 +18,6 @@ from .aggregator import MetricAggregator
 __all__ = ["render_cluster_top", "to_ganglia_xml"]
 
 
-def _fmt_age(age: float) -> str:
-    return "never" if age == float("inf") else f"{age:.0f}s"
-
-
 def _host_row(agg: MetricAggregator, host: str) -> str:
     packet = agg.last_packet(host)
     if packet is None:

@@ -15,9 +15,10 @@ disappearing.  This module is that model in memory:
   equal what the raw samples would have produced directly;
 * rings overwrite oldest-first once full (that is the "round-robin").
 
-Export is deliberately boring JSON — sorted keys, compact separators —
-so two same-seed runs produce **byte-identical** files; the determinism
-test suite diffs them raw.
+:meth:`RoundRobinStore.export` is a plain dict of sorted series, which
+the monitoring stack writes as canonical JSON, so two same-seed runs
+produce **byte-identical** files; the determinism test suite diffs them
+raw.
 
 A series must be explicitly :meth:`~RoundRobinSeries.close`\\ d (or the
 store's :meth:`~RoundRobinStore.close_all` called) before export, which
@@ -27,7 +28,6 @@ handle is the RK205 lint smell: such a series can never be fed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -151,26 +151,6 @@ class RoundRobinSeries:
     #: so memory stays bounded even on a series nobody ever reads.
     _FOLD_CHUNK = 1024
 
-    def record(self, t: float, value: float) -> None:
-        """Append one raw sample; simulated time must not go backwards.
-
-        This is the monitoring stack's hottest call (every metric of
-        every gmond packet lands here), so it only buffers: samples are
-        folded into the rings in batches, on read or on close.
-        """
-        if self.closed:
-            raise RuntimeError(f"series {self.name!r} is closed")
-        if self.last_t is not None and t < self.last_t:
-            raise ValueError(
-                f"series {self.name!r}: sample at t={t} after t={self.last_t}"
-            )
-        self.n_samples += 1
-        self.last_t = t
-        self.last_value = value
-        self._pending.append((t, value))
-        if len(self._pending) >= self._FOLD_CHUNK:
-            self._fold()
-
     def _fold(self) -> None:
         """Drain buffered samples through the rings (exact, in order)."""
         pending = self._pending
@@ -279,11 +259,12 @@ def feed_series(series_list, t: float, values) -> None:
 
     The aggregator calls this once per gmond packet with the cached
     series (one per metric, in packet order) and the packet's
-    ``(name, value)`` tuples.  It is :meth:`RoundRobinSeries.record`
-    minus the per-sample monotonicity check — multicast delivery is
-    synchronous, so an aggregator's feed can never go backwards in
-    time — and minus one Python frame per metric, which is the
-    difference between monitoring costing percents and costing noise.
+    ``(name, value)`` tuples.  It only buffers: samples are folded into
+    the rings in batches, on read or on close.  There is no per-sample
+    monotonicity check — multicast delivery is synchronous, so an
+    aggregator's feed can never go backwards in time — and no Python
+    frame per metric, which is the difference between monitoring
+    costing percents and costing noise.
     """
     for series, (_, value) in zip(series_list, values):
         if series.closed:
@@ -308,17 +289,15 @@ class RoundRobinStore:
     def open_series(self, name: str) -> RoundRobinSeries:
         """The series called ``name``, created on first open.
 
-        Keep the handle (or use :meth:`record`): an opened-and-discarded
-        series can never receive samples — the RK205 lint flags that.
+        Keep the handle and feed it with :func:`feed_series`: an
+        opened-and-discarded series can never receive samples — the
+        RK205 lint flags that.
         """
         series = self._series.get(name)
         if series is None:
             series = RoundRobinSeries(name, self.resolutions)
             self._series[name] = series
         return series
-
-    def record(self, name: str, t: float, value: float) -> None:
-        self.open_series(name).record(t, value)
 
     def get(self, name: str) -> Optional[RoundRobinSeries]:
         return self._series.get(name)
@@ -349,15 +328,3 @@ class RoundRobinStore:
                 for name in sorted(self._series)
             },
         }
-
-    def export_json(self) -> str:
-        """Canonical JSON: byte-identical across same-seed runs."""
-        return json.dumps(self.export(), sort_keys=True,
-                          separators=(",", ":")) + "\n"
-
-    def write(self, path) -> int:
-        """Write the JSON export to ``path``; returns bytes written."""
-        text = self.export_json()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        return len(text.encode("utf-8"))

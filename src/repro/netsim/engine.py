@@ -442,38 +442,6 @@ class Environment:
             slot.callbacks.append(lambda _ev, due=due: self._slots.pop(due, None))
         return slot
 
-    def timeout_batch(self, delays: Iterable[float], value: Any = None) -> list[Timeout]:
-        """Create many timeouts with one bulk heap operation.
-
-        Scheduling k timers one by one costs k sifts of an ever-growing
-        heap; batching appends them all and re-heapifies once, which is
-        what mass per-node bootstrap (10k staggered first wakeups) wants.
-        Semantically identical to ``[env.timeout(d) for d in delays]``,
-        including the order in which sequence numbers are assigned.
-        """
-        out: list[Timeout] = []
-        entries: list[tuple[float, int, Event]] = []
-        now = self._now
-        for delay in delays:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay: {delay!r}")
-            tout = Timeout.__new__(Timeout)
-            Event.__init__(tout, self)
-            tout.delay = delay
-            tout._triggered = True
-            tout._value = value
-            tout._scheduled = True
-            entries.append((now + delay, next(self._seq), tout))
-            out.append(tout)
-        queue = self._queue
-        if len(entries) * 4 >= len(queue):
-            queue.extend(entries)
-            heapq.heapify(queue)
-        else:
-            for entry in entries:
-                heapq.heappush(queue, entry)
-        return out
-
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         return Process(self, generator, name=name)
 

@@ -88,12 +88,6 @@ class Network:
         self._hosts[name] = host
         return host
 
-    def detach(self, name: str) -> None:
-        """Administratively remove a host (its in-flight flows abort)."""
-        host = self._hosts.pop(name)
-        host.up = False
-        self._abort_host_flows(host)
-
     def _abort_host_flows(self, host: Host) -> None:
         """Cancel every flow crossing either side of a host's NIC.
 

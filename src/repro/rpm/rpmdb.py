@@ -3,8 +3,8 @@
 Rocks answers "what version of software X do I have on node Y?" by
 construction — a node's software state is fully described by its
 kickstart — but the node still keeps an RPM database, and this module
-models it: install/erase/upgrade with dependency and conflict checks,
-plus ``verify`` which is exactly the consistency question the paper's
+models it: install/erase with dependency and conflict checks, plus
+``verify`` which is exactly the consistency question the paper's
 reinstall philosophy makes unnecessary to ask.
 """
 
@@ -38,7 +38,6 @@ class RpmDatabase:
 
     def __init__(self):
         self._installed: dict[str, Package] = {}
-        self._transactions = 0
 
     # -- queries (rpm -q) --------------------------------------------------
     def __len__(self) -> int:
@@ -57,11 +56,6 @@ class RpmDatabase:
     def installed_names(self) -> list[str]:
         return sorted(self._installed)
 
-    @property
-    def transactions(self) -> int:
-        """Count of completed install/erase operations (for drift studies)."""
-        return self._transactions
-
     def provides(self, dep: Dependency | str) -> list[Package]:
         if isinstance(dep, str):
             dep = Dependency.parse(dep)
@@ -70,7 +64,7 @@ class RpmDatabase:
     def is_satisfied(self, dep: Dependency | str) -> bool:
         return bool(self.provides(dep))
 
-    # -- mutation (rpm -i / -e / -U) ----------------------------------------
+    # -- mutation (rpm -i / -e) ---------------------------------------------
     def install(self, pkg: Package, nodeps: bool = False) -> None:
         """Install one package; requires deps present unless ``nodeps``."""
         if pkg.is_source:
@@ -80,7 +74,7 @@ class RpmDatabase:
             if current.evr == pkg.evr:
                 raise ConflictError(f"{pkg.nevra} is already installed")
             raise ConflictError(
-                f"{pkg.name} already installed at {current.evr}; use upgrade()"
+                f"{pkg.name} already installed at {current.evr}; erase it first"
             )
         if not nodeps:
             missing = [
@@ -102,7 +96,6 @@ class RpmDatabase:
             for victim in list(self.provides(obs)):
                 self._installed.pop(victim.name, None)
         self._installed[pkg.name] = pkg
-        self._transactions += 1
 
     def erase(self, name: str, force: bool = False) -> Package:
         """Remove a package; refuses to break other packages unless forced."""
@@ -121,29 +114,7 @@ class RpmDatabase:
             if broken:
                 raise DependencyError(broken)
         del self._installed[name]
-        self._transactions += 1
         return pkg
-
-    def upgrade(self, pkg: Package) -> Optional[Package]:
-        """``rpm -U``: install, replacing any older build of the name.
-
-        Returns the package that was replaced (None for a fresh install).
-        Downgrades are refused — rocks-dist only moves forward.
-        """
-        current = self._installed.get(pkg.name)
-        if current is not None:
-            if not pkg.newer_than(current):
-                raise ConflictError(
-                    f"{pkg.nevra} is not newer than installed {current.nevra}"
-                )
-            del self._installed[pkg.name]
-        try:
-            self.install(pkg)
-        except RpmError:
-            if current is not None:  # restore on failure
-                self._installed[pkg.name] = current
-            raise
-        return current
 
     # -- verification (rpm -V across the whole set) ---------------------------
     def unsatisfied(self) -> list[str]:
@@ -172,12 +143,6 @@ class RpmDatabase:
             if mine is None or theirs is None or mine.evr != theirs.evr:
                 out[name] = (mine, theirs)
         return out
-
-    def clone_state(self) -> "RpmDatabase":
-        """Snapshot (used to model 'last known good state')."""
-        snap = RpmDatabase()
-        snap._installed = dict(self._installed)
-        return snap
 
     def wipe(self) -> None:
         """Reinstallation: the base OS is soft state; drop everything."""

@@ -24,14 +24,13 @@ __all__ = ["PbsServer", "Job", "JobState", "NodeState", "PbsError"]
 
 
 class PbsError(Exception):
-    """qsub/qdel/pbsnodes misuse."""
+    """qsub/pbsnodes misuse."""
 
 
 class JobState(enum.Enum):
     QUEUED = "Q"
     RUNNING = "R"
     COMPLETE = "C"
-    CANCELLED = "X"
     FAILED = "F"  # a node died under the job
 
 
@@ -100,9 +99,6 @@ class PbsServer:
             raise PbsError(f"node {name} already registered")
         self._nodes[name] = NodeState.FREE
 
-    def unregister_node(self, name: str) -> None:
-        self._nodes.pop(name, None)
-
     def set_node_state(self, name: str, state: NodeState) -> None:
         if name not in self._nodes:
             raise PbsError(f"unknown node {name}")
@@ -116,11 +112,7 @@ class PbsServer:
             n for n, s in self._nodes.items() if state is None or s is state
         )
 
-    def nodes_file(self) -> str:
-        """The PBS ``nodes`` file the cluster DB report generates (§6.4)."""
-        return "\n".join(f"{n} np=1" for n in sorted(self._nodes))
-
-    # -- job management (qsub/qstat/qdel) ----------------------------------------
+    # -- job management (qsub/qstat) ---------------------------------------------
     def qsub(
         self,
         owner: str,
@@ -159,20 +151,6 @@ class PbsServer:
         self.queues[qname].append(job)
         return job
 
-    def qdel(self, job_id: int) -> None:
-        job = self._jobs.get(job_id)
-        if job is None:
-            raise PbsError(f"unknown job {job_id}")
-        if job.state is JobState.RUNNING:
-            self._finish(job, JobState.CANCELLED)
-        elif job.state is JobState.QUEUED:
-            job.state = JobState.CANCELLED
-            for q in self.queues.values():
-                if job in q:
-                    q.remove(job)
-            if job.done is not None and not job.done.triggered:
-                job.done.succeed(job)
-
     def qstat(self, state: Optional[JobState] = None) -> list[Job]:
         return sorted(
             (j for j in self._jobs.values() if state is None or j.state is state),
@@ -184,11 +162,6 @@ class PbsServer:
             return self._jobs[job_id]
         except KeyError:
             raise PbsError(f"unknown job {job_id}") from None
-
-    def add_queue(self, name: str) -> None:
-        if name in self.queues:
-            raise PbsError(f"queue {name} exists")
-        self.queues[name] = []
 
     # -- execution hooks (driven by the scheduler) ------------------------------------
     def start_job(self, job: Job, nodes: list[str]) -> None:

@@ -4,7 +4,7 @@ from .base import Faultable, Service, ServiceError, ServiceState
 from .dhcpd import DhcpBinding, DhcpLease, DhcpServer
 from .httpd import KICKSTART_CGI_PATH, InstallReplicaSet, InstallServer, rpms_prefix
 from .nfs import NfsMount, NfsServer, StaleFileHandle
-from .nis import NisClient, NisDomain, UserAccount
+from .nis import NisDomain, UserAccount
 from .syslogd import Syslog, SyslogMessage
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "NfsMount",
     "NfsServer",
     "StaleFileHandle",
-    "NisClient",
     "NisDomain",
     "UserAccount",
     "Syslog",

@@ -66,9 +66,6 @@ class DhcpServer(Service):
         if config_text:
             self.configure(config_text)
 
-    def binding_for(self, mac: str) -> Optional[DhcpBinding]:
-        return self._bindings.get(mac)
-
     @property
     def n_bindings(self) -> int:
         return len(self._bindings)

@@ -183,11 +183,6 @@ class InstallReplicaSet:
         self.balancer.should_avoid = hook
 
     @property
-    def n_backends(self) -> int:
-        """Backends in the rotation (primary + active replicas)."""
-        return len(self.balancer.servers)
-
-    @property
     def n_replicas(self) -> int:
         return len(self.replicas)
 
@@ -244,10 +239,6 @@ class InstallReplicaSet:
             self._draining.remove(replica)
             reaped.append(replica)
         return reaped
-
-    @property
-    def draining(self) -> list[InstallServer]:
-        return list(self._draining)
 
     # -- InstallSource protocol --------------------------------------------
     def fetch_kickstart(self, client: str, parent=None) -> Generator:

@@ -48,10 +48,6 @@ class NfsServer(Service):
     def exports(self) -> list[str]:
         return sorted(self._exports)
 
-    def etab(self) -> str:
-        """The /etc/exports view."""
-        return "\n".join(f"{p} *(rw,no_root_squash)" for p in self.exports())
-
     # -- server-side IO -------------------------------------------------------
     def _read(self, export: str, name: str) -> bytes:
         if self.state is not self.state.RUNNING:
@@ -83,7 +79,7 @@ class NfsServer(Service):
         return m
 
     def mounted_clients(self) -> list[str]:
-        return sorted({m.client_host for m in self._mounts if m.active})
+        return sorted({m.client_host for m in self._mounts})
 
     def affected_by_failure(self) -> list[str]:
         """Clients that would hang right now — the common-mode blast radius."""
@@ -100,25 +96,9 @@ class NfsMount:
         self.client_host = client_host
         self.export = export
         self.mountpoint = mountpoint
-        self.active = True
-
-    def _check(self) -> None:
-        if not self.active:
-            raise ServiceError(f"{self.mountpoint} is not mounted on {self.client_host}")
 
     def write(self, name: str, data: bytes) -> None:
-        self._check()
         self.server._write(self.export, name, data)
 
     def read(self, name: str) -> bytes:
-        self._check()
         return self.server._read(self.export, name)
-
-    def listdir(self) -> list[str]:
-        self._check()
-        if not self.server.running:
-            raise StaleFileHandle(f"NFS server {self.server.host} unavailable")
-        return sorted(self.server._lookup(self.export).files)
-
-    def umount(self) -> None:
-        self.active = False

@@ -2,10 +2,10 @@
 
 "User account configuration (passwords and home directory locations)
 are synchronized from the frontend node to compute nodes with the
-Network Information Service" (§5).  We model the NIS domain as a master
-map on the frontend that bound clients read through — a *dynamic,
-scalable* service in the paper's taxonomy, so reads reflect the master
-immediately (clients hold no stale copy).
+Network Information Service" (§5).  We model the NIS domain as the
+master map on the frontend, read directly — a *dynamic, scalable*
+service in the paper's taxonomy, so reads reflect the master
+immediately (no client holds a stale copy).
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .base import Service, ServiceError
+from .base import Service
 
-__all__ = ["NisDomain", "NisClient", "UserAccount"]
+__all__ = ["NisDomain", "UserAccount"]
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,6 @@ class UserAccount:
     uid: int
     home: str
     shell: str = "/bin/bash"
-
-    def passwd_line(self) -> str:
-        return f"{self.username}:x:{self.uid}:{self.uid}::{self.home}:{self.shell}"
 
 
 class NisDomain(Service):
@@ -48,41 +45,9 @@ class NisDomain(Service):
         self._users[account.username] = account
         self.map_version += 1
 
-    def remove_user(self, username: str) -> None:
-        if username not in self._users:
-            raise KeyError(username)
-        del self._users[username]
-        self.map_version += 1
-
     def lookup(self, username: str) -> Optional[UserAccount]:
         self.require_running()
         return self._users.get(username)
 
-    def passwd_map(self) -> str:
-        self.require_running()
-        return "\n".join(
-            self._users[u].passwd_line() for u in sorted(self._users)
-        )
-
     def __len__(self) -> int:
         return len(self._users)
-
-
-class NisClient(Service):
-    """ypbind on a compute node."""
-
-    def __init__(self, host: str, domain: NisDomain):
-        super().__init__(f"ypbind/{host}")
-        self.host = host
-        self.domain = domain
-
-    def getpwnam(self, username: str) -> UserAccount:
-        """Resolve a user through the bound domain (raises if unbound)."""
-        self.require_running()
-        try:
-            account = self.domain.lookup(username)
-        except ServiceError as err:
-            raise ServiceError(f"NIS lookup failed on {self.host}: {err}") from err
-        if account is None:
-            raise KeyError(f"user {username!r} unknown in domain {self.domain.domain}")
-        return account

@@ -65,11 +65,3 @@ class Syslog(Service):
                 self._subscribers.remove(entry)
 
         return unsubscribe
-
-    def grep(self, needle: str, facility: Optional[str] = None) -> list[SyslogMessage]:
-        """Search the log (what an admin would do with grep)."""
-        return [
-            m
-            for m in self.messages
-            if needle in m.text and (facility is None or m.facility == facility)
-        ]

@@ -131,27 +131,6 @@ def test_sanitized_run_until_cancelled_event_raises():
         env.run(until=stop)
 
 
-def test_sanitized_timeout_batch_ties_are_heap_safe():
-    """Batch entries share due times with singles; perturbed keys must
-    stay mutually comparable (the base class pushes raw int keys)."""
-    env = SanitizedEnvironment(options=SanitizeOptions(seed=11))
-    batch = env.timeout_batch([2.0, 2.0, 2.0], value="b")
-    single = env.timeout(2.0, value="s")
-    seen = []
-
-    def collect(tout):
-        def waiter():
-            value = yield tout
-            seen.append(value)
-        env.process(waiter(), name=f"w{len(seen)}")
-
-    for t in batch + [single]:
-        collect(t)
-    env.run()
-    assert sorted(seen) == ["b", "b", "b", "s"]
-    assert env.now == 2.0
-
-
 def test_dispatch_log_records_labels_and_sites():
     env = SanitizedEnvironment(options=SanitizeOptions(seed=1))
 

@@ -221,6 +221,41 @@ def test_bad_node_count_is_a_usage_error(capsys, argv):
     assert "expected a node count (an integer of at least 1)" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fork", "--nodes", "node[0-7]", "--fanout", "0"],
+    ["fork", "--nodes", "node[0-7]", "--timeout", "0"],
+    ["fork", "--nodes", "node[0-7]", "--retries", "-1"],
+    ["fork", "--nodes", "node[0-7]", "--straggler-interval", "0"],
+    ["fork", "--nodes", "node[0-7]", "--dead", "2"],
+    ["fork", "--nodes", "node[0-7]", "--stragglers", "-1"],
+    ["monitor", "--nodes", "2", "--interval", "0"],
+    ["monitor", "--nodes", "2", "--watch", "0"],
+    ["storm", "--nodes", "2", "--deadline", "-5"],
+], ids=" ".join)
+def test_bad_option_value_is_a_usage_error(capsys, monkeypatch, argv):
+    """A value the command's options refuse is a usage error (exit 2,
+    no traceback), reported before any simulation runs."""
+    import repro.exec
+    import repro.faults
+    import repro.load
+
+    def no_simulation(*_args, **_kwargs):
+        raise AssertionError("a simulation ran")
+
+    monkeypatch.setattr(repro.exec, "ExecLab", no_simulation)
+    monkeypatch.setattr(repro.faults, "chaos_reinstall", no_simulation)
+    monkeypatch.setattr(repro.load, "run_storm", no_simulation)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip()
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("value", ["8", "+8", " 8 "])
 def test_node_count_is_what_int_reads(value):
     """One parse decides what a count is, for plain and campaign flags."""

@@ -6,15 +6,9 @@ from repro.faults import (
     FrontendCrash,
     LinkFlap,
     NodeHang,
-    ServiceFlap,
     chaos_reinstall,
 )
-from repro.resilience import (
-    FrontendResilience,
-    ResilienceOptions,
-    ServiceOutcome,
-    SupervisorPolicy,
-)
+from repro.resilience import FrontendResilience
 
 
 def test_plan_name_is_resolved_and_reseeded():
@@ -64,32 +58,6 @@ def test_frontend_storm_combined_escalation():
     assert result.resilience.verify_recovery()
     frontend = result.resilience.frontend
     assert frontend.recovered_snapshot == result.injector.snapshots[0]
-
-
-def test_service_flap_burns_restart_budget_to_degraded():
-    """A service that keeps dying exhausts the supervisor's budget and is
-    handed off as a typed DEGRADED outcome instead of looping forever."""
-    # The flap (every 5s) out-paces the supervisor: each restart lands
-    # 3s after its probe and is killed 2s later, before the next probe
-    # ever sees the service healthy — so failures never reset and the
-    # budget of 3 drains to a degraded hand-off.
-    plan = FaultPlan(
-        "flappy", (ServiceFlap(at=60.0, service="nfs", times=10,
-                               period=5.0),),
-    )
-    options = ResilienceOptions(
-        supervisor=SupervisorPolicy(probe_interval=10.0, restart_backoff=3.0,
-                                    backoff_factor=1.0, jitter=0.0,
-                                    restart_budget=3),
-        breaker=False,
-    )
-    result = chaos_reinstall(n_nodes=1, plan=plan, resilience=options)
-    report = result.resilience.supervisor_report()
-    assert report.outcomes["nfs"] is ServiceOutcome.DEGRADED
-    assert report.degraded == ["nfs"]
-    assert not result.resilience.verify_recovery()
-    flaps = [r for r in result.injector.log if r.kind == "service-flap"]
-    assert len(flaps) == 10
 
 
 def test_campaign_state_transitions_are_journaled():

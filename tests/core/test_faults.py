@@ -206,7 +206,7 @@ def test_abandoned_nodes_are_powered_off_and_reported():
     victim = sim.nodes[0]
     # unwire the victim's PDU outlet so escalation has nowhere to go
     pdu, outlet = sim.hardware.pdu_for(victim)
-    pdu.unplug(outlet)
+    del pdu._outlets[outlet]
     victim.hang()
     policy = EscalationPolicy(max_attempts=2, attempt_deadline=1500.0,
                               retry_pause=1.0)

@@ -58,10 +58,7 @@ def test_pbs_extra_queues_and_qstat_filters():
     env = Environment()
     pbs = PbsServer(env)
     pbs.register_node("n0")
-    pbs.add_queue("debug")
-    with pytest.raises(PbsError):
-        pbs.add_queue("debug")
-    a = pbs.qsub("u", "a", 1, 10, queue="debug")
+    a = pbs.qsub("u", "a", 1, 10)
     b = pbs.qsub("u", "b", 1, 10)
     pbs.start_job(b, ["n0"])
     assert pbs.qstat(JobState.QUEUED) == [a]

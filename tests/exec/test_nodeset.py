@@ -59,23 +59,14 @@ class TestParsingAndFolding:
 
 class TestSetAlgebra:
     def test_union(self):
-        assert (NodeSet("node[0-4]") | NodeSet("node[3-8]")).fold() == "node[0-8]"
-
-    def test_intersection(self):
-        out = NodeSet("node[0-10]") & NodeSet("node[5-20]")
-        assert out.fold() == "node[5-10]"
-
-    def test_difference(self):
-        out = NodeSet("node[0-10]") - NodeSet("node[3-5]")
-        assert out.fold() == "node[0-2,6-10]"
-
-    def test_xor(self):
-        out = NodeSet("node[0-5]") ^ NodeSet("node[4-8]")
-        assert out.fold() == "node[0-3,6-8]"
+        ns = NodeSet("node[0-4]")
+        ns.update(NodeSet("node[3-8]"))
+        assert ns.fold() == "node[0-8]"
 
     def test_algebra_spans_scalars(self):
-        out = NodeSet("node[0-1],gateway") | NodeSet("gateway,nas")
-        assert out.fold() == "node[0-1],gateway,nas"
+        ns = NodeSet("node[0-1],gateway")
+        ns.update(NodeSet("gateway,nas"))
+        assert ns.fold() == "node[0-1],gateway,nas"
 
     def test_membership(self):
         ns = NodeSet("node[0-99],gateway")

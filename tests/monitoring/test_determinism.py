@@ -40,6 +40,9 @@ def test_chaos_plan_fires_three_distinct_alert_kinds():
 
 def test_export_carries_series_and_alert_log():
     export, _, result = _run("chaos")
+    # canonical form: compact separators, sorted keys, one trailing newline
+    assert export.endswith("}\n")
+    assert ": " not in export and ", " not in export
     doc = json.loads(export)
     assert doc["format"] == "repro-monitor"
     assert doc["packets"]["received"] > 0

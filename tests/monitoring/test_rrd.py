@@ -1,7 +1,5 @@
 """Tests for the round-robin time-series store."""
 
-import json
-
 import pytest
 
 from repro.monitoring import (
@@ -10,8 +8,14 @@ from repro.monitoring import (
     RoundRobinSeries,
     RoundRobinStore,
 )
+from repro.monitoring.rrd import feed_series
 
 TWO_LEVEL = (Resolution(10.0, 4), Resolution(30.0, 4))
+
+
+def feed(series, t, value):
+    """One sample through the aggregator's ingest path."""
+    feed_series([series], t, [(series.name, value)])
 
 
 def test_resolution_validation():
@@ -34,9 +38,9 @@ def test_series_requires_dividing_steps():
 
 def test_samples_bucket_into_finest_ring():
     s = RoundRobinSeries("load", TWO_LEVEL)
-    s.record(1.0, 4.0)
-    s.record(9.0, 2.0)
-    s.record(12.0, 6.0)  # seals bucket 0, opens bucket 10
+    feed(s, 1.0, 4.0)
+    feed(s, 9.0, 2.0)
+    feed(s, 12.0, 6.0)  # seals bucket 0, opens bucket 10
     rows = s.rows(10.0)
     assert rows == [(0.0, 2.0, 6.0, 2.0, 4.0), (10.0, 1.0, 6.0, 6.0, 6.0)]
     assert s.latest() == (12.0, 6.0)
@@ -46,7 +50,7 @@ def test_samples_bucket_into_finest_ring():
 def test_means_and_min_max():
     s = RoundRobinSeries("load", TWO_LEVEL)
     for t, v in [(0.0, 1.0), (5.0, 3.0), (11.0, 10.0)]:
-        s.record(t, v)
+        feed(s, t, v)
     assert s.means(10.0) == [(0.0, 2.0), (10.0, 10.0)]
     first = s.rows(10.0)[0]
     assert first[3] == 1.0 and first[4] == 3.0  # min, max
@@ -56,7 +60,7 @@ def test_cascade_aggregates_exactly():
     s = RoundRobinSeries("x", TWO_LEVEL)
     # two 10 s buckets sealed inside the first 30 s bucket, then move on
     for t in (0.0, 5.0, 10.0, 15.0, 31.0, 61.0):
-        s.record(t, float(t))
+        feed(s, t, float(t))
     s.close()
     coarse = s.rows(30.0)
     # bucket 0 covers t in [0, 30): samples 0, 5, 10, 15
@@ -71,33 +75,24 @@ def test_cascade_aggregates_exactly():
 def test_ring_wraps_oldest_first():
     s = RoundRobinSeries("x", (Resolution(1.0, 3),))
     for t in range(6):
-        s.record(float(t), 1.0)
+        feed(s, float(t), 1.0)
     s.close()
     assert [r[0] for r in s.rows(1.0)] == [3.0, 4.0, 5.0]
 
 
-def test_time_must_not_go_backwards():
-    s = RoundRobinSeries("x", TWO_LEVEL)
-    s.record(10.0, 1.0)
-    with pytest.raises(ValueError):
-        s.record(9.0, 1.0)
-    # equal time is fine (two samples on the same tick)
-    s.record(10.0, 2.0)
-
-
 def test_closed_series_rejects_samples():
     s = RoundRobinSeries("x", TWO_LEVEL)
-    s.record(1.0, 1.0)
+    feed(s, 1.0, 1.0)
     s.close()
     s.close()  # idempotent
     assert s.closed
     with pytest.raises(RuntimeError):
-        s.record(2.0, 1.0)
+        feed(s, 2.0, 1.0)
 
 
 def test_close_flushes_open_buckets_all_the_way_down():
     s = RoundRobinSeries("x", TWO_LEVEL)
-    s.record(3.0, 7.0)
+    feed(s, 3.0, 7.0)
     assert s.rows(30.0) == []  # nothing sealed yet
     s.close()
     assert s.rows(10.0) == [(0.0, 1.0, 7.0, 7.0, 7.0)]
@@ -121,38 +116,26 @@ def test_store_open_series_is_idempotent():
 
 def test_store_record_and_sorted_names():
     store = RoundRobinStore(TWO_LEVEL)
-    store.record("b/load", 1.0, 2.0)
-    store.record("a/load", 1.0, 3.0)
+    feed(store.open_series("b/load"), 1.0, 2.0)
+    feed(store.open_series("a/load"), 1.0, 3.0)
     assert store.series_names() == ["a/load", "b/load"]
 
 
 def test_export_is_canonical_and_stable():
     def build():
         store = RoundRobinStore(TWO_LEVEL)
-        store.record("z/m", 1.0, 5.0)
-        store.record("a/m", 2.0, 7.0)
-        store.record("a/m", 12.0, 1.0)
+        z, a = store.open_series("z/m"), store.open_series("a/m")
+        feed(z, 1.0, 5.0)
+        feed(a, 2.0, 7.0)
+        feed(a, 12.0, 1.0)
         store.close_all()
         return store
 
-    a, b = build().export_json(), build().export_json()
-    assert a == b
-    assert a.endswith("\n")
-    doc = json.loads(a)
+    doc = build().export()
+    assert doc == build().export()
     assert doc["format"] == "repro-rrd"
     assert list(doc["series"]) == ["a/m", "z/m"]
     assert doc["resolutions"][0] == {"step": 10.0, "rows": 4}
-    # canonical form: compact separators, sorted keys
-    assert ": " not in a and ", " not in a
-
-
-def test_store_write_returns_bytes(tmp_path):
-    store = RoundRobinStore(TWO_LEVEL)
-    store.record("a/m", 1.0, 1.0)
-    store.close_all()
-    path = tmp_path / "rrd.json"
-    n = store.write(path)
-    assert n == len(path.read_bytes())
 
 
 def test_default_resolutions_cover_a_campaign():

@@ -428,45 +428,6 @@ def test_run_until_event_cancelled_mid_run_raises():
     assert 100.0 in [entry[0] for entry in env._queue]
 
 
-# -- timeout_batch ----------------------------------------------------------
-
-def test_timeout_batch_matches_individual_timeouts():
-    delays = [3.0, 1.0, 2.0, 1.0, 0.0]
-
-    def world(batch):
-        env = Environment()
-        log = []
-        touts = (
-            env.timeout_batch(delays, value="v")
-            if batch
-            else [env.timeout(d, value="v") for d in delays]
-        )
-        for i, tout in enumerate(touts):
-            tout.callbacks.append(lambda ev, i=i: log.append((env.now, i, ev.value)))
-        env.run()
-        return [(t.delay, t.value) for t in touts], log
-
-    assert world(True) == world(False)  # same delays, same FIFO tie order
-
-
-def test_timeout_batch_bulk_heapify_path():
-    # Large batch vs near-empty queue takes the extend+heapify branch.
-    env = Environment()
-    delays = [float((i * 37) % 100) for i in range(200)]
-    log = []
-    for i, tout in enumerate(env.timeout_batch(delays)):
-        tout.callbacks.append(lambda _ev, i=i: log.append(i))
-    env.run()
-    expected = sorted(range(200), key=lambda i: (delays[i], i))
-    assert log == expected
-
-
-def test_timeout_batch_rejects_negative_delay():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.timeout_batch([1.0, -0.5])
-
-
 # -- slotted timeouts -------------------------------------------------------
 
 def test_slotted_timeout_shares_one_event_per_due_time():

@@ -14,7 +14,7 @@ from repro.rpm import (
 NAMES = ["alpha", "beta", "gamma", "delta", "epsilon"]
 
 op_st = st.tuples(
-    st.sampled_from(["install", "erase", "upgrade"]),
+    st.sampled_from(["install", "erase"]),
     st.sampled_from(NAMES),
     st.integers(min_value=1, max_value=9),  # version component
     st.booleans(),  # add a dependency on the previous name?
@@ -39,8 +39,6 @@ def test_rpmdb_invariants_under_random_operations(ops):
         try:
             if kind == "install":
                 db.install(pkg)
-            elif kind == "upgrade":
-                db.upgrade(pkg)
             else:
                 db.erase(name)
         except (ConflictError, DependencyError, RpmError):
@@ -49,25 +47,3 @@ def test_rpmdb_invariants_under_random_operations(ops):
         assert db.verify(), db.unsatisfied()
         names = db.installed_names()
         assert len(names) == len(set(names))
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    versions=st.lists(
-        st.integers(min_value=0, max_value=30), min_size=2, max_size=10
-    )
-)
-def test_upgrade_sequence_monotone(versions):
-    """A mixed stream of upgrade attempts always leaves the newest
-    accepted build installed, and never moves backwards."""
-    db = RpmDatabase()
-    best = None
-    for v in versions:
-        pkg = Package("kernel", f"2.4.{v}")
-        try:
-            db.upgrade(pkg)
-            assert best is None or v > best
-            best = v
-        except ConflictError:
-            assert best is not None and v <= best
-    assert db.query("kernel").version == f"2.4.{best}"

@@ -69,28 +69,6 @@ def test_start_job_validates_node_count_and_state(pbs):
         server.start_job(job, ["compute-0-0", "compute-0-1"])
 
 
-def test_qdel_running_job_frees_nodes(pbs):
-    env, server = pbs
-    job = server.qsub("u", "runaway", nodes=1, walltime=1e9)
-    server.start_job(job, ["compute-0-0"])
-    server.qdel(job.job_id)
-    assert job.state is JobState.CANCELLED
-    assert server.node_state("compute-0-0") is NodeState.FREE
-
-
-def test_qdel_queued_job(pbs):
-    _, server = pbs
-    job = server.qsub("u", "j", nodes=1, walltime=10)
-    server.qdel(job.job_id)
-    assert job.state is JobState.CANCELLED
-    assert server.queued_jobs() == []
-
-
-def test_nodes_file_format(pbs):
-    _, server = pbs
-    assert server.nodes_file().splitlines()[0] == "compute-0-0 np=1"
-
-
 def test_duplicate_node_registration(pbs):
     _, server = pbs
     with pytest.raises(PbsError):

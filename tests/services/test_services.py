@@ -9,7 +9,6 @@ from repro.services import (
     DhcpServer,
     InstallServer,
     NfsServer,
-    NisClient,
     NisDomain,
     Service,
     ServiceError,
@@ -78,15 +77,6 @@ def test_syslog_unsubscribe():
     assert seen == ["one"]
 
 
-def test_syslog_grep():
-    env = Environment()
-    log = Syslog(env)
-    log.log("dhcpd", "h", "DHCPDISCOVER from aa")
-    log.log("dhcpd", "h", "DHCPACK on 10.1.1.1")
-    assert len(log.grep("DHCPDISCOVER")) == 1
-    assert len(log.grep("DHCP", facility="dhcpd")) == 2
-
-
 def test_syslog_stopped_drops_messages():
     env = Environment()
     log = Syslog(env)
@@ -122,7 +112,8 @@ def test_dhcp_unknown_mac_logged_for_insert_ethers(dhcp):
     _, log, server = dhcp
     assert server.discover("de:ad:be:ef:00:01") is None
     assert server.unknown_macs_seen == ["de:ad:be:ef:00:01"]
-    assert log.grep("DHCPDISCOVER from de:ad:be:ef:00:01")
+    assert any("DHCPDISCOVER from de:ad:be:ef:00:01" in m.text
+               for m in log.messages)
 
 
 def test_dhcp_stopped_raises(dhcp):
@@ -136,24 +127,12 @@ def test_dhcp_rebinding_replaces_table(dhcp):
     _, _, server = dhcp
     server.load_bindings([DhcpBinding("m1", "10.0.0.1", "a")])
     server.load_bindings([DhcpBinding("m2", "10.0.0.2", "b")], config_text="v2")
-    assert server.binding_for("m1") is None
-    assert server.binding_for("m2").hostname == "b"
+    assert server.discover("m1") is None
+    assert server.discover("m2").hostname == "b"
     assert server.config_generation == 1
 
 
 # -- NIS ---------------------------------------------------------------------------
-
-
-def test_nis_sync_is_immediate():
-    domain = NisDomain("rocks")
-    domain.start()
-    client = NisClient("compute-0-0", domain)
-    client.start()
-    domain.add_user(UserAccount("bruno", 500, "/home/bruno"))
-    assert client.getpwnam("bruno").uid == 500
-    domain.remove_user("bruno")
-    with pytest.raises(KeyError):
-        client.getpwnam("bruno")
 
 
 def test_nis_duplicate_user_and_uid_rejected():
@@ -165,23 +144,11 @@ def test_nis_duplicate_user_and_uid_rejected():
         domain.add_user(UserAccount("b", 500, "/home/b"))
 
 
-def test_nis_passwd_map_sorted():
-    domain = NisDomain("rocks")
-    domain.start()
-    domain.add_user(UserAccount("zoe", 502, "/home/zoe"))
-    domain.add_user(UserAccount("amy", 501, "/home/amy"))
-    lines = domain.passwd_map().splitlines()
-    assert lines[0].startswith("amy:")
-    assert lines[1].startswith("zoe:")
-
-
 def test_nis_down_domain_fails_lookup():
     domain = NisDomain("rocks")
     domain.add_user(UserAccount("a", 500, "/home/a"))
-    client = NisClient("c0", domain)
-    client.start()
     with pytest.raises(ServiceError):
-        client.getpwnam("a")
+        domain.lookup("a")
 
 
 # -- NFS ------------------------------------------------------------------------------
@@ -194,7 +161,6 @@ def test_nfs_mount_read_write():
     m = nfs.mount("compute-0-0", "/home", "/home")
     m.write("results.dat", b"42")
     assert m.read("results.dat") == b"42"
-    assert m.listdir() == ["results.dat"]
 
 
 def test_nfs_shared_across_clients():
@@ -240,27 +206,6 @@ def test_nfs_missing_file():
     m = nfs.mount("c", "/home", "/home")
     with pytest.raises(FileNotFoundError):
         m.read("ghost")
-
-
-def test_nfs_umount_blocks_io():
-    nfs = NfsServer("f")
-    nfs.start()
-    nfs.export("/home")
-    m = nfs.mount("c", "/home", "/home")
-    m.umount()
-    with pytest.raises(ServiceError):
-        m.read("x")
-    assert nfs.mounted_clients() == []
-
-
-def test_nfs_etab_format():
-    nfs = NfsServer("f")
-    nfs.export("/home")
-    nfs.export("/export/apps")
-    assert nfs.etab().splitlines() == [
-        "/export/apps *(rw,no_root_squash)",
-        "/home *(rw,no_root_squash)",
-    ]
 
 
 # -- install server --------------------------------------------------------------------
