@@ -14,7 +14,8 @@ hardened-but-fixed-capacity baseline — and gates on the headline claim:
 The SLO trajectory (p99 install-HTTP latency, shed counts,
 time-to-stable, the scale-event timeline) is canonical JSON —
 byte-identical for the same seed — and ``--record`` writes it to
-``BENCH_serving.json``.
+``BENCH_serving.json``; a bench checks the two runs still reproduce
+that file byte for byte.
 
 Run standalone for a narrated report at the 64 nodes the claim is made
 for (CI runs exactly this)::
@@ -24,11 +25,16 @@ for (CI runs exactly this)::
 
 from __future__ import annotations
 
+import os
+
 from helpers import print_rows
 from repro.load import StormOptions, run_storm, slo_json
 
 STORM_NODES = 64
 SEED = 42
+BENCH_PATH = os.path.join(
+    os.path.dirname(__file__), os.pardir, "BENCH_serving.json"
+)
 
 _cache: dict = {}
 
@@ -90,6 +96,15 @@ def bench_storm_baseline_stalls_or_2x(benchmark):
         ("frontend", "stable", "time-to-stable", "shed", "p99 (s)"),
         [_row(auto, "autoscaled"), _row(base, "baseline")],
     )
+
+
+def bench_storm_trajectory_matches_committed(benchmark):
+    """Both 64-node runs reproduce the committed BENCH_serving.json."""
+    payload = benchmark.pedantic(
+        lambda: slo_json(trajectory(STORM_NODES)), rounds=1, iterations=1
+    )
+    with open(BENCH_PATH) as fh:
+        assert payload == fh.read()
 
 
 def _row(result, label):

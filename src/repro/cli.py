@@ -415,7 +415,13 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def _cmd_fork(args: argparse.Namespace) -> int:
-    from .exec import ExecLab, ExecOptions, LabOptions, NodeSet
+    from .exec import (
+        ExecLab,
+        ExecOptions,
+        LabOptions,
+        NodeSet,
+        NodeSetParseError,
+    )
 
     targets = args.nodes
     if "@" in targets:
@@ -424,10 +430,16 @@ def _cmd_fork(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         size = args.size
+        nodes = None  # groups resolve against the lab
     else:
         # size the lab from the positional node[...] target set itself
+        try:
+            nodes = NodeSet(targets)
+        except NodeSetParseError as exc:
+            print(f"fork: {exc}", file=sys.stderr)
+            return 2
         indices = []
-        for name in NodeSet(targets):
+        for name in nodes:
             if not (name.startswith("node") and name[4:].isdigit()):
                 print(f"fork: lab targets must look like node<i>, got {name!r}",
                       file=sys.stderr)
@@ -453,7 +465,14 @@ def _cmd_fork(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"fork: {exc}", file=sys.stderr)
         return 2
-    report = ExecLab(lab_options).run(targets, exec_options=exec_options)
+    lab = ExecLab(lab_options)
+    if nodes is None:
+        try:
+            nodes = NodeSet(targets, resolver=lab.resolver)
+        except NodeSetParseError as exc:
+            print(f"fork: {exc}", file=sys.stderr)
+            return 2
+    report = lab.run(nodes, exec_options=exec_options)
     print(report.render())
     return 0
 

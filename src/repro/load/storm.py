@@ -17,7 +17,9 @@ the loop with a gauge-driven
 The output is an SLO report — p99 install-HTTP latency, shed counts,
 and time-to-stable-cluster — serialised as canonical JSON so the same
 seed always produces a byte-identical artifact; the ``storm`` row of
-the scenario manifest pins it.
+the scenario manifest pins it.  The report's HTTP numbers come from a
+:class:`~repro.netsim.RequestLog` the install servers fill, not from a
+tracer: the storm runs untraced unless the caller passes one.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from typing import Optional
 
 from ..cluster import MachineState
 from ..installer import DEFAULT_CALIBRATION, InstallCalibration
-from ..netsim import AdmissionConfig, AllOf, AnyOf, Interrupt
+from ..netsim import AdmissionConfig, AllOf, AnyOf, Interrupt, RequestLog
 from ..quickbuild import RocksCluster, build_cluster
 from ..services.httpd import InstallReplicaSet
-from ..telemetry import Tracer
+from ..telemetry import NullTracer, Tracer
 
 __all__ = ["StormOptions", "StormResult", "run_storm", "slo_json"]
 
@@ -83,7 +85,8 @@ class StormResult:
 
     options: StormOptions
     sim: RocksCluster
-    tracer: Tracer
+    #: the caller's tracer, or the environment's NULL_TRACER without one
+    tracer: Tracer | NullTracer
     report: dict
     injector: object
     resilience: object
@@ -177,7 +180,11 @@ def run_storm(
     calibration: InstallCalibration = DEFAULT_CALIBRATION,
     tracer: Optional[Tracer] = None,
 ) -> StormResult:
-    """Replay the power-restore storm; returns the result + SLO report."""
+    """Replay the power-restore storm; returns the result + SLO report.
+
+    Without a ``tracer`` the run records no telemetry: the SLO report
+    reads the install servers' request log either way.
+    """
     from ..faults import FaultInjector, FaultPlan, PowerRestore, SitePowerFailure
     from ..monitoring import MonitoringOptions, enable_cluster_monitoring
     from ..resilience import (
@@ -188,7 +195,6 @@ def run_storm(
     )
 
     opts = options or StormOptions()
-    tracer = Tracer() if tracer is None else tracer
     cal = dataclasses.replace(
         calibration, dhcp_stagger_seconds=opts.dhcp_stagger
     )
@@ -196,9 +202,12 @@ def run_storm(
         n_compute=opts.n_nodes, calibration=cal, seed=opts.seed, tracer=tracer
     )
     env = sim.env
+    tracer = env.tracer
     frontend = sim.frontend
     sim.integrate_all()
     t_integrated = env.now
+    # The herd's requests: replicas share the primary's log.
+    log = frontend.install_server.http.log = RequestLog()
 
     # Replica set first, so the breaker layer wraps the *balanced* source
     # and installs its per-backend avoidance hook on the balancer.
@@ -271,7 +280,7 @@ def run_storm(
     )
 
     report = _slo_report(
-        opts, sim, tracer, t_restore, stable, t_stable, autoscaler
+        opts, sim, log, t_restore, stable, t_stable, autoscaler
     )
     return StormResult(
         options=opts,
@@ -289,25 +298,19 @@ def run_storm(
 def _slo_report(
     opts: StormOptions,
     sim: RocksCluster,
-    tracer: Tracer,
+    log: RequestLog,
     t_restore: float,
     stable: bool,
     t_stable: Optional[float],
     autoscaler,
 ) -> dict:
-    """Reduce the run's telemetry to the SLO numbers, canonically."""
+    """Reduce the run's request log to the SLO numbers, canonically."""
     from ..telemetry.summary import percentile
 
     env = sim.env
-    # Install-HTTP latency: completed http spans from the herd (post-restore).
-    durations = [
-        span.duration
-        for span in tracer.spans("http")
-        if span.t1 is not None and span.t0 >= t_restore
-    ]
-    rejects = [
-        e["t"] for e in tracer.events("http-reject") if e["t"] >= t_restore
-    ]
+    # Install-HTTP latency: ended requests from the herd (post-restore).
+    durations = [t1 - t0 for t0, t1 in log.requests if t0 >= t_restore]
+    rejects = [t for t in log.rejects if t >= t_restore]
     completed = len(durations)
     shed = len(rejects)
     nodes_up = sum(

@@ -25,6 +25,7 @@ from .http import (
     HttpResponse,
     HttpServer,
     LoadBalancer,
+    RequestLog,
 )
 from .topology import (
     FAST_ETHERNET,
@@ -56,6 +57,7 @@ __all__ = [
     "HttpResponse",
     "HttpServer",
     "LoadBalancer",
+    "RequestLog",
     "DEFAULT_HTTP_EFFICIENCY",
     "Host",
     "HostDown",

@@ -31,6 +31,7 @@ __all__ = [
     "HttpResponse",
     "HttpError",
     "AdmissionConfig",
+    "RequestLog",
     "LoadBalancer",
     "DEFAULT_HTTP_EFFICIENCY",
 ]
@@ -115,6 +116,23 @@ class HttpResponse:
     checksum: str = ""
 
 
+class RequestLog:
+    """The times of the requests one or more :class:`HttpServer` saw.
+
+    ``requests`` holds ``(t0, t1)`` for every GET that ended (served,
+    failed, reset or aborted): the interval of its ``http`` span.
+    ``rejects`` holds the time of every request admission control shed:
+    the ``t`` of its ``http-reject`` event.  A server records into the
+    log attached as its ``log``, traced or not, and nothing without one.
+    """
+
+    __slots__ = ("requests", "rejects")
+
+    def __init__(self) -> None:
+        self.requests: list[tuple[float, float]] = []
+        self.rejects: list[float] = []
+
+
 CgiHandler = Callable[[str, str], tuple[Any, float]]
 """CGI callable: (client_host_name, path) -> (body, body_size_bytes)."""
 
@@ -143,6 +161,8 @@ class HttpServer:
         #: served and shed totals ("requests", "bytes", "rejected",
         #: "queue_timeouts"), exported as ``http.<key>/<host>`` counters
         self._totals = network.env.tracer.metrics.totals("http.", f"/{host}")
+        #: where each request's times go, when one is attached
+        self.log: Optional[RequestLog] = None
         self.running = True
         self.admission: Optional[AdmissionConfig] = None
         self._in_flight = 0
@@ -258,14 +278,20 @@ class HttpServer:
         and everything under it — parents on the caller.
         """
         path = self._norm(path)
-        tracer = self.network.env.tracer
+        env = self.network.env
+        log = self.log
+        t0 = env.now if log is not None else 0.0
         span = (
-            tracer.span("http", path, parent=parent,
-                        client=client, server=self.host)
-            if tracer.enabled
+            env.tracer.span("http", path, parent=parent,
+                            client=client, server=self.host)
+            if env.tracer.enabled
             else None
         )
         admitted = False
+        # How the request ended, set on the way out; the one exit below
+        # closes the span and logs the request.  Any other exception
+        # leaves the span open and the request unlogged.
+        outcome: Optional[str] = None
         try:
             try:
                 if not self.running:
@@ -294,8 +320,7 @@ class HttpServer:
                         404, f"{path} not found on {self.host}", server=self.host
                     )
             except HttpError as err:
-                if span is not None:
-                    span.end(outcome="error", status=err.status)
+                outcome, status = "error", err.status
                 raise
             wire_path = self.network.path(self.host, client)
             flow = self.network.flows.transfer(
@@ -308,27 +333,36 @@ class HttpServer:
             try:
                 yield flow.done
             except Interrupt:
-                # The requesting process was interrupted (its node
-                # power-cycled, or its download deadline passed): tear the
-                # connection down so bandwidth is freed immediately.
+                # Tear the connection down so bandwidth is freed at once.
                 flow.cancel()
-                if span is not None:
-                    span.end(outcome="aborted")
                 raise
             except BaseException:
                 # Connection reset from the transfer side (cancelled flow).
-                if span is not None:
-                    span.end(outcome="reset")
+                outcome = "reset"
                 raise
             totals = self._totals
             totals["requests"] = totals.get("requests", 0) + 1
             totals["bytes"] = totals.get("bytes", 0.0) + size
-            if span is not None:
-                span.end(outcome="ok", status=200, bytes=float(size))
+            outcome = "ok"
             return HttpResponse(200, path, size, body=body, server=self.host)
+        except Interrupt:
+            # The requesting process was interrupted (its node
+            # power-cycled, or its download deadline passed), in the
+            # accept queue or mid-transfer.
+            outcome = "aborted"
+            raise
         finally:
             if admitted:
                 self._release()
+            if span is not None and outcome is not None:
+                if outcome == "ok":
+                    span.end(outcome="ok", status=200, bytes=float(size))
+                elif outcome == "error":
+                    span.end(outcome="error", status=status)
+                else:
+                    span.end(outcome=outcome)
+            if log is not None and outcome is not None:
+                log.requests.append((t0, env.now))
 
     # -- admission control --------------------------------------------------
     def _admit(self, client: str, path: str, span=None):
@@ -410,9 +444,11 @@ class HttpServer:
 
     def _reject(self, client: str, path: str, cause: str,
                 reason: str) -> HttpError:
-        """Count one shed request, trace it, and build its 503."""
+        """Count one shed request, log and trace it, and build its 503."""
         self._totals["rejected"] = self.rejected + 1
         tracer = self.network.env.tracer
+        if self.log is not None:
+            self.log.rejects.append(self.network.env.now)
         if tracer.enabled:
             tracer.event(
                 "http-reject", path, client=client, server=self.host,

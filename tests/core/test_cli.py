@@ -228,6 +228,7 @@ def test_bad_node_count_is_a_usage_error(capsys, argv):
     ["fork", "--nodes", "node[0-7]", "--straggler-interval", "0"],
     ["fork", "--nodes", "node[0-7]", "--dead", "2"],
     ["fork", "--nodes", "node[0-7]", "--stragglers", "-1"],
+    ["fork", "--nodes", "node[3-1]"],
     ["monitor", "--nodes", "2", "--interval", "0"],
     ["monitor", "--nodes", "2", "--watch", "0"],
     ["storm", "--nodes", "2", "--deadline", "-5"],
@@ -253,6 +254,17 @@ def test_bad_option_value_is_a_usage_error(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip()
+    assert "Traceback" not in captured.err
+
+
+def test_malformed_group_nodeset_is_a_usage_error(capsys):
+    """A nodeset with @groups is parsed against the lab's groups, and a
+    malformed one is a usage error too, not a traceback."""
+    code = main(["fork", "--nodes", "node[3-1],@compute", "--size", "8"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fork: ")
     assert "Traceback" not in captured.err
 
 

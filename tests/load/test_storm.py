@@ -7,6 +7,7 @@ import pytest
 from repro.cluster import MachineState, PowerState
 from repro.faults import PLANS, PowerRestore, SitePowerFailure
 from repro.load import StormOptions, run_storm, slo_json
+from repro.telemetry import NULL_TRACER, Tracer
 
 
 def small_storm(**kw):
@@ -72,6 +73,23 @@ def test_slo_report_is_byte_identical_across_runs():
     payload = json.loads(a)
     assert a == json.dumps(payload, sort_keys=True,
                            separators=(",", ":")) + "\n"
+
+
+def test_untraced_storm_reports_what_the_traced_one_does():
+    """The SLO report reads the request log, not the tracer: a run with
+    no tracer records nothing and reports the same bytes.  This set-up
+    sheds on the primary and on replicas the autoscaler later reaps."""
+    opts = StormOptions(n_nodes=8, seed=42, max_concurrent=2, queue_limit=1)
+    untraced = run_storm(opts)
+    traced = run_storm(opts, tracer=Tracer())
+    assert untraced.slo_json() == traced.slo_json()
+    assert untraced.tracer is NULL_TRACER
+    assert untraced.sim.env.tracer is NULL_TRACER
+    rep = untraced.report
+    assert rep["shed"]["total"] > 0
+    scaler = rep["autoscaler"]
+    assert scaler["peak_replicas"] > scaler["final_replicas"] == 0
+    assert traced.tracer.spans("http")
 
 
 def test_slo_report_shape():

@@ -1,19 +1,25 @@
 """Tests for the topology and HTTP layers."""
 
+from collections import Counter
+
 import pytest
 
 from repro.netsim import (
     FAST_ETHERNET,
     GIGABIT_ETHERNET,
     MBIT,
+    AdmissionConfig,
     Environment,
     HostDown,
     HttpError,
     HttpServer,
+    Interrupt,
     LoadBalancer,
     Network,
+    RequestLog,
     TransferAborted,
 )
+from repro.telemetry import Tracer
 
 
 @pytest.fixture
@@ -372,3 +378,116 @@ def test_load_balancer_skips_do_not_consume_failover_attempts():
     # starts 0,1,2,0 -> 1 + 0 + 2 + 1 skips, none of them dispatched
     assert lb.skips == 4
     assert servers[2].requests_served == 0
+
+
+def make_admitted(n_clients, tracer, **admission):
+    """A traced server with admission control and a request log; a
+    document of ``FAST_ETHERNET`` bytes takes 1 s to serve."""
+    env = Environment()
+    tracer.attach(env)
+    network = Network(env)
+    network.attach("www", FAST_ETHERNET)
+    for i in range(n_clients):
+        network.attach(f"c{i}", FAST_ETHERNET)
+    server = HttpServer(network, "www", efficiency=1.0)
+    server.configure_admission(AdmissionConfig(**admission))
+    server.log = RequestLog()
+    return env, network, server
+
+
+def test_get_interrupted_in_the_accept_queue_closes_its_span():
+    """A GET interrupted while it waits for a slot ends aborted, then."""
+    tracer = Tracer()
+    env, _, server = make_admitted(
+        2, tracer, max_concurrent=1, queue_limit=2
+    )
+    server.publish("/big", FAST_ETHERNET * 5)
+    outcomes = []
+
+    def fetch(client):
+        try:
+            yield from server.get(client, "/big")
+            outcomes.append((client, "ok"))
+        except Interrupt:
+            outcomes.append((client, "interrupted"))
+
+    env.process(fetch("c0"))
+    queued = env.process(fetch("c1"))
+
+    def interrupt_at_1():
+        yield env.timeout(1.0)
+        queued.interrupt("node power-cycled")
+
+    env.process(interrupt_at_1())
+    env.run()
+    assert outcomes == [("c1", "interrupted"), ("c0", "ok")]
+    http = {s.attrs["client"]: s for s in tracer.spans("http")}
+    [queue] = tracer.spans("http-queue")
+    assert (queue.t1, queue.attrs["outcome"]) == (1.0, "aborted")
+    assert (http["c1"].t0, http["c1"].t1) == (0.0, 1.0)
+    assert http["c1"].attrs["outcome"] == "aborted"
+    assert server.log.requests == [(0.0, 1.0), (0.0, 5.0)]
+    assert server.in_flight == server.queue_depth == 0
+
+
+def test_request_log_mirrors_the_http_spans_and_reject_events():
+    """Every way a GET ends is logged exactly as the tracer records it."""
+    tracer = Tracer()
+    env, network, server = make_admitted(
+        10, tracer, max_concurrent=1, queue_limit=1, queue_timeout=5.0
+    )
+    server.publish("/pkg", FAST_ETHERNET)
+    server.publish("/slow", FAST_ETHERNET * 600)
+    network.set_host_up("c9", False)
+    procs = {}
+
+    def get_at(t, client, path):
+        yield env.timeout(t)
+        try:
+            yield from server.get(client, path)
+        except (HttpError, TransferAborted, Interrupt):
+            pass
+
+    def at(t, action):
+        yield env.timeout(t)
+        action()
+
+    def kill():
+        server.running = False
+        server.abort_transfers()
+
+    for t, client, path in [
+        (0.0, "c0", "/pkg"),      # 200 at t=1
+        (0.5, "c9", "/pkg"),      # 504: the client's host is down
+        (1.5, "c1", "/missing"),  # 404
+        (2.0, "c2", "/slow"),     # holds the only slot
+        (3.0, "c3", "/pkg"),      # queued, times out at t=8
+        (4.0, "c4", "/pkg"),      # the queue is full: shed
+        (9.0, "c5", "/pkg"),      # queued, interrupted at t=10
+        (11.0, "c6", "/slow"),    # in transfer, reset by the kill
+        (12.0, "c7", "/pkg"),     # queued, flushed by the kill
+        (14.0, "c8", "/pkg"),     # 503: the server is stopped
+    ]:
+        procs[client] = env.process(get_at(t, client, path))
+    env.process(at(10.0, lambda: procs["c5"].interrupt("power-cycled")))
+    env.process(at(10.5, lambda: procs["c2"].interrupt("deadline")))
+    env.process(at(13.0, kill))
+    env.run()
+
+    spans = tracer.spans("http")
+    assert len(spans) == 10 and all(s.t1 is not None for s in spans)
+    assert Counter(s.attrs["outcome"] for s in spans) == {
+        "ok": 1, "error": 6, "aborted": 2, "reset": 1,
+    }
+    assert sorted(s.attrs.get("status") for s in spans
+                  if s.attrs["outcome"] == "error") == [
+        404, 503, 503, 503, 503, 504,
+    ]
+    assert Counter(server.log.requests) == Counter(
+        (s.t0, s.t1) for s in spans
+    )
+    rejects = tracer.events("http-reject")
+    assert sorted(e["attrs"]["cause"] for e in rejects) == [
+        "connection reset", "queue-full", "queue-timeout",
+    ]
+    assert Counter(server.log.rejects) == Counter(e["t"] for e in rejects)
