@@ -37,7 +37,6 @@ import cProfile
 import gc
 import json
 import os
-import pstats
 import subprocess
 import sys
 import time
@@ -78,7 +77,11 @@ def _count(n_nodes: int, monitored: bool) -> None:
     imported before counting, since imports are not campaign work.  GC
     is pinned off during the count: abandoned generators collected
     mid-run would otherwise execute cleanup frames at arbitrary points
-    and break run-to-run reproducibility of the call count.
+    and break run-to-run reproducibility of the call count.  The count
+    sums the profiler's raw entries: ``pstats`` keys them by
+    ``(file, line, name)`` and keeps one of each colliding group (every
+    dataclass ``__init__`` reads ``<string>:2``), so its total drifts
+    between runs of the same tree.
     """
     import repro.monitoring  # noqa: F401
 
@@ -91,7 +94,7 @@ def _count(n_nodes: int, monitored: bool) -> None:
     finally:
         gc.enable()
     print(json.dumps({
-        "calls": pstats.Stats(prof).total_calls,
+        "calls": sum(entry.callcount for entry in prof.getstats()),
         "nodes": per_node,
         "span": span,
         "packets": stack.aggregator.packets_received if stack else 0,

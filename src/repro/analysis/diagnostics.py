@@ -161,9 +161,6 @@ CODES: dict[str, CodeInfo] = {
                  "iteration over an unordered set in a hot path"),
         CodeInfo("RK204", Severity.WARNING,
                  "telemetry span opened and discarded (never closed)"),
-        CodeInfo("RK205", Severity.WARNING,
-                 "metric series opened and discarded (never recorded or "
-                 "flushed)"),
         CodeInfo("RK206", Severity.WARNING,
                  "unbounded queue construction in a load/netsim hot path"),
         CodeInfo("RK207", Severity.WARNING,

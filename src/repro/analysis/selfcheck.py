@@ -16,10 +16,6 @@ shapes, and each is mechanically detectable in the AST:
 * **RK204** — a telemetry span opened and discarded (``tracer.span(...)``
   as a bare statement): it can never be closed, so it exports with
   ``t1: null`` and poisons duration aggregates;
-* **RK205** — a round-robin metric series opened and discarded
-  (``store.open_series(...)`` as a bare statement): nothing holds the
-  handle, so nothing records into it or closes it, and the monitoring
-  export carries a permanently empty (or never-flushed) series;
 * **RK206** — an unbounded queue constructed in the ``load``/``netsim``/
   ``exec`` packages (``deque()`` with no ``maxlen``, ``Queue()``/
   ``SimpleQueue()`` with no size bound): these hold the request paths
@@ -629,34 +625,6 @@ def check_unparented_spans(ctx: SelfLintContext):
                      "intentional root",
                 call=func.attr,
             )
-
-
-# -- RK205: leaked metric series ------------------------------------------------
-
-
-@register_self("RK205")
-def check_leaked_series(ctx: SelfLintContext):
-    """A bare ``store.open_series(...)`` statement leaks the series.
-
-    ``open_series`` is idempotent-by-name, so a discarded call *can* be
-    a deliberate pre-registration — but every real use either records
-    into the returned handle or keeps it for ``close()``; a bare
-    statement does neither and the export ships a dead series.
-    """
-    for pf in ctx.files:
-        for node in ast.walk(pf.tree):
-            if (isinstance(node, ast.Expr)
-                    and isinstance(node.value, ast.Call)
-                    and isinstance(node.value.func, ast.Attribute)
-                    and node.value.func.attr == "open_series"):
-                yield ctx.diag(
-                    "RK205",
-                    "metric series opened and discarded: nothing records "
-                    "into it or flushes it",
-                    pf, node,
-                    hint="bind the returned RoundRobinSeries and feed "
-                         "it with feed_series()",
-                )
 
 
 # -- RK302: yield-straddling staleness -------------------------------------------

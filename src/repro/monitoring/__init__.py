@@ -10,7 +10,7 @@ package reproduces that architecture on the simulated cluster:
 * :mod:`.agent` — per-node :class:`MetricAgent` publishing
   :class:`MetricPacket`\\ s over simulated UDP multicast, seeded jitter;
 * :mod:`.aggregator` — the frontend :class:`MetricAggregator`: live
-  view, staleness, packet fan-out;
+  view, staleness, one store record per packet;
 * :mod:`.rrd` — :class:`RoundRobinStore`, fixed-size multi-resolution
   rings with min/mean/max cascade and byte-identical JSON export;
 * :mod:`.alerts` — declarative :class:`AlertRule`\\ s edge-detected by

@@ -52,33 +52,17 @@ ExtraSampler = Callable[[Machine], tuple[dict[str, float], dict[str, str]]]
 class MetricPacket:
     """One gmond broadcast: numeric metrics plus string labels.
 
-    Tuples, not dicts, keep the packet hashable and its iteration order
-    fixed; both views are sorted by name at construction so downstream
-    storage order never depends on sampler insertion order.
+    ``metrics`` and ``labels`` are the sampler's own dicts, the one
+    shape a reading has from agent to round-robin store: readers look
+    names up in them, and what prints them sorts where it prints.
     """
 
     host: str        # stable host identity (hostname once assigned)
     addr: str        # network address the packet left from (the MAC)
     t: float         # simulated send time
     seq: int         # per-agent sequence number
-    metrics: tuple[tuple[str, float], ...]
-    labels: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        # Cached lookup maps (not fields: excluded from eq/hash/repr).
-        # The alert engine probes metrics per rule per host per tick, so
-        # lookups must not rescan the tuples.
-        object.__setattr__(self, "_metric_map", dict(self.metrics))
-        object.__setattr__(self, "_label_map", dict(self.labels))
-
-    def metric(self, name: str, default: float = 0.0) -> float:
-        return self._metric_map.get(name, default)
-
-    def has_metric(self, name: str) -> bool:
-        return name in self._metric_map
-
-    def label(self, name: str, default: str = "") -> str:
-        return self._label_map.get(name, default)
+    metrics: dict[str, float]
+    labels: dict[str, str]
 
 
 class MetricAgent:
@@ -158,8 +142,8 @@ class MetricAgent:
             addr=machine.mac,
             t=env.now,
             seq=self._seq,
-            metrics=tuple(sorted(metrics.items())),
-            labels=tuple(sorted(labels.items())),
+            metrics=metrics,
+            labels=labels,
         )
         self._seq += 1
         return packet

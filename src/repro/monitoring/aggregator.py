@@ -18,7 +18,7 @@ from typing import Optional
 from ..netsim import Environment, MulticastGroup
 from ..services.base import Service
 from .agent import MetricPacket
-from .rrd import RoundRobinStore, feed_series
+from .rrd import RoundRobinStore
 
 __all__ = ["MetricAggregator"]
 
@@ -53,10 +53,6 @@ class MetricAggregator(Service):
         self._expected: dict[str, None] = {}
         #: last packet per host, in first-heard order
         self._last: dict[str, MetricPacket] = {}
-        #: series per (host, metric names) — the set of metrics a host
-        #: reports is near-constant, so the receive path skips the name
-        #: formatting and store lookup per metric.
-        self._series_cache: dict[tuple, list] = {}
         group.join(listen_addr, self._receive)
         self.start()
         if engine is not None:
@@ -85,16 +81,7 @@ class MetricAggregator(Service):
             return  # a dead gmetad hears nothing
         self.packets_received += 1
         self._last[packet.host] = packet
-        metrics = packet.metrics
-        key = (packet.host, tuple([name for name, _ in metrics]))
-        series = self._series_cache.get(key)
-        if series is None:
-            series = [
-                self.store.open_series(f"{packet.host}/{name}")
-                for name, _ in metrics
-            ]
-            self._series_cache[key] = series
-        feed_series(series, t, metrics)
+        self.store.record(packet.host, t, packet.metrics)
 
     # -- the live view ------------------------------------------------------
     def last_packet(self, host: str) -> Optional[MetricPacket]:

@@ -18,7 +18,6 @@ frontend service health (service-down).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -100,15 +99,15 @@ class ServiceDownRule(AlertRule):
     def check(self, agg, now: float) -> dict[str, tuple[str, float]]:
         conditions: dict[str, tuple[str, float]] = {}
         for host, packet in agg.snapshot().items():
-            # A packet's metrics are sorted by name, so its ``svc.*``
-            # gauges (only the frontend has any) are one run that starts
-            # where "svc." sorts.
-            metrics = packet.metrics
-            for name, value in metrics[bisect_left(metrics, ("svc.",)):]:
-                if not name.startswith("svc."):
-                    break
-                if value == 0.0:
-                    service = name[len("svc."):]
+            down = []
+            for name, value in packet.metrics.items():
+                # Every host's readings pass here every tick, and only
+                # the frontend has ``svc.*`` gauges: test the value
+                # first, then the prefix without a method call.
+                if value == 0.0 and name[:4] == "svc.":
+                    down.append(name[4:])
+            if down:
+                for service in sorted(down):
                     conditions[f"{host}/{service}"] = (
                         f"service {service} is not running", 0.0
                     )
@@ -136,17 +135,19 @@ class InstallStuckRule(AlertRule):
         conditions: dict[str, tuple[str, float]] = {}
         installing: dict[str, None] = {}
         for host, packet in agg.snapshot().items():
-            if packet.label("state") != "installing":
+            labels = packet.labels
+            if labels.get("state") != "installing":
                 continue
             installing[host] = None
-            token = (packet.label("phase"), packet.metric("install.done_pkgs"))
+            token = (labels.get("phase", ""),
+                     packet.metrics.get("install.done_pkgs", 0.0))
             seen = self._since.get(host)
             if seen is None or seen[0] != token:
                 self._since[host] = (token, packet.t)
                 continue
             stuck_for = now - seen[1]
             if stuck_for > self.threshold:
-                phase = packet.label("phase") or "?"
+                phase = labels.get("phase") or "?"
                 conditions[host] = (
                     f"no progress in phase {phase} for {stuck_for:.0f}s",
                     stuck_for,
@@ -171,9 +172,9 @@ class ShedRateRule(AlertRule):
     def check(self, agg, now: float) -> dict[str, tuple[str, float]]:
         conditions: dict[str, tuple[str, float]] = {}
         for host, packet in agg.snapshot().items():
-            if not packet.has_metric("http.rejected"):
+            total = packet.metrics.get("http.rejected")
+            if total is None:
                 continue
-            total = packet.metric("http.rejected")
             delta = total - self._last.get(host, 0.0)
             self._last[host] = total
             if delta >= self.min_sheds:
@@ -199,7 +200,9 @@ class LinkSaturationRule(AlertRule):
     def check(self, agg, now: float) -> dict[str, tuple[str, float]]:
         conditions: dict[str, tuple[str, float]] = {}
         for host, packet in agg.snapshot().items():
-            util = max(packet.metric("net.tx_util"), packet.metric("net.rx_util"))
+            metrics = packet.metrics
+            util = max(metrics.get("net.tx_util", 0.0),
+                       metrics.get("net.rx_util", 0.0))
             if util >= self.threshold:
                 streak = self._streak.get(host, 0) + 1
             else:

@@ -23,21 +23,22 @@ def _host_row(agg: MetricAggregator, host: str) -> str:
     if packet is None:
         return (f"{host:<16} {'no-contact':<12} {'-':<9} "
                 f"{'-':>9} {'-':>5} {'-':>5} {'-':>4} {'-':>4}")
-    state = packet.label("state")
+    metrics, labels = packet.metrics, packet.labels
+    state = labels.get("state", "")
     if agg.is_stale(host):
         state = f"{state}?"  # last known, but the host has gone quiet
-    phase = packet.label("phase") or "-"
-    if packet.has_metric("install.total_pkgs"):
-        done = packet.metric("install.done_pkgs")
-        total = packet.metric("install.total_pkgs")
-        progress = f"{done:.0f}/{total:.0f}"
+    phase = labels.get("phase") or "-"
+    if "install.total_pkgs" in metrics:
+        done = metrics.get("install.done_pkgs", 0.0)
+        progress = f"{done:.0f}/{metrics['install.total_pkgs']:.0f}"
     else:
         progress = "-"
     return (
         f"{host:<16} {state:<12} {phase:<9} {progress:>9} "
-        f"{packet.metric('load'):>5.0f} {packet.metric('packages'):>5.0f} "
-        f"{100 * packet.metric('net.tx_util'):>4.0f} "
-        f"{100 * packet.metric('net.rx_util'):>4.0f}"
+        f"{metrics.get('load', 0.0):>5.0f} "
+        f"{metrics.get('packages', 0.0):>5.0f} "
+        f"{100 * metrics.get('net.tx_util', 0.0):>4.0f} "
+        f"{100 * metrics.get('net.rx_util', 0.0):>4.0f}"
     )
 
 
@@ -98,12 +99,12 @@ def to_ganglia_xml(
             f'<HOST NAME={quoteattr(host)} IP={quoteattr(packet.addr)} '
             f'REPORTED="{packet.t:.0f}" TN="{now - packet.t:.0f}">'
         )
-        for name, value in packet.metrics:
+        for name, value in sorted(packet.metrics.items()):
             lines.append(
                 f'<METRIC NAME={quoteattr(name)} VAL="{value:g}" '
                 f'TYPE="float" UNITS="" TN="0" SLOPE="both"/>'
             )
-        for name, value in packet.labels:
+        for name, value in sorted(packet.labels.items()):
             lines.append(
                 f'<METRIC NAME={quoteattr(name)} VAL={quoteattr(value)} '
                 f'TYPE="string" UNITS="" TN="0" SLOPE="zero"/>'

@@ -20,10 +20,10 @@ the monitoring stack writes as canonical JSON, so two same-seed runs
 produce **byte-identical** files; the determinism test suite diffs them
 raw.
 
-A series must be explicitly :meth:`~RoundRobinSeries.close`\\ d (or the
-store's :meth:`~RoundRobinStore.close_all` called) before export, which
-seals the in-progress buckets.  Opening a series and discarding the
-handle is the RK205 lint smell: such a series can never be fed.
+The store has one ingest, :meth:`RoundRobinStore.record`: one gmond
+packet's metrics dict per call, buffered per host and folded into the
+rings in batches.  :meth:`~RoundRobinStore.close_all` seals the
+in-progress buckets before export.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "RoundRobinSeries",
     "RoundRobinStore",
     "DEFAULT_RESOLUTIONS",
-    "feed_series",
 ]
 
 
@@ -141,27 +140,23 @@ class RoundRobinSeries:
         self._rings = [_Ring(r.step, r.rows) for r in res]
         self._fine = self._rings[0]
         self._coarser = tuple(self._rings[1:])
-        self._pending: list[tuple[float, float]] = []
         self.n_samples = 0
-        self.last_t: Optional[float] = None
-        self.last_value: Optional[float] = None
         self.closed = False
 
-    #: fold the pending buffer into the rings after this many samples,
-    #: so memory stays bounded even on a series nobody ever reads.
-    _FOLD_CHUNK = 1024
+    def _ingest(self, samples: list[tuple[float, float]]) -> None:
+        """Run ``(t, value)`` samples through the rings (exact, in order).
 
-    def _fold(self) -> None:
-        """Drain buffered samples through the rings (exact, in order)."""
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = []
+        There is no per-sample monotonicity check: multicast delivery is
+        synchronous, so a store's feed can never go backwards in time.
+        """
+        if self.closed:
+            raise RuntimeError(f"series {self.name!r} is closed")
+        self.n_samples += len(samples)
         fine = self._fine
         coarser = self._coarser
         step = fine.step
         cur = fine.open_row
-        for t, value in pending:
+        for t, value in samples:
             bucket = t // step * step
             if cur is None:
                 cur = [bucket, 1.0, value, value, value]
@@ -187,7 +182,6 @@ class RoundRobinSeries:
         """Seal in-progress buckets (cascading) and freeze the series."""
         if self.closed:
             return
-        self._fold()
         # Merging a carried row can itself seal a bucket in the coarser
         # ring, so each ring may hand more than one row downward here.
         carry_rows: list[list[float]] = []
@@ -204,15 +198,8 @@ class RoundRobinSeries:
         self.closed = True
 
     # -- reading ------------------------------------------------------------
-    def latest(self) -> Optional[tuple[float, float]]:
-        """The last raw sample as ``(t, value)``, or None when empty."""
-        if self.last_t is None:
-            return None
-        return (self.last_t, self.last_value)
-
     def rows(self, step: Optional[float] = None) -> list[tuple[float, ...]]:
         """Sealed+open rows of one ring (finest by default), oldest first."""
-        self._fold()
         ring = self._ring_for(step)
         out = [tuple(r) for r in ring.rows]
         if ring.open_row is not None:
@@ -235,7 +222,6 @@ class RoundRobinSeries:
         )
 
     def to_dict(self) -> dict:
-        self._fold()
         return {
             "name": self.name,
             "samples": self.n_samples,
@@ -254,69 +240,76 @@ class RoundRobinSeries:
         return f"RoundRobinSeries({self.name!r}, {self.n_samples} samples)"
 
 
-def feed_series(series_list, t: float, values) -> None:
-    """Batched ingest: one packet's metrics into their series, inlined.
-
-    The aggregator calls this once per gmond packet with the cached
-    series (one per metric, in packet order) and the packet's
-    ``(name, value)`` tuples.  It only buffers: samples are folded into
-    the rings in batches, on read or on close.  There is no per-sample
-    monotonicity check — multicast delivery is synchronous, so an
-    aggregator's feed can never go backwards in time — and no Python
-    frame per metric, which is the difference between monitoring
-    costing percents and costing noise.
-    """
-    for series, (_, value) in zip(series_list, values):
-        if series.closed:
-            raise RuntimeError(f"series {series.name!r} is closed")
-        series.n_samples += 1
-        series.last_t = t
-        series.last_value = value
-        series._pending.append((t, value))
-        # Counter-based fold trigger (no len() call): pending can never
-        # exceed the chunk size because a fold lands at least this often.
-        if series.n_samples % RoundRobinSeries._FOLD_CHUNK == 0:
-            series._fold()
-
-
 class RoundRobinStore:
     """All the cluster's series, keyed ``<host>/<metric>``."""
+
+    #: fold once a host has this many packets buffered, so memory stays
+    #: bounded even on a store nobody reads.
+    _FOLD_PACKETS = 1024
 
     def __init__(self, resolutions: Iterable[Resolution] = DEFAULT_RESOLUTIONS):
         self.resolutions = tuple(resolutions)
         self._series: dict[str, RoundRobinSeries] = {}
+        #: host -> the ``(t, metrics)`` packets not yet folded
+        self._pending: dict[str, list[tuple[float, dict]]] = {}
+        self._closed = False
 
-    def open_series(self, name: str) -> RoundRobinSeries:
-        """The series called ``name``, created on first open.
+    def record(self, host: str, t: float, metrics: dict[str, float]) -> None:
+        """Ingest one packet: ``metrics`` are ``host``'s readings at ``t``.
 
-        Keep the handle and feed it with :func:`feed_series`: an
-        opened-and-discarded series can never receive samples — the
-        RK205 lint flags that.
+        The packet is only buffered; a fold later sends each reading to
+        its ``<host>/<metric>`` series, in arrival order.  ``metrics``
+        is kept, not copied, so it must not change after the call, as a
+        sent packet's readings never do.
         """
-        series = self._series.get(name)
-        if series is None:
-            series = RoundRobinSeries(name, self.resolutions)
-            self._series[name] = series
-        return series
+        if self._closed:
+            raise RuntimeError("the store is closed")
+        packets = self._pending.setdefault(host, [])
+        packets.append((t, metrics))
+        if len(packets) >= self._FOLD_PACKETS:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Drain every buffered packet into its series' rings."""
+        for host, packets in self._pending.items():
+            # every metric the host reported, in first-reported order
+            reported: dict[str, float] = {}
+            for _, metrics in packets:
+                reported.update(metrics)
+            for metric in reported:
+                name = f"{host}/{metric}"
+                series = self._series.get(name)
+                if series is None:
+                    series = self._series[name] = RoundRobinSeries(
+                        name, self.resolutions)
+                series._ingest([(t, metrics[metric]) for t, metrics in packets
+                                if metric in metrics])
+        self._pending = {}
 
     def get(self, name: str) -> Optional[RoundRobinSeries]:
+        self._fold()
         return self._series.get(name)
 
     def series_names(self) -> list[str]:
+        self._fold()
         return sorted(self._series)
 
     @property
     def n_series(self) -> int:
+        self._fold()
         return len(self._series)
 
     def close_all(self) -> None:
-        """Seal every series (flush before export)."""
+        """Seal every series (flush before export); later records raise."""
+        self._fold()
         for series in self._series.values():
             series.close()
+        self._closed = True
 
     # -- deterministic export ------------------------------------------------
     def export(self) -> dict:
         """The whole store as a plain dict (series sorted by name)."""
+        self._fold()
         return {
             "format": "repro-rrd",
             "version": 1,

@@ -100,10 +100,6 @@ class MonitoringStack:
         self.options = options
         self._watch_proc = None
 
-    @property
-    def alerts(self):
-        return self.engine.alerts
-
     def render_top(self, max_alerts: Optional[int] = 10) -> str:
         return render_cluster_top(
             self.aggregator, self.engine, max_alerts=max_alerts

@@ -121,13 +121,12 @@ class Autoscaler:
         frontend_host: str,
         policy: Optional[AutoscalerPolicy] = None,
     ) -> "Autoscaler":
-        """Drive the scaler from the monitoring aggregator's last packet."""
+        """Drive the scaler from the monitoring aggregator's last packet,
+        whose metrics dict it reads in place and never writes."""
 
         def gauges() -> dict:
             packet = aggregator.last_packet(frontend_host)
-            if packet is None:
-                return {}
-            return {name: value for name, value in packet.metrics}
+            return {} if packet is None else packet.metrics
 
         return cls(env, replica_set, gauges, policy=policy)
 

@@ -88,6 +88,17 @@ def _chaos(nodes: int, seed: int, tracer, plan: str = "default") -> str:
     return chaos_reinstall(nodes, plan, seed, tracer=tracer).render() + "\n"
 
 
+def _monitor(nodes: int, seed: int, tracer) -> str:
+    """A monitored campaign under the ``chaos`` plan: the stack's
+    canonical export (RRD series and alert log), its Ganglia XML and
+    cluster-top."""
+    from .faults import chaos_reinstall
+
+    stack = chaos_reinstall(nodes, "chaos", seed, monitoring=True,
+                            tracer=tracer).monitoring
+    return stack.export_json() + stack.render_xml() + stack.render_top()
+
+
 def _fork(nodes: int, seed: int, tracer) -> str:
     """cluster-fork over every lab node, 5% dead and 2% straggling."""
     from .exec import ExecLab, LabOptions
@@ -102,21 +113,30 @@ def _race_fixture(nodes: int, seed: int, tracer) -> str:
     """The sanitizer's positive control, a planted same-tick race: n
     workers wake at t=10, logically concurrent, and both their append
     order and the non-associative float update depend on dispatch order.
+    A tracer records a ``race`` root span with one ``racer`` span per
+    worker.
     """
     from .netsim import Environment
 
     env = Environment()  # ambient sanitize makes this a SanitizedEnvironment
+    if tracer is not None:
+        tracer.attach(env)
+    tracer = env.tracer
     order: list[int] = []
     shared = [0.0]
+    root = tracer.span("race", f"x{nodes}", parent=None)
 
     def worker(i: int):
+        span = tracer.span("racer", f"racer{i}", parent=root)
         yield env.timeout(10.0)
         order.append(i)
         shared[0] = shared[0] * 1.0000001 + i  # order-sensitive
+        span.end()
 
     for i in range(nodes):
         env.process(worker(i), name=f"racer{i}")
     env.run()
+    root.end()
     return repr((order, shared[0])) + "\n"
 
 
@@ -124,6 +144,7 @@ SCENARIOS: dict[str, Scenario] = {
     "chaos": Scenario(8, 0, _chaos),
     "fork": Scenario(512, 42, _fork),
     "gigabit": Scenario(32, 0, partial(_reinstall, change_server=gigabit_nic)),
+    "monitor": Scenario(8, 11, _monitor),
     "race-fixture": Scenario(8, 0, _race_fixture),
     "reinstall": Scenario(8, 0, _reinstall),
     "replicas": Scenario(32, 0, partial(_reinstall, change_server=replicated_servers)),

@@ -40,7 +40,7 @@ def test_code_families():
     config = [c for c in CODES if c.startswith("RK1")]
     determinism = [c for c in CODES if c.startswith("RK2")]
     assert len(config) >= 8
-    assert len(determinism) == 8
+    assert len(determinism) == 7
 
 
 def test_code_info_unknown_raises():

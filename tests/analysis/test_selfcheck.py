@@ -166,30 +166,6 @@ def test_rk204_bound_and_with_forms_are_clean(tmp_path):
     assert analyze_self(ctx) == []
 
 
-# -- RK205: leaked metric series -----------------------------------------------
-
-
-def test_rk205_discarded_series(tmp_path):
-    ctx = make_ctx(tmp_path, {"a.py": """
-        def setup(store):
-            store.open_series("fe/load")
-    """})
-    diags = analyze_self(ctx)
-    assert codes(diags) == ["RK205"]
-    assert "opened and discarded" in diags[0].message
-    assert "feed_series()" in (diags[0].hint or "")
-
-
-def test_rk205_bound_and_recorded_forms_are_clean(tmp_path):
-    ctx = make_ctx(tmp_path, {"a.py": """
-        def setup(store, env):
-            series = store.open_series("fe/load")
-            feed_series([series], env.now, [("load", 1.0)])
-            return store.open_series("fe/cpu")
-    """})
-    assert analyze_self(ctx) == []
-
-
 # -- cross-cutting -------------------------------------------------------------
 
 

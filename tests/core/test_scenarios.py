@@ -108,6 +108,12 @@ def test_trace_exports_a_valid_trace_for_every_scenario(name, tmp_path,
     assert "valid" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_explain_prints_a_critical_path_for_every_scenario(name, capsys):
+    assert main(["explain", name, "--nodes", "2"]) == 0
+    assert capsys.readouterr().out.startswith("critical path: ")
+
+
 def test_fork_cli_reproduces_its_manifest_row(capsys):
     """The ``fork`` verb's seeded 512-node report is the ``fork`` row."""
     assert main(["fork", "--nodes", "node[0-511]", "--fanout", "64",

@@ -23,8 +23,8 @@ def test_every_machine_reports(stack3):
         "frontend-0", "compute-0-0", "compute-0-1", "compute-0-2"
     }
     for host, pkt in snap.items():
-        assert pkt.label("state") == "up"
-        assert pkt.metric("packages") > 100
+        assert pkt.labels["state"] == "up"
+        assert pkt.metrics["packages"] > 100
     assert stack.aggregator.down_hosts() == []
 
 
@@ -42,13 +42,13 @@ def test_packets_feed_the_store(stack3):
 def test_frontend_agent_carries_service_and_http_metrics(stack3):
     sim, stack = stack3
     pkt = stack.aggregator.last_packet("frontend-0")
-    assert pkt.metric("svc.dhcp") == 1.0
-    assert pkt.metric("svc.install") == 1.0
-    assert pkt.metric("svc.nfs") == 1.0
-    assert pkt.has_metric("http.in_flight")
-    assert pkt.has_metric("jobs.queued")
+    assert pkt.metrics["svc.dhcp"] == 1.0
+    assert pkt.metrics["svc.install"] == 1.0
+    assert pkt.metrics["svc.nfs"] == 1.0
+    assert "http.in_flight" in pkt.metrics
+    assert "jobs.queued" in pkt.metrics
     # compute nodes don't have the frontend sampler
-    assert not stack.aggregator.last_packet("compute-0-0").has_metric("svc.dhcp")
+    assert "svc.dhcp" not in stack.aggregator.last_packet("compute-0-0").metrics
 
 
 def test_agents_go_dark_outside_visible_states(stack3):
@@ -72,8 +72,8 @@ def test_installing_node_stays_visible_with_phase(stack3):
     sim.env.run(until=sim.env.now + 400)
     assert node.state is MachineState.INSTALLING
     pkt = stack.aggregator.last_packet("compute-0-0")
-    assert pkt.label("state") == "installing"
-    assert pkt.label("phase") != ""
+    assert pkt.labels["state"] == "installing"
+    assert pkt.labels["phase"] != ""
     assert not stack.aggregator.is_stale("compute-0-0")
 
 
@@ -109,7 +109,7 @@ def test_load_metric_follows_user_processes(stack3):
     sim, stack = stack3
     sim.nodes[0].user_processes.extend(["gamess", "gamess"])
     sim.env.run(until=sim.env.now + stack.options.interval)
-    assert stack.aggregator.last_packet("compute-0-0").metric("load") == 2.0
+    assert stack.aggregator.last_packet("compute-0-0").metrics["load"] == 2.0
 
 
 def test_powered_off_node_goes_stale_then_recovers(stack3):
@@ -151,11 +151,11 @@ def test_legacy_monitor_flags_never_heartbeated_host():
 def test_installs_metric_counts_a_reinstall(stack3):
     sim, stack = stack3
     node = sim.nodes[2]
-    assert stack.aggregator.last_packet("compute-0-2").metric("installs") == 1.0
+    assert stack.aggregator.last_packet("compute-0-2").metrics["installs"] == 1.0
     node.request_reinstall()
     sim.env.run(until=node.wait_for_state(MachineState.UP))
     sim.env.run(until=sim.env.now + 2 * stack.options.interval)
-    assert stack.aggregator.last_packet("compute-0-2").metric("installs") == 2.0
+    assert stack.aggregator.last_packet("compute-0-2").metrics["installs"] == 2.0
 
 
 def test_cluster_top_and_xml_render(stack3):

@@ -22,8 +22,8 @@ def packet(host, t, metrics=(), labels=(), seq=0):
         addr=host,
         t=t,
         seq=seq,
-        metrics=tuple(sorted(metrics)),
-        labels=tuple(sorted(labels)),
+        metrics=dict(metrics),
+        labels=dict(labels),
     )
 
 
@@ -77,6 +77,12 @@ def test_service_down_rule_reads_svc_gauges(agg):
     agg.feed(packet("fe", 10.0, metrics=[("svc.dhcp", 1.0), ("svc.nfs", 0.0)]))
     conditions = ServiceDownRule().check(agg, 10.0)
     assert conditions == {"fe/nfs": ("service nfs is not running", 0.0)}
+
+
+def test_service_down_rule_raises_services_in_name_order(agg):
+    agg.feed(packet("fe", 10.0, metrics=[
+        ("svc.nfs", 0.0), ("load", 0.0), ("svc.dhcp", 0.0), ("svc.x", 1.0)]))
+    assert list(ServiceDownRule().check(agg, 10.0)) == ["fe/dhcp", "fe/nfs"]
 
 
 def test_install_stuck_rule_needs_frozen_progress(agg):

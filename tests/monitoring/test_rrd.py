@@ -8,14 +8,17 @@ from repro.monitoring import (
     RoundRobinSeries,
     RoundRobinStore,
 )
-from repro.monitoring.rrd import feed_series
 
 TWO_LEVEL = (Resolution(10.0, 4), Resolution(30.0, 4))
 
 
-def feed(series, t, value):
-    """One sample through the aggregator's ingest path."""
-    feed_series([series], t, [(series.name, value)])
+def series_of(samples, resolutions=TWO_LEVEL):
+    """The ``h/x`` series after ``(t, value)`` samples went through the
+    store's one ingest, a packet each."""
+    store = RoundRobinStore(resolutions)
+    for t, value in samples:
+        store.record("h", t, {"x": value})
+    return store.get("h/x")
 
 
 def test_resolution_validation():
@@ -37,30 +40,23 @@ def test_series_requires_dividing_steps():
 
 
 def test_samples_bucket_into_finest_ring():
-    s = RoundRobinSeries("load", TWO_LEVEL)
-    feed(s, 1.0, 4.0)
-    feed(s, 9.0, 2.0)
-    feed(s, 12.0, 6.0)  # seals bucket 0, opens bucket 10
+    # the third sample seals bucket 0 and opens bucket 10
+    s = series_of([(1.0, 4.0), (9.0, 2.0), (12.0, 6.0)])
     rows = s.rows(10.0)
     assert rows == [(0.0, 2.0, 6.0, 2.0, 4.0), (10.0, 1.0, 6.0, 6.0, 6.0)]
-    assert s.latest() == (12.0, 6.0)
     assert s.n_samples == 3
 
 
 def test_means_and_min_max():
-    s = RoundRobinSeries("load", TWO_LEVEL)
-    for t, v in [(0.0, 1.0), (5.0, 3.0), (11.0, 10.0)]:
-        feed(s, t, v)
+    s = series_of([(0.0, 1.0), (5.0, 3.0), (11.0, 10.0)])
     assert s.means(10.0) == [(0.0, 2.0), (10.0, 10.0)]
     first = s.rows(10.0)[0]
     assert first[3] == 1.0 and first[4] == 3.0  # min, max
 
 
 def test_cascade_aggregates_exactly():
-    s = RoundRobinSeries("x", TWO_LEVEL)
     # two 10 s buckets sealed inside the first 30 s bucket, then move on
-    for t in (0.0, 5.0, 10.0, 15.0, 31.0, 61.0):
-        feed(s, t, float(t))
+    s = series_of([(t, t) for t in (0.0, 5.0, 10.0, 15.0, 31.0, 61.0)])
     s.close()
     coarse = s.rows(30.0)
     # bucket 0 covers t in [0, 30): samples 0, 5, 10, 15
@@ -73,26 +69,23 @@ def test_cascade_aggregates_exactly():
 
 
 def test_ring_wraps_oldest_first():
-    s = RoundRobinSeries("x", (Resolution(1.0, 3),))
-    for t in range(6):
-        feed(s, float(t), 1.0)
+    s = series_of([(float(t), 1.0) for t in range(6)], (Resolution(1.0, 3),))
     s.close()
     assert [r[0] for r in s.rows(1.0)] == [3.0, 4.0, 5.0]
 
 
 def test_closed_series_rejects_samples():
-    s = RoundRobinSeries("x", TWO_LEVEL)
-    feed(s, 1.0, 1.0)
-    s.close()
-    s.close()  # idempotent
-    assert s.closed
+    store = RoundRobinStore(TWO_LEVEL)
+    store.record("h", 1.0, {"x": 1.0})
+    store.close_all()
+    store.close_all()  # idempotent
+    assert store.get("h/x").closed
     with pytest.raises(RuntimeError):
-        feed(s, 2.0, 1.0)
+        store.record("h", 2.0, {"x": 1.0})
 
 
 def test_close_flushes_open_buckets_all_the_way_down():
-    s = RoundRobinSeries("x", TWO_LEVEL)
-    feed(s, 3.0, 7.0)
+    s = series_of([(3.0, 7.0)])
     assert s.rows(30.0) == []  # nothing sealed yet
     s.close()
     assert s.rows(10.0) == [(0.0, 1.0, 7.0, 7.0, 7.0)]
@@ -105,29 +98,43 @@ def test_unknown_ring_step_raises():
         s.rows(99.0)
 
 
-def test_store_open_series_is_idempotent():
+def test_store_record_makes_one_series_per_host_metric():
     store = RoundRobinStore(TWO_LEVEL)
-    a = store.open_series("fe/load")
-    assert store.open_series("fe/load") is a
-    assert store.get("fe/load") is a
+    store.record("fe", 1.0, {"load": 1.0, "cpu": 0.5})
+    store.record("fe", 2.0, {"load": 2.0})
+    store.record("n1", 2.0, {"load": 4.0})
+    assert store.n_series == 3
+    assert store.get("fe/load").rows(10.0) == [(0.0, 2.0, 3.0, 1.0, 2.0)]
+    assert store.get("fe/cpu").n_samples == 1
     assert store.get("missing") is None
-    assert store.n_series == 1
+    # a read folds what is buffered; later records keep folding in order
+    store.record("fe", 12.0, {"load": 8.0})
+    assert store.get("fe/load").means(10.0) == [(0.0, 1.5), (10.0, 8.0)]
+
+
+def test_store_folds_a_host_once_it_buffers_1024_packets():
+    store = RoundRobinStore(TWO_LEVEL)
+    for i in range(1023):
+        store.record("h", float(i), {"x": 1.0})
+    assert len(store._pending["h"]) == 1023
+    store.record("h", 1023.0, {"x": 1.0})
+    assert store._pending == {}
+    assert store.get("h/x").n_samples == 1024
 
 
 def test_store_record_and_sorted_names():
     store = RoundRobinStore(TWO_LEVEL)
-    feed(store.open_series("b/load"), 1.0, 2.0)
-    feed(store.open_series("a/load"), 1.0, 3.0)
+    store.record("b", 1.0, {"load": 2.0})
+    store.record("a", 1.0, {"load": 3.0})
     assert store.series_names() == ["a/load", "b/load"]
 
 
 def test_export_is_canonical_and_stable():
     def build():
         store = RoundRobinStore(TWO_LEVEL)
-        z, a = store.open_series("z/m"), store.open_series("a/m")
-        feed(z, 1.0, 5.0)
-        feed(a, 2.0, 7.0)
-        feed(a, 12.0, 1.0)
+        store.record("z", 1.0, {"m": 5.0})
+        store.record("a", 2.0, {"m": 7.0})
+        store.record("a", 12.0, {"m": 1.0})
         store.close_all()
         return store
 

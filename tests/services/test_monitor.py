@@ -35,8 +35,8 @@ def test_heartbeats_flow_from_up_nodes(monitored):
     assert set(snap) == {"frontend-0", "compute-0-0", "compute-0-1", "compute-0-2"}
     assert stack.aggregator.packets_received >= 8
     for pkt in snap.values():
-        assert pkt.label("state") == "up"
-        assert pkt.metric("packages") > 100
+        assert pkt.labels["state"] == "up"
+        assert pkt.metrics["packages"] > 100
 
 
 def test_report_is_tabular(monitored):
