@@ -20,6 +20,7 @@ this layer stays independent of the installer above it.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
@@ -92,7 +93,7 @@ class Machine:
         self.mac = mac
         self.name = name  # assigned by insert-ethers for anonymous nodes
         self.boot_times = boot_times
-        self.rng = random.Random((rng_seed, mac).__repr__())
+        self._rng_key = (rng_seed, mac).__repr__()
 
         self.power = PowerState.OFF
         self.state = MachineState.OFF
@@ -123,6 +124,15 @@ class Machine:
         self._state_waiters: list[tuple[MachineState, Any]] = []
         #: callbacks fired as fn(machine, new_state) on every transition
         self.on_state_change: list[Callable[["Machine", MachineState], None]] = []
+
+    @functools.cached_property
+    def rng(self) -> random.Random:
+        """The POST-jitter stream, seeded on first use.
+
+        Only a boot draws from it, and a seeded Mersenne Twister is
+        2.5 KB of state, so a machine that never boots never builds one.
+        """
+        return random.Random(self._rng_key)
 
     # -- identity -----------------------------------------------------------
     @property

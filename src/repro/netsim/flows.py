@@ -22,6 +22,14 @@ linearly, and the earliest completion across all components is tracked
 in a lazy min-heap instead of an O(flows) scan, so completion times can
 still be scheduled exactly and the simulation stays deterministic at
 10k-node scale.
+
+Most components are **symmetric**: every member has the same cap and
+crosses, position by position, either the same link or one with the
+same capacity and flow count.  Table I's installs are: each crosses the
+install server's shared uplink, then its own NIC.  The water fill's
+first round then treats every member alike and freezes them all, so a
+symmetric component gets that one rate in closed form, the same float
+the rounds would give; every other component runs the rounds.
 """
 
 from __future__ import annotations
@@ -210,6 +218,44 @@ def _split(members: dict[Flow, None]) -> None:
                         part.append(other)
         part.sort(key=_flow_seq)
         _Component(dict.fromkeys(part))
+
+
+def _symmetric_increment(active: list[Flow]) -> Optional[float]:
+    """Round 1's increment when that round treats every member alike.
+
+    That holds when every member has the first member's ``max_rate``
+    and path length and, position by position, crosses the first
+    member's own link or one with the same capacity and the same
+    number of flows: a link's share and whether it saturates depend on
+    just those two numbers.  The increment is then the smallest
+    ``capacity / len(link._flows)`` on the first member's path and the
+    members' cap (``inf`` when nothing bounds it).  ``None`` when the
+    component is not symmetric.
+    """
+    first = active[0]
+    cap = first.max_rate
+    path = first.path
+    width = len(path)
+    for f in active:
+        if f.max_rate != cap or len(f.path) != width:
+            return None
+    inc = math.inf if cap is None else cap
+    # One position at a time: measured twice as fast as zipping each
+    # member's path against the first one's.
+    for i, mine in enumerate(path):
+        capacity = mine.capacity
+        n = len(mine._flows)
+        for f in active:
+            link = f.path[i]
+            if link is not mine and (
+                link.capacity != capacity or len(link._flows) != n
+            ):
+                return None
+        if capacity is not None:
+            share = float(capacity) / n
+            if share < inc:
+                inc = share
+    return inc
 
 
 class TransferAborted(Exception):
@@ -590,6 +636,18 @@ class FlowNetwork:
         freezes every flow left ends the fill without updating the
         per-link counts.
 
+        A *symmetric* component skips the rounds, because its first
+        round ends the fill.  :func:`_symmetric_increment` gives that
+        round's increment ``inc``, which raises every member to
+        ``0.0 + inc == inc``.  Then every member reaches the cap, or
+        every member crosses a link that saturates, or none does and the
+        numerical corner freezes them all at ``level`` (Table I's
+        100 Mbit links at 37 or 45 flows are that corner:
+        ``C - (C / k) * k`` exceeds ``_EPS``).  So the rounds end with
+        every member at its ``max_rate`` when ``inc >= max_rate - _EPS``
+        and at ``inc`` otherwise, and the closed form assigns exactly
+        those floats.
+
         ``active`` is the live part of one component snapshot, in
         flow-start order.  It holds every live flow on every link its
         members cross, even after a completion has split the component,
@@ -599,6 +657,16 @@ class FlowNetwork:
         dicts, never hash sets, so nothing downstream can pick up
         hash-seed jitter.
         """
+        inc = _symmetric_increment(active)
+        if inc is not None:
+            cap = active[0].max_rate
+            if cap is not None and inc >= cap - _EPS:
+                for f in active:
+                    f.rate = f.max_rate
+            else:
+                for f in active:
+                    f.rate = inc
+            return
         unfrozen = dict.fromkeys(active)
         headroom: dict[Link, float] = {}
         count: dict[Link, int] = {}  # loaded links only: every n > 0

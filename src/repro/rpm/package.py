@@ -12,6 +12,7 @@ node files compile into).
 from __future__ import annotations
 
 import enum
+import functools
 import zlib
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
@@ -143,13 +144,14 @@ class Package:
         ext = "src.rpm" if self.is_source else f"{self.arch}.rpm"
         return f"{self.name}-{self.version}-{self.release}.{ext}"
 
-    @property
+    @functools.cached_property
     def checksum(self) -> str:
         """Digest of the package payload, as rpm's header MD5 would carry.
 
         Derived from the NEVRA and size so it is stable across processes;
         the installer compares it against what actually arrived to detect
-        corrupted downloads.
+        corrupted downloads.  Every fetch reads it twice, so it is
+        computed once per package (the fields it reads are frozen).
         """
         return f"{zlib.crc32(f'{self.nevra}:{self.size}'.encode()):08x}"
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim import Environment, Flow, FlowNetwork, Link, TransferAborted
+from repro.netsim.flows import _EPS, _symmetric_increment
 
 from .full_recompute import FullRecomputeNetwork
 
@@ -370,3 +371,139 @@ def test_incremental_change_preserves_other_components_rates():
     assert fb.rate == 40.0
     env.run()
     assert fb.finished_at == pytest.approx(25.0)
+
+
+# -- the symmetric closed form against the reference fill --------------------
+
+#: Table I's install path: every node's fetch crosses the install
+#: service's link and the frontend's tx, both shared, then its own rx,
+#: all at 100 Mbit, and anaconda caps it at 7.5 MB/s.
+TABLE1_LINK = 12.5e6
+TABLE1_CAP = 7.5e6
+
+
+def star(k, shared=(TABLE1_LINK, TABLE1_LINK), private=(TABLE1_LINK,)):
+    """Paths for k flows: the shared links, then one private link per
+    capacity in ``private`` (Table I's shape by default)."""
+    def paths():
+        common = tuple(Link(f"shared{j}", c) for j, c in enumerate(shared))
+        return [
+            common + tuple(Link(f"node{i}.{j}", c) for j, c in enumerate(private))
+            for i in range(k)
+        ]
+    return paths
+
+
+def fill_both(paths, max_rates):
+    """Start one flow per path on a FlowNetwork and on the reference.
+
+    ``paths`` builds each network's links: it is called once per
+    network, so the two share no state.  Returns the two flow lists,
+    in start order, after the last start's fill.
+    """
+    out = []
+    for cls in (FlowNetwork, FullRecomputeNetwork):
+        net = cls(Environment())
+        out.append([
+            net.transfer(path, 1e12, max_rate=cap)
+            for path, cap in zip(paths(), max_rates)
+        ])
+    return out
+
+
+def assert_same_rates(flows, oracle):
+    assert [repr(f.rate) for f in flows] == [repr(f.rate) for f in oracle]
+
+
+def twice():
+    service = Link("service", TABLE1_LINK)
+    return [(service, Link(f"node{i}.rx", TABLE1_LINK), service) for i in range(4)]
+
+
+def cap_near_share(k, offset):
+    # Within _EPS of the share, the cap wins whichever side it is on.
+    cap = 100.0 / k + offset
+    return pytest.param(star(k, (100.0,), (100.0,)), [cap] * k, cap,
+                        id=f"cap-share{offset:+g}-{k}")
+
+
+@pytest.mark.parametrize("paths, caps, rate", [
+    *(pytest.param(star(k), [TABLE1_CAP] * k, min(TABLE1_CAP, TABLE1_LINK / k),
+                   id=f"table1-{k}") for k in (1, 2, 11, 37, 45)),
+    pytest.param(star(5), [None] * 5, TABLE1_LINK / 5, id="no-cap"),
+    *(cap_near_share(k, offset) for k in (1, 3, 4) for offset in (5e-10, -5e-10)),
+    pytest.param(star(3, (None,), (None,)), [None] * 3, math.inf, id="no-capacity"),
+    pytest.param(twice, [TABLE1_CAP] * 4, TABLE1_LINK / 4, id="link-twice"),
+])
+def test_symmetric_fill_matches_reference(paths, caps, rate):
+    flows, oracle = fill_both(paths, caps)
+    assert _symmetric_increment(flows) is not None
+    assert_same_rates(flows, oracle)
+    assert [f.rate for f in flows] == [rate] * len(flows)
+
+
+def test_table1_shape_covers_each_round_one_residue():
+    # What a shared link has left after round 1 raises k flows by C/k:
+    # exactly 0, below 0 (k = 11), or above _EPS (k = 37, 45), where no
+    # link saturates and the rounds' numerical corner freezes every flow.
+    def residue(k):
+        return TABLE1_LINK - (TABLE1_LINK / k) * k
+
+    assert residue(2) == 0.0
+    assert residue(11) < 0.0
+    assert residue(37) > _EPS and residue(45) > _EPS
+
+
+def slow_private_link():
+    service = Link("service", TABLE1_LINK)
+    rx = [Link(f"node{i}.rx", TABLE1_LINK) for i in range(3)]
+    return [(service, link) for link in [*rx, Link("slow.rx", 1e6)]]
+
+
+def pair_and_solo():
+    # Same capacity at each position, but two flows share one link there
+    # and the third has its own: round 1 saturates only the shared one.
+    service, pair = Link("service", 100.0), Link("pair", 10.0)
+    return [(service, pair), (service, pair), (service, Link("solo", 10.0))]
+
+
+def longer_path():
+    service = Link("service", 100.0)
+    return [
+        (service, Link("a", 100.0)),
+        (service, Link("b", 100.0), Link("slow", 10.0)),
+    ]
+
+
+@pytest.mark.parametrize("paths, caps, rates", [
+    pytest.param(slow_private_link, [None] * 4,
+                 [(TABLE1_LINK - 1e6) / 3] * 3 + [1e6], id="private-capacity"),
+    pytest.param(pair_and_solo, [None] * 3, [5.0, 5.0, 10.0], id="flow-count"),
+    pytest.param(longer_path, [None] * 2, [90.0, 10.0], id="path-length"),
+    pytest.param(star(3), [TABLE1_CAP, TABLE1_CAP, 1e6], [5.75e6, 5.75e6, 1e6],
+                 id="member-cap"),
+])
+def test_asymmetric_fill_takes_the_rounds(paths, caps, rates):
+    flows, oracle = fill_both(paths, caps)
+    assert _symmetric_increment(flows) is None
+    assert_same_rates(flows, oracle)
+    assert [f.rate for f in flows] == pytest.approx(rates)
+
+
+capacity = st.one_of(st.none(), st.floats(min_value=1e-3, max_value=1e10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(min_value=1, max_value=60),
+    shared=st.lists(capacity, min_size=1, max_size=3),
+    private=st.lists(capacity, max_size=3),
+    cap=capacity,
+)
+def test_random_symmetric_fill_matches_reference(k, shared, private, cap):
+    """k flows that cross the same shared links, then private links of
+    the same capacities, form one symmetric component and fill like the
+    reference."""
+    flows, oracle = fill_both(star(k, shared, private), [cap] * k)
+    assert _symmetric_increment(flows) is not None
+    assert_same_rates(flows, oracle)
