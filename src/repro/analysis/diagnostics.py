@@ -43,10 +43,6 @@ class Severity(enum.Enum):
     WARNING = "warning"
     INFO = "info"
 
-    @property
-    def rank(self) -> int:
-        return {"error": 0, "warning": 1, "info": 2}[self.value]
-
     def __str__(self) -> str:
         return self.value
 

@@ -38,10 +38,6 @@ class Pass:
 
     #: codes this pass may emit (checked against the registry at import)
     codes: tuple[str, ...] = ()
-    name: str = "pass"
-
-    def run(self, ctx: Any) -> Iterable[Diagnostic]:  # pragma: no cover
-        raise NotImplementedError
 
 
 class _FunctionPass(Pass):

@@ -25,8 +25,9 @@ first divergent simulated timestamp.
 
 The default ``Environment()`` path is untouched: sanitization swaps in
 a subclass at construction time, so the unsanitized scheduler and
-dispatch loops carry zero extra instructions (see
-``bench_scaling_10k.py --quick``'s overhead guard).
+dispatch loops carry zero extra instructions (tier-1's
+``test_default_environment_is_untouched`` checks the class, its hot
+methods and its tracer).
 """
 
 from __future__ import annotations

@@ -312,8 +312,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     plan = args.plan
     resilience = args.resilience
     if args.frontend_crash:
-        # The resilience-smoke scenario: crash the frontend mid-wave and
-        # require the hardened stack to recover it.
+        # The frontend-crash recovery scenario: crash the frontend
+        # mid-wave and require the hardened stack to recover it.
         plan = "frontend-crash"
         resilience = True
     n_nodes, targets = args.nodes

@@ -121,10 +121,6 @@ class ClusterHardware:
     def machines(self) -> Iterator[Machine]:
         return iter(self._by_mac.values())
 
-    def address(self, machine: Machine) -> str:
-        """The machine's address on the simulated Ethernet (its MAC)."""
-        return machine.mac
-
     def location(self, machine: Machine) -> Optional[tuple[int, int]]:
         """(rack, rank) of a racked machine, or None."""
         for cab in self.cabinets:
@@ -132,9 +128,6 @@ class ClusterHardware:
             if rank is not None:
                 return (cab.rack, rank)
         return None
-
-    def cabinet(self, rack: int) -> Cabinet:
-        return self.cabinets[rack]
 
     def pdu_for(self, machine: Machine):
         """The PDU/outlet pair feeding a machine, or None if unwired."""

@@ -27,7 +27,7 @@ from typing import Any, Callable, Generator, Optional
 
 from ..netsim import Environment, Interrupt, Process
 from ..rpm import RpmDatabase
-from .hardware import MachineSpec, Nic, NicKind
+from .hardware import MachineSpec, NicKind
 
 __all__ = ["Machine", "PowerState", "MachineState", "Partition", "BootTimes"]
 
@@ -139,10 +139,6 @@ class Machine:
     def hostid(self) -> str:
         """Stable network identity: the hostname once assigned, else the MAC."""
         return self.name or self.mac
-
-    @property
-    def ethernet(self) -> Nic:
-        return self.spec.nics(self.mac)[0]
 
     @property
     def has_myrinet(self) -> bool:

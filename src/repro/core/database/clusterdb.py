@@ -328,6 +328,3 @@ class ClusterDatabase:
             os_dist=r["os_dist"],
             comment=r["comment"],
         )
-
-    def close(self) -> None:
-        self._conn.close()

@@ -72,10 +72,6 @@ class Graph:
     def edges(self) -> tuple[Edge, ...]:
         return tuple(self._edges)
 
-    def nodes(self) -> list[str]:
-        names = {e.frm for e in self._edges} | {e.to for e in self._edges}
-        return sorted(names)
-
     def successors(self, name: str, arch: str = "i386") -> list[str]:
         return [e.to for e in self._edges if e.frm == name and e.applies_to(arch)]
 

@@ -2,7 +2,6 @@
 
 from .campaign import (
     CampaignReport,
-    EscalationPolicy,
     NodeCampaignReport,
     NodeOutcome,
     ReinstallCampaign,
@@ -22,7 +21,6 @@ from .upgrade import QueuedReinstallCampaign, queue_cluster_reinstall
 
 __all__ = [
     "CampaignReport",
-    "EscalationPolicy",
     "NodeCampaignReport",
     "NodeOutcome",
     "ReinstallCampaign",

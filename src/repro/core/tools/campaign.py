@@ -26,7 +26,6 @@ from ..frontend import RocksFrontend
 from .shoot_node import ShootReport, shoot_node
 
 __all__ = [
-    "EscalationPolicy",
     "NodeOutcome",
     "NodeCampaignReport",
     "CampaignReport",
@@ -34,19 +33,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EscalationPolicy:
-    """How hard the supervisor fights for each node."""
-
-    #: total reinstall attempts per node before marking it dead
-    max_attempts: int = 3
-    #: seconds to wait for a node to come back UP per attempt; a §5
-    #: reinstall is 5-10 minutes, so 45 min flags only real casualties
-    attempt_deadline: float = 2700.0
-    #: attempts made over Ethernet before escalating to the PDU
-    ethernet_attempts: int = 1
-    #: pause between attempts on the same node
-    retry_pause: float = 10.0
+# How hard the campaign fights for each node.
+#: total reinstall attempts per node before marking it dead
+MAX_ATTEMPTS = 3
+#: seconds to wait for a node to come back UP per attempt; a §5
+#: reinstall is 5-10 minutes, so 45 min flags only real casualties
+ATTEMPT_DEADLINE = 2700.0
+#: attempts made over Ethernet before escalating to the PDU
+ETHERNET_ATTEMPTS = 1
+#: pause between attempts on the same node
+RETRY_PAUSE = 10.0
 
 
 class NodeOutcome(enum.Enum):
@@ -127,13 +123,8 @@ class CampaignReport:
 class ReinstallCampaign:
     """Drives shoot-node over many nodes, surviving partial failure."""
 
-    def __init__(
-        self,
-        frontend: RocksFrontend,
-        policy: EscalationPolicy = EscalationPolicy(),
-    ):
+    def __init__(self, frontend: RocksFrontend):
         self.frontend = frontend
-        self.policy = policy
 
     def run(self, machines: Sequence[Machine]) -> Process:
         """Supervise a whole campaign; the process yields a CampaignReport."""
@@ -166,7 +157,6 @@ class ReinstallCampaign:
     def _drive(self, machine: Machine, campaign_span=None) -> Generator:
         """One node's escalation ladder: ethernet → retry → PDU → dead."""
         env = self.frontend.env
-        policy = self.policy
         tracer = env.tracer
         t0 = env.now
         span = (
@@ -180,8 +170,8 @@ class ReinstallCampaign:
         # Campaign state lives in app_globals so it survives a frontend
         # crash via the database journal, like any other §6.4 state.
         self.frontend.db.set_global("campaign", machine.hostid, "installing")
-        for attempt in range(1, policy.max_attempts + 1):
-            force_pdu = attempt > policy.ethernet_attempts
+        for attempt in range(1, MAX_ATTEMPTS + 1):
+            force_pdu = attempt > ETHERNET_ATTEMPTS
             if tracer.enabled and force_pdu:
                 tracer.event(
                     "campaign-escalation", machine.hostid, parent=span,
@@ -190,7 +180,7 @@ class ReinstallCampaign:
             report = yield shoot_node(
                 self.frontend,
                 machine,
-                deadline=policy.attempt_deadline,
+                deadline=ATTEMPT_DEADLINE,
                 force_pdu=force_pdu,
                 parent=span,
             )
@@ -222,8 +212,8 @@ class ReinstallCampaign:
                     shoots=shoots,
                 )
             error = report.error
-            if attempt < policy.max_attempts:
-                yield env.timeout(policy.retry_pause)
+            if attempt < MAX_ATTEMPTS:
+                yield env.timeout(RETRY_PAUSE)
         # Out of attempts: power the node down so it stops thrashing the
         # install server, and report it dead for the crash cart.
         machine.power_off()
@@ -233,13 +223,13 @@ class ReinstallCampaign:
         if span is not None:
             span.end(
                 outcome=NodeOutcome.ABANDONED.value,
-                attempts=policy.max_attempts,
+                attempts=MAX_ATTEMPTS,
                 error=str(error or ""),
             )
         return NodeCampaignReport(
             host=machine.hostid,
             outcome=NodeOutcome.ABANDONED,
-            attempts=policy.max_attempts,
+            attempts=MAX_ATTEMPTS,
             methods=methods,
             seconds=env.now - t0,
             error=error,

@@ -10,7 +10,7 @@ directly into the ``UP`` state (no boot path), a seeded selection of
   ``NODE_DEAD``: "host is off");
 * **doomed** nodes — alive at dispatch, killed by a simulated PDU cut
   partway through their command (the mid-run dead-watch path);
-* **stragglers** — healthy but running ``straggler_slowdown`` times
+* **stragglers** — healthy but running ``STRAGGLER_SLOWDOWN`` times
   slower than their peers,
 
 and a default timed command that reports the node's kernel version.
@@ -37,6 +37,12 @@ __all__ = ["LabOptions", "ExecLab"]
 #: cabinet capacity used for the lab's ``@cabinetN`` groups (matches the
 #: 32-node cabinets insert-ethers fills rack by rack)
 _CABINET = 32
+#: how many times slower a straggler runs the command
+STRAGGLER_SLOWDOWN = 10.0
+#: nominal command duration and its per-node jitter fraction
+COMMAND_TIME = 4.0
+COMMAND_JITTER = 0.5
+KERNEL_VERSION = "2.4.14-rocks"
 
 
 @dataclass(frozen=True)
@@ -50,11 +56,6 @@ class LabOptions:
     dead_fraction: float = 0.0
     #: fraction of (healthy) nodes running slow
     straggler_fraction: float = 0.0
-    straggler_slowdown: float = 10.0
-    #: nominal command duration and its per-node jitter fraction
-    command_time: float = 4.0
-    command_jitter: float = 0.5
-    kernel_version: str = "2.4.14-rocks"
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
@@ -63,8 +64,6 @@ class LabOptions:
             raise ValueError("dead_fraction must be in [0, 1)")
         if not 0 <= self.straggler_fraction < 1:
             raise ValueError("straggler_fraction must be in [0, 1)")
-        if self.command_time <= 0 or self.straggler_slowdown < 1:
-            raise ValueError("command_time must be positive, slowdown >= 1")
 
 
 class ExecLab:
@@ -100,8 +99,7 @@ class ExecLab:
         #: lands mid-run for first-wave nodes and pre-dispatch for later
         #: waves — both classify as NODE_DEAD either way
         self.doom_at = {
-            name: 0.25 * options.command_time
-            + rng.random() * options.command_time
+            name: 0.25 * COMMAND_TIME + rng.random() * COMMAND_TIME
             for name in self.doomed
         }
         dead_set = set(dead)
@@ -140,13 +138,11 @@ class ExecLab:
             rng = random.Random(
                 ("exec-lab-cmd", opts.seed, machine.hostid).__repr__()
             )
-            duration = opts.command_time * (
-                1.0 + opts.command_jitter * rng.random()
-            )
+            duration = COMMAND_TIME * (1.0 + COMMAND_JITTER * rng.random())
             if machine.hostid in self.slow:
-                duration *= opts.straggler_slowdown
+                duration *= STRAGGLER_SLOWDOWN
             yield machine.env.timeout(duration)
-            proc.stdout.append(opts.kernel_version)
+            proc.stdout.append(KERNEL_VERSION)
             return 0
 
         return command

@@ -8,14 +8,15 @@
   pending node the instant its last one ends (no barrier between
   waves, so one slow node never stalls the window);
 * a **per-node timeout** — an attempt that exceeds ``command_timeout``
-  is aborted and retried after seeded-jitter exponential backoff;
+  is aborted and retried after seeded-jitter exponential backoff
+  (``BACKOFF``, ``BACKOFF_FACTOR``, ``JITTER``);
 * **typed terminal classification** — every target ends in exactly one
   of :class:`ExecState` ``OK`` / ``TIMEOUT`` / ``NODE_DEAD`` /
   ``RETRIES_EXHAUSTED``; a campaign never hangs on a dead node and
   never loses a node from the report;
-* **straggler detection** — once enough nodes have finished, a rolling
-  percentile of completion times flags nodes running
-  ``straggler_factor`` times slower than their peers.
+* **straggler detection** — once ``STRAGGLER_AFTER`` of the nodes have
+  finished, the ``STRAGGLER_PERCENTILE`` of their completion times flags
+  nodes running ``straggler_factor`` times slower than their peers.
 
 All randomness (retry jitter) flows from per-node RNGs seeded by
 ``(options.seed, node name)``, so the same seed produces a byte-identical
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, Optional, Sequence, Union
@@ -51,6 +53,16 @@ __all__ = [
 
 _ROOT = RemoteEnvironment(user="root", uid=0, gid=0, cwd="/root")
 
+#: base retry delay; grows by ``BACKOFF_FACTOR`` per attempt
+BACKOFF = 5.0
+BACKOFF_FACTOR = 2.0
+#: fractional seeded jitter on each backoff: delay *= 1 + JITTER*U(0,1)
+JITTER = 0.25
+#: start flagging stragglers once this fraction of nodes finished
+STRAGGLER_AFTER = 0.5
+#: rolling completion-time percentile stragglers are measured against
+STRAGGLER_PERCENTILE = 0.9
+
 
 class ExecState(enum.Enum):
     """Terminal classification of one target node."""
@@ -67,21 +79,12 @@ class ExecOptions:
 
     #: sliding-window width: nodes in flight at once
     fanout: int = 64
-    #: per-attempt deadline in simulated seconds (None = no deadline)
-    command_timeout: Optional[float] = 300.0
+    #: per-attempt deadline in simulated seconds
+    command_timeout: float = 300.0
     #: extra attempts after the first (timeouts and nonzero exits retry)
     max_retries: int = 2
-    #: base retry delay; grows by ``backoff_factor`` per attempt
-    backoff: float = 5.0
-    backoff_factor: float = 2.0
-    #: fractional seeded jitter on each backoff: delay *= 1 + j*U(0,1)
-    jitter: float = 0.25
     seed: int = 0
-    #: start flagging stragglers once this fraction of nodes finished
-    straggler_after: float = 0.5
-    #: rolling completion-time percentile stragglers are measured against
-    straggler_percentile: float = 0.9
-    #: flag nodes slower than factor x percentile
+    #: flag nodes slower than factor x percentile (0 or less: never)
     straggler_factor: float = 3.0
     #: how often (simulated seconds) the straggler monitor looks
     straggler_interval: float = 15.0
@@ -89,17 +92,14 @@ class ExecOptions:
     def __post_init__(self) -> None:
         if self.fanout < 1:
             raise ValueError("fanout must be at least 1")
-        if self.command_timeout is not None and self.command_timeout <= 0:
+        # The negated comparisons refuse NaN too.
+        if not self.command_timeout > 0:
             raise ValueError("command_timeout must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries cannot be negative")
-        if self.backoff <= 0 or self.backoff_factor < 1:
-            raise ValueError("backoff must be positive, backoff_factor >= 1")
-        if self.jitter < 0:
-            raise ValueError("jitter must be non-negative")
-        if not 0 < self.straggler_percentile <= 1:
-            raise ValueError("straggler_percentile must be in (0, 1]")
-        if self.straggler_interval <= 0:
+        if math.isnan(self.straggler_factor):
+            raise ValueError("straggler_factor must be a number")
+        if not self.straggler_interval > 0:
             raise ValueError("straggler_interval must be positive")
 
 
@@ -350,17 +350,14 @@ class ExecTask:
                 state.active[name] = env.now
                 proc = RemoteProcess(host=name, rank=rank,
                                      env=self.environment)
-                deadline = None
-                if timeout is not None:
-                    deadline = env.timeout(timeout)
-                    deadline.callbacks.append(expire)
+                deadline = env.timeout(timeout)
+                deadline.callbacks.append(expire)
                 try:
                     yield from self.rexec.session(name, state.command, proc)
                 except Interrupt:
                     pass  # proc.node_dead tells a death from the deadline
                 finally:
-                    if deadline is not None:
-                        env.cancel(deadline)
+                    env.cancel(deadline)
                 result.stdout = proc.stdout
                 result.stderr = proc.stderr
                 result.exit_code = proc.exit_code
@@ -390,9 +387,8 @@ class ExecTask:
                 if rng is None:
                     rng = random.Random(
                         ("repro.exec", opts.seed, name).__repr__())
-                delay = opts.backoff * opts.backoff_factor ** (
-                    result.attempts - 1)
-                delay *= 1.0 + opts.jitter * rng.random()
+                delay = BACKOFF * BACKOFF_FACTOR ** (result.attempts - 1)
+                delay *= 1.0 + JITTER * rng.random()
                 if node_span is not None:
                     # Backoff between command attempts: straggler time the
                     # critical-path analyzer attributes to retry chains.
@@ -424,12 +420,12 @@ class ExecTask:
             yield state.tick
             finished = state.durations
             if len(finished) < max(
-                2, int(opts.straggler_after * len(state.names))
+                2, int(STRAGGLER_AFTER * len(state.names))
             ):
                 continue
             idx = min(
                 len(finished) - 1,
-                max(0, int(opts.straggler_percentile * len(finished)) - 1),
+                max(0, int(STRAGGLER_PERCENTILE * len(finished)) - 1),
             )
             threshold = opts.straggler_factor * finished[idx]
             if threshold <= 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.tools import CampaignReport, EscalationPolicy, ReinstallCampaign
+from ..core.tools import CampaignReport, ReinstallCampaign
 from ..quickbuild import build_cluster
 from .injector import FaultInjector
 from .plan import FaultPlan, named_plan
@@ -114,8 +114,7 @@ def chaos_reinstall(
     n_nodes: int = 32,
     plan: "FaultPlan | str" = "default",
     seed: Optional[int] = None,
-    policy: Optional[EscalationPolicy] = None,
-    resilience=None,
+    resilience: bool = False,
     monitoring=None,
     on_monitoring=None,
     targets: Optional[str] = None,
@@ -126,13 +125,15 @@ def chaos_reinstall(
     Fault ``at`` offsets are relative to campaign start (the cluster is
     integrated cleanly first).  ``plan`` may be a :class:`FaultPlan` or
     a name from :data:`repro.faults.plan.PLANS`; ``seed`` re-seeds it.
-    ``resilience`` hardens the frontend before the faults arm: pass
-    ``True`` for the default :class:`~repro.resilience.ResilienceOptions`
-    or an options instance for custom knobs (required for plans that
-    inject a ``FrontendCrash`` — an unhardened frontend stays down).
-    ``monitoring`` deploys the gmond/gmetad stack the same way: ``True``
-    for default :class:`~repro.monitoring.MonitoringOptions`, or an
-    options instance.  ``on_monitoring`` is called with the
+    ``resilience=True`` hardens the frontend before the faults arm with
+    :func:`~repro.resilience.harden_frontend` (journal, breakers and
+    supervisor; admission control stays off), which plans that inject a
+    ``FrontendCrash`` need: an unhardened frontend stays down.  Each
+    node's reinstall escalates from Ethernet to the PDU as
+    :class:`~repro.core.tools.campaign.ReinstallCampaign` does.
+    ``monitoring`` deploys the gmond/gmetad stack: ``True`` for the
+    default :class:`~repro.monitoring.MonitoringOptions`, or an options
+    instance.  ``on_monitoring`` is called with the
     :class:`~repro.monitoring.MonitoringStack` before the campaign runs
     (the hook the CLI uses to start a live ``--watch`` dashboard).
     ``targets`` restricts the campaign to a nodeset expression (see
@@ -151,14 +152,9 @@ def chaos_reinstall(
     sim.integrate_all()
     hardening = None
     if resilience:
-        from ..resilience import ResilienceOptions, harden_frontend
+        from ..resilience import harden_frontend
 
-        options = (
-            resilience
-            if isinstance(resilience, ResilienceOptions)
-            else ResilienceOptions()
-        )
-        hardening = harden_frontend(sim.frontend, options)
+        hardening = harden_frontend(sim.frontend)
     stack = None
     if monitoring:
         from ..monitoring import MonitoringOptions, enable_cluster_monitoring
@@ -173,7 +169,7 @@ def chaos_reinstall(
             on_monitoring(stack)
     injector = FaultInjector(plan).arm(sim.frontend, sim.nodes)
     victims = sim.nodes if targets is None else select_machines(sim, targets)
-    campaign = ReinstallCampaign(sim.frontend, policy or EscalationPolicy())
+    campaign = ReinstallCampaign(sim.frontend)
     report = sim.env.run(until=campaign.run(victims))
     return ChaosResult(
         plan=plan,

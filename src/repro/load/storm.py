@@ -7,9 +7,9 @@ DHCPs, pulls its kickstart, and then its full distribution over HTTP in
 one thundering herd against a single frontend.
 
 :func:`run_storm` is the driver: it builds and integrates a cluster,
-hardens the frontend (admission control with seeded Retry-After jitter,
-circuit breakers, supervisor), stands up monitoring, optionally closes
-the loop with a gauge-driven
+turns on admission control (seeded Retry-After jitter), hardens the
+frontend (circuit breakers, supervisor), stands up monitoring,
+optionally closes the loop with a gauge-driven
 :class:`~repro.resilience.Autoscaler` over an
 :class:`~repro.services.httpd.InstallReplicaSet`, then arms the
 ``SitePowerFailure``/``PowerRestore`` fault pair and measures recovery.
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..cluster import MachineState
-from ..installer import DEFAULT_CALIBRATION, InstallCalibration
-from ..netsim import AdmissionConfig, AllOf, AnyOf, Interrupt, RequestLog
+from ..installer import DEFAULT_CALIBRATION
+from ..netsim import AllOf, AnyOf, Interrupt, RequestLog
 from ..quickbuild import RocksCluster, build_cluster
 from ..services.httpd import InstallReplicaSet
 from ..telemetry import NullTracer, Tracer
@@ -41,6 +41,13 @@ __all__ = ["StormOptions", "StormResult", "run_storm", "slo_json"]
 SLO_FORMAT = "repro-storm-slo"
 SLO_VERSION = 1
 
+#: seconds after integration when the site loses power
+FAIL_AT = 60.0
+#: seconds after integration when power is restored (the herd)
+RESTORE_AT = 360.0
+#: monitoring sampling period (the gauges the scaler sees)
+MONITOR_INTERVAL = 15.0
+
 
 @dataclass(frozen=True)
 class StormOptions:
@@ -48,34 +55,20 @@ class StormOptions:
 
     n_nodes: int = 32
     seed: int = 42
-    #: seconds after integration when the site loses power
-    fail_at: float = 60.0
-    #: seconds after integration when power is restored (the herd)
-    restore_at: float = 360.0
     #: close the loop: autoscale install-server replicas from the gauges
     autoscale: bool = True
     #: per-node max seeded delay before the first DISCOVER after boot
     dhcp_stagger: float = 45.0
-    #: admission control on the install httpd (and cloned to replicas)
-    max_concurrent: int = 6
-    queue_limit: int = 8
-    retry_after: float = 20.0
-    retry_jitter: float = 0.75
-    #: autoscaler cadence and bounds
-    scaler_interval: float = 15.0
-    scaler_cooldown: float = 45.0
-    max_replicas: int = 8
-    #: monitoring sampling period (the gauges the scaler sees)
-    monitor_interval: float = 15.0
     #: give up waiting for stability this long after the restore
     deadline: float = 4.0 * 3600.0
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError("need at least one node")
-        if not 0 <= self.fail_at < self.restore_at:
-            raise ValueError("need 0 <= fail_at < restore_at")
-        if self.deadline <= 0:
+        # Negated, so that NaN is refused too.
+        if not self.dhcp_stagger >= 0:
+            raise ValueError("dhcp_stagger must be non-negative")
+        if not self.deadline > 0:
             raise ValueError("deadline must be positive")
 
 
@@ -110,8 +103,7 @@ class StormResult:
         lines = [
             f"install storm: {rep['n_nodes']} nodes, seed {rep['seed']}, "
             f"autoscale={'on' if rep['autoscale'] else 'off'}",
-            f"  power lost t={self.options.fail_at:g}s, "
-            f"restored t={self.options.restore_at:g}s",
+            f"  power lost t={FAIL_AT:g}s, restored t={RESTORE_AT:g}s",
         ]
         if rep["stable"]:
             lines.append(
@@ -177,7 +169,6 @@ def _settle(env, machines):
 
 def run_storm(
     options: Optional[StormOptions] = None,
-    calibration: InstallCalibration = DEFAULT_CALIBRATION,
     tracer: Optional[Tracer] = None,
 ) -> StormResult:
     """Replay the power-restore storm; returns the result + SLO report.
@@ -187,16 +178,11 @@ def run_storm(
     """
     from ..faults import FaultInjector, FaultPlan, PowerRestore, SitePowerFailure
     from ..monitoring import MonitoringOptions, enable_cluster_monitoring
-    from ..resilience import (
-        Autoscaler,
-        AutoscalerPolicy,
-        ResilienceOptions,
-        harden_frontend,
-    )
+    from ..resilience import Autoscaler, harden_frontend
 
     opts = options or StormOptions()
     cal = dataclasses.replace(
-        calibration, dhcp_stagger_seconds=opts.dhcp_stagger
+        DEFAULT_CALIBRATION, dhcp_stagger_seconds=opts.dhcp_stagger
     )
     sim = build_cluster(
         n_compute=opts.n_nodes, calibration=cal, seed=opts.seed, tracer=tracer
@@ -213,20 +199,13 @@ def run_storm(
     # and installs its per-backend avoidance hook on the balancer.
     replica_set = InstallReplicaSet(frontend.install_server)
     frontend.installer.source = replica_set
-    admission = AdmissionConfig(
-        max_concurrent=opts.max_concurrent,
-        queue_limit=opts.queue_limit,
-        retry_after=opts.retry_after,
-        retry_jitter=opts.retry_jitter,
-        jitter_seed=opts.seed,
-    )
-    resilience = harden_frontend(
-        frontend, ResilienceOptions(admission=admission)
-    )
+    # Replicas clone the primary's admission setting.
+    frontend.install_server.http.configure_admission(opts.seed)
+    resilience = harden_frontend(frontend)
     monitoring = enable_cluster_monitoring(
         frontend,
         sim.nodes,
-        MonitoringOptions(interval=opts.monitor_interval, seed=opts.seed),
+        MonitoringOptions(interval=MONITOR_INTERVAL, seed=opts.seed),
     )
     autoscaler = None
     if opts.autoscale:
@@ -235,12 +214,7 @@ def run_storm(
             replica_set,
             monitoring.aggregator,
             frontend.machine.hostid,
-            policy=AutoscalerPolicy(
-                interval=opts.scaler_interval,
-                cooldown=opts.scaler_cooldown,
-                max_replicas=opts.max_replicas,
-                seed=opts.seed,
-            ),
+            seed=opts.seed,
         )
 
     # Root span for the whole storm: fault injections parent on it
@@ -252,14 +226,14 @@ def run_storm(
     plan = FaultPlan(
         "power-restore",
         (
-            SitePowerFailure(at=opts.fail_at),
-            PowerRestore(at=opts.restore_at),
+            SitePowerFailure(at=FAIL_AT),
+            PowerRestore(at=RESTORE_AT),
         ),
         seed=opts.seed,
     )
     injector = FaultInjector(plan).arm(frontend, sim.nodes, parent=storm_span)
 
-    t_restore = t_integrated + opts.restore_at
+    t_restore = t_integrated + RESTORE_AT
     # Let the power events fire, then race recovery against the deadline.
     env.run(until=t_restore)
     settle = env.process(_settle(env, sim.nodes), name="storm:settle")

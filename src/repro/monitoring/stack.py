@@ -16,16 +16,16 @@ monitoring subsystem contributes zero simulation events.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from ..cluster import Machine
 from ..scheduler.pbs import JobState
 from .agent import GMOND_MULTICAST, MetricAgent
 from .aggregator import MetricAggregator
-from .alerts import AlertEngine, AlertRule, default_rules
+from .alerts import AlertEngine, default_rules
 from .dashboard import render_cluster_top, to_ganglia_xml
-from .rrd import DEFAULT_RESOLUTIONS, Resolution, RoundRobinStore
+from .rrd import RoundRobinStore
 
 __all__ = ["MonitoringOptions", "MonitoringStack", "enable_cluster_monitoring",
            "frontend_sampler"]
@@ -37,12 +37,6 @@ class MonitoringOptions:
 
     interval: float = 15.0
     seed: int = 0
-    multicast_address: str = GMOND_MULTICAST
-    resolutions: tuple[Resolution, ...] = DEFAULT_RESOLUTIONS
-    #: staleness threshold; None -> 3 x interval
-    stale_after: Optional[float] = None
-    #: alert rules; None -> :func:`~.alerts.default_rules`
-    rules: Optional[tuple[AlertRule, ...]] = None
 
 
 def frontend_sampler(frontend) -> Callable:
@@ -168,19 +162,15 @@ def enable_cluster_monitoring(
     opts = options or MonitoringOptions()
     env = frontend.env
     network = frontend.cluster.network
-    group = network.multicast(opts.multicast_address)
-    store = RoundRobinStore(opts.resolutions)
-    rules = opts.rules if opts.rules is not None else default_rules(
-        interval=opts.interval
-    )
-    engine = AlertEngine(rules)
+    group = network.multicast(GMOND_MULTICAST)
+    store = RoundRobinStore()
+    engine = AlertEngine(default_rules(interval=opts.interval))
     aggregator = MetricAggregator(
         env,
         group,
         frontend.machine.mac,
         store=store,
         interval=opts.interval,
-        stale_after=opts.stale_after,
         engine=engine,
     )
     agents = []

@@ -20,7 +20,6 @@ from .flows import Flow, FlowNetwork, Link, TransferAborted
 from .multicast import Datagram, MulticastGroup
 from .http import (
     DEFAULT_HTTP_EFFICIENCY,
-    AdmissionConfig,
     HttpError,
     HttpResponse,
     HttpServer,
@@ -52,7 +51,6 @@ __all__ = [
     "TransferAborted",
     "Datagram",
     "MulticastGroup",
-    "AdmissionConfig",
     "HttpError",
     "HttpResponse",
     "HttpServer",

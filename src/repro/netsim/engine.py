@@ -125,8 +125,10 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
+        # Negated, so that NaN is refused too.
+        if not delay >= 0:
+            raise SimulationError(
+                f"timeout delay must be non-negative, got {delay!r}")
         super().__init__(env)
         self.delay = delay
         self._triggered = True
@@ -429,8 +431,10 @@ class Environment:
         waiting on one may still be interrupted normally (interruption
         detaches only that process's callback).
         """
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
+        # Negated, so that NaN is refused too.
+        if not delay >= 0:
+            raise SimulationError(
+                f"timeout delay must be non-negative, got {delay!r}")
         due = self._now + delay
         slot = self._slots.get(due)
         if slot is None or not slot._scheduled or slot._cancelled:

@@ -30,7 +30,6 @@ __all__ = [
     "HttpServer",
     "HttpResponse",
     "HttpError",
-    "AdmissionConfig",
     "RequestLog",
     "LoadBalancer",
     "DEFAULT_HTTP_EFFICIENCY",
@@ -63,41 +62,20 @@ class HttpError(Exception):
         self.server = server
 
 
-@dataclass(frozen=True)
-class AdmissionConfig:
-    """Admission-control knobs for one :class:`HttpServer`.
-
-    ``max_concurrent`` caps in-flight requests; arrivals beyond the cap
-    wait in a FIFO accept queue of at most ``queue_limit`` entries for up
-    to ``queue_timeout`` seconds.  Requests shed from a full queue (or
-    timed out waiting) get a 503 whose Retry-After is ``retry_after``.
-
-    ``retry_jitter`` spreads the hint: each shed response advertises a
-    Retry-After drawn uniformly from ``[retry_after, retry_after *
-    (1 + retry_jitter)]`` using a per-server RNG seeded from
-    ``jitter_seed`` and the host name.  Without it, a thundering herd
-    shed in the same tick retries in the same tick — and is shed again,
-    forever in lockstep.  Zero (the default) keeps the fixed hint.
-    """
-
-    max_concurrent: int
-    queue_limit: int = 16
-    queue_timeout: float = 30.0
-    retry_after: float = 15.0
-    retry_jitter: float = 0.0
-    jitter_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_concurrent < 1:
-            raise ValueError("max_concurrent must be at least 1")
-        if self.queue_limit < 0:
-            raise ValueError("queue_limit must be non-negative")
-        if self.queue_timeout <= 0:
-            raise ValueError("queue_timeout must be positive")
-        if self.retry_after < 0:
-            raise ValueError("retry_after must be non-negative")
-        if self.retry_jitter < 0:
-            raise ValueError("retry_jitter must be non-negative")
+#: Admission control, while a server has it on: at most
+#: ``MAX_CONCURRENT`` requests in flight; arrivals beyond the cap wait in
+#: a FIFO accept queue of at most ``QUEUE_LIMIT`` entries for up to
+#: ``QUEUE_TIMEOUT`` seconds.  A request shed from a full queue (or timed
+#: out waiting) gets a 503 whose Retry-After is drawn uniformly from
+#: ``[RETRY_AFTER, RETRY_AFTER * (1 + RETRY_JITTER)]`` by a per-server
+#: RNG seeded from the admission seed and the host name.  Without the
+#: jitter, a thundering herd shed in the same tick retries in the same
+#: tick -- and is shed again, forever in lockstep.
+MAX_CONCURRENT = 6
+QUEUE_LIMIT = 8
+QUEUE_TIMEOUT = 30.0
+RETRY_AFTER = 20.0
+RETRY_JITTER = 0.75
 
 
 @dataclass
@@ -164,7 +142,9 @@ class HttpServer:
         #: where each request's times go, when one is attached
         self.log: Optional[RequestLog] = None
         self.running = True
-        self.admission: Optional[AdmissionConfig] = None
+        #: the seed of the Retry-After jitter while admission control is
+        #: on; None while it is off
+        self.admission_seed: Optional[int] = None
         self._in_flight = 0
         self._accept_queue: deque[Event] = deque()
         self._retry_rng: Optional[random.Random] = None
@@ -208,21 +188,19 @@ class HttpServer:
         wire = self.network.host(self.host).tx.capacity or 0.0
         self.service_link.capacity = wire * self.efficiency or None
 
-    def configure_admission(self, config: Optional[AdmissionConfig]) -> None:
-        """Install (or clear, with ``None``) the admission-control policy.
+    def configure_admission(self, seed: Optional[int]) -> None:
+        """Turn admission control on, its Retry-After jitter seeded with
+        ``seed``, or off with ``None``.
 
         Must not be changed while requests are queued — the queued slots
-        were admitted under the old policy.
+        were admitted under the old setting.
         """
         if self._accept_queue:
             raise RuntimeError("cannot reconfigure admission with queued requests")
-        self.admission = config
-        if config is not None and config.retry_jitter > 0:
-            self._retry_rng = random.Random(
-                ("retry-after", self.host, config.jitter_seed).__repr__()
-            )
-        else:
-            self._retry_rng = None
+        self.admission_seed = seed
+        self._retry_rng = None if seed is None else random.Random(
+            ("retry-after", self.host, seed).__repr__()
+        )
 
     @property
     def in_flight(self) -> int:
@@ -304,10 +282,10 @@ class HttpServer:
                         f"no route from {client} to {self.host}",
                         server=self.host,
                     )
-                if self.admission is not None:
+                if self.admission_seed is not None:
                     # May suspend in the accept queue; raises a 503 with a
-                    # Retry-After hint when the request is shed.  With no
-                    # admission policy this branch adds zero sim events.
+                    # Retry-After hint when the request is shed.  With
+                    # admission off this branch adds zero sim events.
                     yield from self._admit(client, path, span)
                     admitted = True
                 body: Any = None
@@ -373,13 +351,12 @@ class HttpServer:
         the request is parked.  Time parked in the queue is traced as an
         ``http-queue`` span under ``span`` (the request's ``http`` span).
         """
-        adm = self.admission
         env = self.network.env
-        if self._in_flight < adm.max_concurrent and not self._accept_queue:
+        if self._in_flight < MAX_CONCURRENT and not self._accept_queue:
             self._in_flight += 1
             self._gauge_in_flight()
             return
-        if len(self._accept_queue) >= adm.queue_limit:
+        if len(self._accept_queue) >= QUEUE_LIMIT:
             raise self._reject(client, path, "queue-full",
                                "at capacity (queue-full)")
         slot = env.event()
@@ -391,7 +368,7 @@ class HttpServer:
             if env.tracer.enabled
             else None
         )
-        timer = env.timeout(adm.queue_timeout)
+        timer = env.timeout(QUEUE_TIMEOUT)
         try:
             yield AnyOf(env, (slot, timer))
         except Interrupt:
@@ -427,20 +404,14 @@ class HttpServer:
             queue_span.end(outcome="admitted")
         env.cancel(timer)
 
-    def _retry_hint(self) -> Optional[float]:
+    def _retry_hint(self) -> float:
         """The Retry-After this shed response advertises (jittered).
 
         Each call draws fresh jitter, so simultaneous victims of one
         overload spike are told different comeback times and their
         retries arrive desynchronized.
         """
-        adm = self.admission
-        if adm is None:
-            return None
-        hint = adm.retry_after
-        if self._retry_rng is not None:
-            hint *= 1.0 + adm.retry_jitter * self._retry_rng.random()
-        return hint
+        return RETRY_AFTER * (1.0 + RETRY_JITTER * self._retry_rng.random())
 
     def _reject(self, client: str, path: str, cause: str,
                 reason: str) -> HttpError:
@@ -464,13 +435,8 @@ class HttpServer:
     def _release(self) -> None:
         """Free an in-flight slot and promote queued requests under the cap."""
         self._in_flight -= 1
-        adm = self.admission
         promoted = False
-        while (
-            adm is not None
-            and self._accept_queue
-            and self._in_flight < adm.max_concurrent
-        ):
+        while self._accept_queue and self._in_flight < MAX_CONCURRENT:
             slot = self._accept_queue.popleft()
             self._in_flight += 1
             promoted = True

@@ -11,7 +11,7 @@ host NICs.  That matches the paper's analysis, where the install server's
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from .engine import Environment
 from .flows import Flow, FlowNetwork, Link
@@ -115,9 +115,6 @@ class Network:
 
     def has_host(self, name: str) -> bool:
         return name in self._hosts
-
-    def hosts(self) -> Iterable[Host]:
-        return self._hosts.values()
 
     def set_host_speed(self, name: str, speed: float) -> None:
         """Change a host's NIC speed, rebalancing in-flight transfers.

@@ -7,71 +7,54 @@ survivable.  Three cooperating mechanisms:
 * :class:`ServiceSupervisor` — probes dhcpd/httpd/nfs and restarts dead
   ones with exponential backoff, a bounded budget, and a typed
   degraded-mode escalation;
-* HTTP **admission control** (:class:`~repro.netsim.AdmissionConfig`) on
-  the install server, with a client-side :class:`CircuitBreaker` so
-  installers back off a saturated or dead backend;
+* a client-side :class:`CircuitBreaker` so installers back off a
+  saturated or dead install server, which HTTP **admission control**
+  (:meth:`~repro.netsim.HttpServer.configure_admission`) may shed from;
 * a **write-ahead journal** (:class:`~repro.core.database.
   DatabaseJournal`) whose replay restores the cluster database
   byte-identically after a frontend crash.
 
-``harden_frontend(frontend)`` wires all three onto a stock
-:class:`~repro.core.frontend.RocksFrontend`; everything is opt-in and
-zero-overhead when unused.
+``harden_frontend(frontend)`` wires the supervisor, the breakers and
+the journal onto a stock :class:`~repro.core.frontend.RocksFrontend`;
+admission control is the caller's switch (the install storm turns it
+on).  Everything is opt-in and zero-overhead when unused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from ..core.database import DatabaseJournal
-from ..netsim import AdmissionConfig
-from .autoscaler import Autoscaler, AutoscalerPolicy, ScaleEvent
+from .autoscaler import Autoscaler, ScaleEvent
 from .breaker import BreakerState, CircuitBreaker, GuardedSource
 from .supervisor import (
     RestartRecord,
     ServiceOutcome,
     ServiceSupervisor,
-    SupervisorPolicy,
     SupervisorReport,
     supervise_frontend,
 )
 
 __all__ = [
-    "AdmissionConfig",
     "Autoscaler",
-    "AutoscalerPolicy",
     "BreakerState",
     "CircuitBreaker",
     "DatabaseJournal",
     "FrontendResilience",
     "GuardedSource",
-    "ResilienceOptions",
     "RestartRecord",
     "ScaleEvent",
     "ServiceOutcome",
     "ServiceSupervisor",
-    "SupervisorPolicy",
     "SupervisorReport",
     "harden_frontend",
     "supervise_frontend",
 ]
 
-
-@dataclass(frozen=True)
-class ResilienceOptions:
-    """Which hardening mechanisms to enable, and their knobs."""
-
-    supervisor: Optional[SupervisorPolicy] = field(
-        default_factory=SupervisorPolicy
-    )
-    journal: bool = True
-    #: Admission-control policy for the install httpd; None leaves the
-    #: server unbounded (the stock behavior).
-    admission: Optional[AdmissionConfig] = None
-    breaker: bool = True
-    breaker_threshold: int = 4
-    breaker_reset: float = 20.0
+#: consecutive failures that open an install server's breaker
+BREAKER_THRESHOLD = 4
+#: seconds an open breaker waits before its half-open trial
+BREAKER_RESET = 20.0
 
 
 class FrontendResilience:
@@ -80,65 +63,49 @@ class FrontendResilience:
     def __init__(
         self,
         frontend: Any,
-        options: ResilienceOptions,
-        supervisor: Optional[ServiceSupervisor],
-        journal: Optional[DatabaseJournal],
-        guarded_source: Optional[GuardedSource],
+        supervisor: ServiceSupervisor,
+        journal: DatabaseJournal,
+        guarded_source: GuardedSource,
     ):
         self.frontend = frontend
-        self.options = options
         self.supervisor = supervisor
         self.journal = journal
         self.guarded_source = guarded_source
 
-    def supervisor_report(self) -> Optional[SupervisorReport]:
-        return self.supervisor.report() if self.supervisor is not None else None
+    def supervisor_report(self) -> SupervisorReport:
+        return self.supervisor.report()
 
     def verify_recovery(self) -> bool:
         """Did every crash recovery complete (DB restored, not degraded)?"""
         if self.frontend.db_lost:
             return False
-        report = self.supervisor_report()
-        if report is not None and report.degraded:
-            return False
-        return True
+        return not self.supervisor_report().degraded
 
     def render(self) -> str:
-        lines = []
-        if self.journal is not None:
+        lines = [
+            f"journal: {len(self.journal)} records, "
+            f"{self.journal.replays} replay(s)",
+            self.supervisor.report().render(),
+        ]
+        for host, br in sorted(self.guarded_source.breakers().items()):
             lines.append(
-                f"journal: {len(self.journal)} records, "
-                f"{self.journal.replays} replay(s)"
+                f"breaker {host}: {br.state.value}, "
+                f"{br.fast_fails} fast-fails"
             )
-        if self.supervisor is not None:
-            lines.append(self.supervisor.report().render())
-        if self.guarded_source is not None:
-            for host, br in sorted(self.guarded_source.breakers().items()):
-                lines.append(
-                    f"breaker {host}: {br.state.value}, "
-                    f"{br.fast_fails} fast-fails"
-                )
-        return "\n".join(lines) if lines else "resilience: nothing enabled"
+        return "\n".join(lines)
 
 
-def harden_frontend(
-    frontend, options: Optional[ResilienceOptions] = None
-) -> FrontendResilience:
-    """Apply the resilience layer to a :class:`RocksFrontend`."""
-    options = options or ResilienceOptions()
-    journal = frontend.enable_journal() if options.journal else None
-    if options.admission is not None:
-        frontend.install_server.http.configure_admission(options.admission)
-    guarded = None
-    if options.breaker:
-        guarded = GuardedSource(
-            frontend.env,
-            frontend.installer.source,
-            failure_threshold=options.breaker_threshold,
-            reset_timeout=options.breaker_reset,
-        )
-        frontend.installer.source = guarded
-    supervisor = None
-    if options.supervisor is not None:
-        supervisor = supervise_frontend(frontend, policy=options.supervisor)
-    return FrontendResilience(frontend, options, supervisor, journal, guarded)
+def harden_frontend(frontend) -> FrontendResilience:
+    """Apply the resilience layer to a :class:`RocksFrontend`: the
+    database journal, per-server circuit breakers on the installer's
+    source and a supervisor over dhcpd, httpd and nfs."""
+    journal = frontend.enable_journal()
+    guarded = GuardedSource(
+        frontend.env,
+        frontend.installer.source,
+        failure_threshold=BREAKER_THRESHOLD,
+        reset_timeout=BREAKER_RESET,
+    )
+    frontend.installer.source = guarded
+    supervisor = supervise_frontend(frontend)
+    return FrontendResilience(frontend, supervisor, journal, guarded)

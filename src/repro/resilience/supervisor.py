@@ -27,7 +27,6 @@ from typing import Any, Callable, Optional
 from ..netsim import Environment, Interrupt, Process
 
 __all__ = [
-    "SupervisorPolicy",
     "ServiceSupervisor",
     "SupervisorReport",
     "ServiceOutcome",
@@ -36,31 +35,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SupervisorPolicy:
-    """Probe/restart knobs; the defaults suit the Table I time scale."""
-
-    probe_interval: float = 15.0
-    restart_backoff: float = 5.0
-    backoff_factor: float = 2.0
-    max_backoff: float = 120.0
-    #: Fractional jitter on each backoff: delay *= 1 + jitter*U(0,1).
-    #: Drawn from a seeded RNG, so runs stay deterministic.
-    jitter: float = 0.25
-    restart_budget: int = 5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.probe_interval <= 0:
-            raise ValueError("probe_interval must be positive")
-        if self.restart_backoff <= 0:
-            raise ValueError("restart_backoff must be positive")
-        if self.backoff_factor < 1:
-            raise ValueError("backoff_factor must be at least 1")
-        if self.jitter < 0:
-            raise ValueError("jitter must be non-negative")
-        if self.restart_budget < 1:
-            raise ValueError("restart_budget must be at least 1")
+# Probe and restart timing, suited to the Table I time scale.
+PROBE_INTERVAL = 15.0
+RESTART_BACKOFF = 5.0
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF = 120.0
+#: Fractional jitter on each backoff: delay *= 1 + JITTER*U(0,1), drawn
+#: from an RNG seeded with ``SEED``, so runs stay deterministic.
+JITTER = 0.25
+SEED = 0
+#: restarts per service before it is left degraded
+RESTART_BUDGET = 5
 
 
 class ServiceOutcome(enum.Enum):
@@ -126,11 +111,10 @@ class _Entry:
 class ServiceSupervisor:
     """Probes registered services and restarts the dead ones."""
 
-    def __init__(self, env: Environment, policy: Optional[SupervisorPolicy] = None):
+    def __init__(self, env: Environment):
         self.env = env
-        self.policy = policy or SupervisorPolicy()
         self._entries: dict[str, _Entry] = {}
-        self._rng = random.Random(self.policy.seed)
+        self._rng = random.Random(SEED)
         self._loop: Optional[Process] = None
         self._report = SupervisorReport()
 
@@ -169,7 +153,7 @@ class ServiceSupervisor:
         tracer = self.env.tracer
         try:
             while True:
-                yield self.env.timeout(self.policy.probe_interval)
+                yield self.env.timeout(PROBE_INTERVAL)
                 self._report.probes += 1
                 if tracer.enabled:
                     tracer.metrics.inc("supervisor.probes")
@@ -184,7 +168,7 @@ class ServiceSupervisor:
             return
         if entry.degraded or entry.pending:
             return
-        if entry.failures >= self.policy.restart_budget:
+        if entry.failures >= RESTART_BUDGET:
             entry.degraded = True
             tracer = self.env.tracer
             if tracer.enabled:
@@ -200,13 +184,11 @@ class ServiceSupervisor:
         )
 
     def _restart(self, entry: _Entry):
-        pol = self.policy
         tracer = self.env.tracer
         backoff = min(
-            pol.restart_backoff * pol.backoff_factor**entry.failures,
-            pol.max_backoff,
+            RESTART_BACKOFF * BACKOFF_FACTOR**entry.failures, MAX_BACKOFF
         )
-        backoff *= 1.0 + pol.jitter * self._rng.random()
+        backoff *= 1.0 + JITTER * self._rng.random()
         # The restart is a span (not an event) so the service lifecycle
         # events it causes — repair/start below — parent on it, and a
         # critical-path walk sees the backoff as supervisor-owned time.
@@ -260,7 +242,7 @@ class ServiceSupervisor:
         return self._report
 
 
-def supervise_frontend(frontend, policy=None) -> ServiceSupervisor:
+def supervise_frontend(frontend) -> ServiceSupervisor:
     """Wire a supervisor over a frontend's critical services.
 
     Registers dhcpd, the install httpd and nfsd with a shared
@@ -274,7 +256,7 @@ def supervise_frontend(frontend, policy=None) -> ServiceSupervisor:
         if frontend.db_lost and frontend.journal is not None:
             frontend.recover_database()
 
-    supervisor = ServiceSupervisor(frontend.env, policy)
+    supervisor = ServiceSupervisor(frontend.env)
     supervisor.register("dhcpd", frontend.dhcp, on_restart=recover_first)
     supervisor.register("httpd", frontend.install_server, on_restart=recover_first)
     supervisor.register("nfs", frontend.nfs, on_restart=recover_first)

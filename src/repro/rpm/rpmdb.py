@@ -147,6 +147,3 @@ class RpmDatabase:
     def wipe(self) -> None:
         """Reinstallation: the base OS is soft state; drop everything."""
         self._installed.clear()
-
-    def total_size(self) -> int:
-        return sum(p.size for p in self._installed.values())

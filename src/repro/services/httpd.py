@@ -152,7 +152,7 @@ class InstallReplicaSet:
 
     Replicas are full :class:`InstallServer` instances on their own
     simulated hosts (cloned NIC speed, published distributions, CGI
-    mounts, admission config and request log), so each one brings real
+    mounts, admission setting and request log), so each one brings real
     serving capacity.  Draining is graceful: a drained replica leaves the
     rotation immediately but keeps serving its in-flight transfers
     until :meth:`reap_drained` observes its service link idle.
@@ -210,8 +210,7 @@ class InstallReplicaSet:
             )
         for path, handler in self.primary.http.cgi_mounts().items():
             replica.http.register_cgi(path, handler)
-        if self.primary.http.admission is not None:
-            replica.http.configure_admission(self.primary.http.admission)
+        replica.http.configure_admission(self.primary.http.admission_seed)
         replica.http.log = self.primary.http.log
         self.replicas.append(replica)
         self.balancer.add_backend(replica.http)

@@ -105,10 +105,6 @@ class TraceDAG:
     def node(self, span_id: int) -> SpanNode:
         return self.nodes[span_id]
 
-    def spans(self, kind: Optional[str] = None) -> list[SpanNode]:
-        ordered = sorted(self.nodes.values(), key=lambda n: n.span_id)
-        return [n for n in ordered if kind is None or n.kind == kind]
-
 
 def build_dag(records: Iterable[dict]) -> TraceDAG:
     """Reconstruct the span forest from decoded trace records.

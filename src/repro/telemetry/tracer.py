@@ -192,11 +192,6 @@ class Tracer:
         return 0.0 if self.env is None else self.env.now
 
     # -- trace context -----------------------------------------------------
-    @property
-    def current(self) -> Optional[Span]:
-        """The ambient parent span, if a ``context()`` block is active."""
-        return self._ctx[-1] if self._ctx else None
-
     def context(self, span: Optional[Span]):
         """Make ``span`` the ambient parent for the enclosed region.
 
@@ -319,10 +314,6 @@ class NullTracer:
     @property
     def now(self) -> float:
         return 0.0
-
-    @property
-    def current(self) -> None:
-        return None
 
     def context(self, span: Any = None) -> _NullContext:
         return _NULL_CONTEXT

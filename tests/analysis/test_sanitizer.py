@@ -18,6 +18,7 @@ from repro.analysis.sanitizer import (
 )
 from repro.netsim.engine import Environment, Event, SimulationError
 from repro.scenarios import SCENARIOS, Scenario
+from repro.telemetry import NULL_TRACER
 
 
 # -- the planted race: the positive control ------------------------------------
@@ -69,8 +70,17 @@ def test_table1_is_race_free_across_seeds():
 
 
 def test_default_environment_is_untouched():
+    """Instrumentation costs nothing when it is off: a default
+    ``Environment()`` is the base class, its hot methods are the base
+    class's own, and it carries the shared ``NULL_TRACER``, so no
+    instrumented branch reaches the default path."""
     env = Environment()
     assert type(env) is Environment
+    for name in ("_schedule", "step", "run"):
+        method = getattr(env, name).__func__
+        assert method is vars(Environment)[name]
+        assert method.__qualname__ == f"Environment.{name}"
+    assert env.tracer is NULL_TRACER
 
 
 def test_explicit_sanitize_swaps_class():

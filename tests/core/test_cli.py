@@ -224,14 +224,20 @@ def test_bad_node_count_is_a_usage_error(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["fork", "--nodes", "node[0-7]", "--fanout", "0"],
     ["fork", "--nodes", "node[0-7]", "--timeout", "0"],
+    ["fork", "--nodes", "node[0-7]", "--timeout", "nan"],
     ["fork", "--nodes", "node[0-7]", "--retries", "-1"],
     ["fork", "--nodes", "node[0-7]", "--straggler-interval", "0"],
+    ["fork", "--nodes", "node[0-7]", "--straggler-interval", "nan"],
+    ["fork", "--nodes", "node[0-7]", "--straggler-factor", "nan"],
     ["fork", "--nodes", "node[0-7]", "--dead", "2"],
     ["fork", "--nodes", "node[0-7]", "--stragglers", "-1"],
     ["fork", "--nodes", "node[3-1]"],
     ["monitor", "--nodes", "2", "--interval", "0"],
     ["monitor", "--nodes", "2", "--watch", "0"],
     ["storm", "--nodes", "2", "--deadline", "-5"],
+    ["storm", "--nodes", "2", "--deadline", "nan"],
+    ["storm", "--nodes", "2", "--stagger", "-5"],
+    ["storm", "--nodes", "2", "--stagger", "nan"],
 ], ids=" ".join)
 def test_bad_option_value_is_a_usage_error(capsys, monkeypatch, argv):
     """A value the command's options refuse is a usage error (exit 2,

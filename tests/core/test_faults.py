@@ -4,11 +4,8 @@ import pytest
 
 from repro import build_cluster
 from repro.cluster import MachineState
-from repro.core.tools import (
-    EscalationPolicy,
-    NodeOutcome,
-    ReinstallCampaign,
-)
+from repro.core.tools import NodeOutcome, ReinstallCampaign
+from repro.core.tools.campaign import MAX_ATTEMPTS
 from repro.faults import (
     PLANS,
     DhcpBlackout,
@@ -92,9 +89,9 @@ def test_injector_arms_only_once():
 
 # -- individual fault deliveries -------------------------------------------
 
-def _campaign(sim, plan, seed=0, policy=None):
+def _campaign(sim, plan, seed=0):
     injector = FaultInjector(plan.with_seed(seed)).arm(sim.frontend, sim.nodes)
-    campaign = ReinstallCampaign(sim.frontend, policy or EscalationPolicy())
+    campaign = ReinstallCampaign(sim.frontend)
     report = sim.env.run(until=campaign.run(sim.nodes))
     return report, injector
 
@@ -208,12 +205,11 @@ def test_abandoned_nodes_are_powered_off_and_reported():
     pdu, outlet = sim.hardware.pdu_for(victim)
     del pdu._outlets[outlet]
     victim.hang()
-    policy = EscalationPolicy(max_attempts=2, attempt_deadline=1500.0,
-                              retry_pause=1.0)
-    campaign = ReinstallCampaign(sim.frontend, policy)
+    campaign = ReinstallCampaign(sim.frontend)
     report = sim.env.run(until=campaign.run(sim.nodes))
     by_host = {n.host: n for n in report.nodes}
     assert by_host[victim.hostid].outcome is NodeOutcome.ABANDONED
+    assert by_host[victim.hostid].attempts == MAX_ATTEMPTS
     assert by_host[victim.hostid].error is not None
     assert by_host[sim.nodes[1].hostid].installed
     assert report.completion_rate == 0.5

@@ -15,6 +15,7 @@ from repro.exec import (
     ExecTask,
     LabOptions,
 )
+from repro.exec.task import BACKOFF, JITTER
 from repro.netsim import Environment
 from repro.scheduler.rexec import RemoteEnvironment, Rexec
 
@@ -48,17 +49,14 @@ def run_task(env, machines, command, targets=None, environment=ROOT,
     ("fanout", -1),
     ("command_timeout", 0.0),
     ("command_timeout", -5.0),
+    ("command_timeout", float("nan")),
     ("max_retries", -1),
-    ("backoff", 0.0),
-    ("backoff", -1.0),
-    ("backoff_factor", 0.5),
-    ("jitter", -0.1),
-    ("straggler_percentile", 0.0),
-    ("straggler_percentile", 1.5),
     # 0 would hold the monitor's timer at one instant forever; a
     # negative interval would fail the monitor with nothing waiting on it
     ("straggler_interval", 0.0),
     ("straggler_interval", -1.0),
+    ("straggler_interval", float("nan")),
+    ("straggler_factor", float("nan")),
 ])
 def test_options_reject_invalid_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -167,7 +165,7 @@ class TestDeadWatchRegression:
 
         env.process(pdu(), name="pdu")
         report = run_task(env, machines, self._long_command,
-                          command_timeout=None)
+                          command_timeout=1000.0)
         dead = report.results["node1"]
         assert dead.state is ExecState.NODE_DEAD
         assert "died mid-command" in dead.error
@@ -185,7 +183,7 @@ class TestDeadWatchRegression:
 
         env.process(freeze(), name="freeze")
         report = run_task(env, machines, self._long_command,
-                          command_timeout=None)
+                          command_timeout=1000.0)
         assert report.results["node0"].state is ExecState.NODE_DEAD
         assert report.finished_at == pytest.approx(3.0)
 
@@ -214,8 +212,7 @@ class TestDeadWatchRegression:
             return 1
 
         report = run_task(env, machines, command, max_retries=40,
-                          command_timeout=10.0, backoff=1.0,
-                          backoff_factor=1.0)
+                          command_timeout=10.0)
         result = report.results["node0"]
         assert result.attempts == 41
         assert node.on_state_change == [bystander]
@@ -294,8 +291,7 @@ class TestDeadWatchRegression:
         assert result.state is ExecState.NODE_DEAD
         assert result.error == "host is off"
         # the retry started after the whole jittered backoff
-        assert opts.backoff <= result.finished_at - 10.0 <= (
-            opts.backoff * (1 + opts.jitter))
+        assert BACKOFF <= result.finished_at - 10.0 <= BACKOFF * (1 + JITTER)
 
 
 class TestFanoutWindow:
@@ -338,7 +334,6 @@ class TestStragglers:
         lab = ExecLab(LabOptions(nodes=64, seed=7, straggler_fraction=0.05))
         report = lab.run(exec_options=ExecOptions(
             seed=7, straggler_interval=5.0, straggler_factor=2.0,
-            straggler_after=0.3,
         ))
         assert len(report.stragglers) > 0
         for name in report.stragglers:

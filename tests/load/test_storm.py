@@ -19,10 +19,13 @@ def small_storm(**kw):
 def test_options_validation():
     with pytest.raises(ValueError, match="node"):
         StormOptions(n_nodes=0)
-    with pytest.raises(ValueError, match="fail_at"):
-        StormOptions(fail_at=400.0, restore_at=300.0)
-    with pytest.raises(ValueError, match="deadline"):
-        StormOptions(deadline=0.0)
+    for deadline in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="deadline"):
+            StormOptions(deadline=deadline)
+    for stagger in (-5.0, float("nan")):
+        with pytest.raises(ValueError, match="dhcp_stagger"):
+            StormOptions(dhcp_stagger=stagger)
+    assert StormOptions(dhcp_stagger=0.0).dhcp_stagger == 0.0
 
 
 def test_power_restore_plan_is_registered():
@@ -79,14 +82,15 @@ def test_untraced_storm_reports_what_the_traced_one_does():
     """The SLO report reads the request log, not the tracer: a run with
     no tracer records nothing and reports the same bytes.  This set-up
     sheds on the primary and on replicas the autoscaler later reaps."""
-    opts = StormOptions(n_nodes=8, seed=42, max_concurrent=2, queue_limit=1)
+    opts = StormOptions(n_nodes=32, seed=4)
     untraced = run_storm(opts)
     traced = run_storm(opts, tracer=Tracer())
     assert untraced.slo_json() == traced.slo_json()
     assert untraced.tracer is NULL_TRACER
     assert untraced.sim.env.tracer is NULL_TRACER
     rep = untraced.report
-    assert rep["shed"]["total"] > 0
+    on_primary = untraced.sim.frontend.install_server.http.rejected
+    assert 0 < on_primary < rep["shed"]["total"]
     scaler = rep["autoscaler"]
     assert scaler["peak_replicas"] > scaler["final_replicas"] == 0
     assert traced.tracer.spans("http")

@@ -32,6 +32,19 @@ def test_negative_timeout_rejected():
         env.timeout(-1.0)
 
 
+@pytest.mark.parametrize("delay", [-1.0, float("nan")])
+@pytest.mark.parametrize("timer", ["timeout", "slotted_timeout"])
+def test_negative_or_nan_delay_rejected(timer, delay):
+    """A NaN delay would be scheduled, dispatch first and set the clock
+    to NaN."""
+    env = Environment()
+    with pytest.raises(SimulationError, match="non-negative"):
+        getattr(env, timer)(delay)
+    env.timeout(1.0)
+    env.run()
+    assert env.now == 1.0
+
+
 def test_process_return_value():
     env = Environment()
 

@@ -8,7 +8,6 @@ from repro.netsim import (
     FAST_ETHERNET,
     GIGABIT_ETHERNET,
     MBIT,
-    AdmissionConfig,
     Environment,
     HostDown,
     HttpError,
@@ -19,6 +18,7 @@ from repro.netsim import (
     RequestLog,
     TransferAborted,
 )
+from repro.netsim.http import MAX_CONCURRENT, QUEUE_LIMIT, QUEUE_TIMEOUT
 from repro.telemetry import Tracer
 
 
@@ -258,8 +258,6 @@ def test_load_balancer_requires_backends():
 
 
 def make_lb_pair():
-    from repro.netsim import AdmissionConfig
-
     env = Environment()
     network = Network(env)
     servers = []
@@ -270,28 +268,36 @@ def make_lb_pair():
         servers.append(s)
     network.attach("c0", FAST_ETHERNET)
     network.attach("c1", FAST_ETHERNET)
-    return env, network, servers, AdmissionConfig
+    return env, network, servers
 
 
 def test_load_balancer_fails_over_on_mid_request_503():
     """A backend that sheds the request (not merely down) is retried."""
-    env, _, servers, AdmissionConfig = make_lb_pair()
-    # www0 accepts one connection and queues nothing: the LB's request
-    # reaches HttpServer.get and is shed with a live 503.
-    servers[0].configure_admission(
-        AdmissionConfig(max_concurrent=1, queue_limit=0)
-    )
+    env, network, servers = make_lb_pair()
+    # www0's slots and accept queue are full: the LB's request reaches
+    # HttpServer.get and is shed with a live 503.
+    servers[0].configure_admission(0)
     servers[0].publish("/slow", FAST_ETHERNET * 60)
-    occupier = env.process(servers[0].get("c1", "/slow"))
+
+    def occupy(client):
+        network.attach(client, FAST_ETHERNET)
+        try:
+            yield from servers[0].get(client, "/slow")
+        except HttpError:
+            pass  # a queued occupier times out
+
+    occupiers = [env.process(occupy(f"o{i}"))
+                 for i in range(MAX_CONCURRENT + QUEUE_LIMIT)]
     lb = LoadBalancer(servers)
     resp = env.run(until=env.process(lb.get("c0", "/pkg")))
     assert resp.server == "www1"
     assert servers[0].rejected == 1
-    env.run(until=occupier)
+    for occupier in occupiers:
+        env.run(until=occupier)
 
 
 def test_load_balancer_does_not_fail_over_on_4xx():
-    env, _, servers, _ = make_lb_pair()
+    env, _, servers = make_lb_pair()
 
     def go():
         with pytest.raises(HttpError, match="404"):
@@ -302,7 +308,7 @@ def test_load_balancer_does_not_fail_over_on_4xx():
 
 
 def test_load_balancer_fast_fails_when_every_backend_is_avoided():
-    env, _, servers, _ = make_lb_pair()
+    env, _, servers = make_lb_pair()
     lb = LoadBalancer(servers)
     lb.should_avoid = lambda server: True
 
@@ -380,9 +386,9 @@ def test_load_balancer_skips_do_not_consume_failover_attempts():
     assert servers[2].requests_served == 0
 
 
-def make_admitted(n_clients, tracer, **admission):
+def make_admitted(n_clients, tracer):
     """A traced server with admission control and a request log; a
-    document of ``FAST_ETHERNET`` bytes takes 1 s to serve."""
+    document of ``FAST_ETHERNET`` bytes takes 1 s to serve alone."""
     env = Environment()
     tracer.attach(env)
     network = Network(env)
@@ -390,7 +396,7 @@ def make_admitted(n_clients, tracer, **admission):
     for i in range(n_clients):
         network.attach(f"c{i}", FAST_ETHERNET)
     server = HttpServer(network, "www", efficiency=1.0)
-    server.configure_admission(AdmissionConfig(**admission))
+    server.configure_admission(0)
     server.log = RequestLog()
     return env, network, server
 
@@ -398,10 +404,8 @@ def make_admitted(n_clients, tracer, **admission):
 def test_get_interrupted_in_the_accept_queue_closes_its_span():
     """A GET interrupted while it waits for a slot ends aborted, then."""
     tracer = Tracer()
-    env, _, server = make_admitted(
-        2, tracer, max_concurrent=1, queue_limit=2
-    )
-    server.publish("/big", FAST_ETHERNET * 5)
+    env, _, server = make_admitted(MAX_CONCURRENT + 1, tracer)
+    server.publish("/big", FAST_ETHERNET)
     outcomes = []
 
     def fetch(client):
@@ -411,8 +415,11 @@ def test_get_interrupted_in_the_accept_queue_closes_its_span():
         except Interrupt:
             outcomes.append((client, "interrupted"))
 
-    env.process(fetch("c0"))
-    queued = env.process(fetch("c1"))
+    holders = [f"c{i}" for i in range(MAX_CONCURRENT)]
+    for client in holders:  # every slot busy for MAX_CONCURRENT seconds
+        env.process(fetch(client))
+    waiter = f"c{MAX_CONCURRENT}"
+    queued = env.process(fetch(waiter))
 
     def interrupt_at_1():
         yield env.timeout(1.0)
@@ -420,25 +427,28 @@ def test_get_interrupted_in_the_accept_queue_closes_its_span():
 
     env.process(interrupt_at_1())
     env.run()
-    assert outcomes == [("c1", "interrupted"), ("c0", "ok")]
+    assert outcomes == [(waiter, "interrupted")] + [(c, "ok") for c in holders]
     http = {s.attrs["client"]: s for s in tracer.spans("http")}
     [queue] = tracer.spans("http-queue")
     assert (queue.t1, queue.attrs["outcome"]) == (1.0, "aborted")
-    assert (http["c1"].t0, http["c1"].t1) == (0.0, 1.0)
-    assert http["c1"].attrs["outcome"] == "aborted"
-    assert server.log.requests == [(0.0, 1.0), (0.0, 5.0)]
+    assert (http[waiter].t0, http[waiter].t1) == (0.0, 1.0)
+    assert http[waiter].attrs["outcome"] == "aborted"
+    done = http["c0"].t1
+    assert done == pytest.approx(float(MAX_CONCURRENT))
+    assert server.log.requests == [(0.0, 1.0)] + [(0.0, done)] * MAX_CONCURRENT
     assert server.in_flight == server.queue_depth == 0
 
 
 def test_request_log_mirrors_the_http_spans_and_reject_events():
     """Every way a GET ends is logged exactly as the tracer records it."""
     tracer = Tracer()
-    env, network, server = make_admitted(
-        10, tracer, max_concurrent=1, queue_limit=1, queue_timeout=5.0
-    )
+    n = MAX_CONCURRENT + QUEUE_LIMIT + 8  # one client per request
+    env, network, server = make_admitted(n, tracer)
     server.publish("/pkg", FAST_ETHERNET)
     server.publish("/slow", FAST_ETHERNET * 600)
-    network.set_host_up("c9", False)
+    clients = iter(f"c{i}" for i in range(n))
+    down = next(clients)
+    network.set_host_up(down, False)
     procs = {}
 
     def get_at(t, client, path):
@@ -456,38 +466,49 @@ def test_request_log_mirrors_the_http_spans_and_reject_events():
         server.running = False
         server.abort_transfers()
 
-    for t, client, path in [
-        (0.0, "c0", "/pkg"),      # 200 at t=1
-        (0.5, "c9", "/pkg"),      # 504: the client's host is down
-        (1.5, "c1", "/missing"),  # 404
-        (2.0, "c2", "/slow"),     # holds the only slot
-        (3.0, "c3", "/pkg"),      # queued, times out at t=8
-        (4.0, "c4", "/pkg"),      # the queue is full: shed
-        (9.0, "c5", "/pkg"),      # queued, interrupted at t=10
-        (11.0, "c6", "/slow"),    # in transfer, reset by the kill
-        (12.0, "c7", "/pkg"),     # queued, flushed by the kill
-        (14.0, "c8", "/pkg"),     # 503: the server is stopped
-    ]:
-        procs[client] = env.process(get_at(t, client, path))
-    env.process(at(10.0, lambda: procs["c5"].interrupt("power-cycled")))
-    env.process(at(10.5, lambda: procs["c2"].interrupt("deadline")))
-    env.process(at(13.0, kill))
+    t = QUEUE_TIMEOUT + 6.0  # after the queued requests timed out
+    plan = [
+        (0.0, "ok", "/pkg"),          # 200 at t=1
+        (0.5, down, "/pkg"),          # 504: the client's host is down
+        (1.5, "404", "/missing"),     # 404
+    ] + [
+        (2.0, f"hold{i}", "/slow")    # every slot held
+        for i in range(MAX_CONCURRENT)
+    ] + [
+        (3.0, "queued", "/pkg")       # queued, time out at 3 + QUEUE_TIMEOUT
+    ] * QUEUE_LIMIT + [
+        (4.0, "shed", "/pkg"),        # the queue is full: shed
+        (t, "interrupted", "/pkg"),   # queued, interrupted at t+1
+        (t + 2.0, "reset", "/slow"),  # in transfer, reset by the kill
+        (t + 3.0, "flushed", "/pkg"), # queued, flushed by the kill
+        (t + 5.0, "stopped", "/pkg"), # 503: the server is stopped
+    ]
+    for at_t, role, path in plan:
+        client = down if role == down else next(clients)
+        procs[role] = env.process(get_at(at_t, client, path))
+    env.process(at(t + 1.0, lambda: procs["interrupted"].interrupt(
+        "power-cycled")))
+    # frees one slot for the "reset" request
+    env.process(at(t + 1.5, lambda: procs["hold0"].interrupt("deadline")))
+    env.process(at(t + 4.0, kill))
     env.run()
 
     spans = tracer.spans("http")
-    assert len(spans) == 10 and all(s.t1 is not None for s in spans)
+    assert len(spans) == len(plan) and all(s.t1 is not None for s in spans)
     assert Counter(s.attrs["outcome"] for s in spans) == {
-        "ok": 1, "error": 6, "aborted": 2, "reset": 1,
+        "ok": 1,
+        "error": QUEUE_LIMIT + 5,
+        "aborted": 2,                # "interrupted" and "hold0"
+        "reset": MAX_CONCURRENT,     # the other holders and "reset"
     }
     assert sorted(s.attrs.get("status") for s in spans
-                  if s.attrs["outcome"] == "error") == [
-        404, 503, 503, 503, 503, 504,
-    ]
+                  if s.attrs["outcome"] == "error") == (
+        [404] + [503] * (QUEUE_LIMIT + 3) + [504])
     assert Counter(server.log.requests) == Counter(
         (s.t0, s.t1) for s in spans
     )
     rejects = tracer.events("http-reject")
-    assert sorted(e["attrs"]["cause"] for e in rejects) == [
-        "connection reset", "queue-full", "queue-timeout",
-    ]
+    assert Counter(e["attrs"]["cause"] for e in rejects) == {
+        "connection reset": 1, "queue-full": 1, "queue-timeout": QUEUE_LIMIT,
+    }
     assert Counter(server.log.rejects) == Counter(e["t"] for e in rejects)

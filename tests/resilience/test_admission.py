@@ -1,20 +1,40 @@
-"""HTTP admission control: cap, bounded queue, shedding, telemetry."""
+"""HTTP admission control: cap, bounded queue, shedding, telemetry.
+
+The cap, queue and hint are the module constants: ``MAX_CONCURRENT``
+requests in flight and ``QUEUE_LIMIT`` queued, so the request after
+``FULL`` of them is shed.  A document of ``FAST_ETHERNET`` bytes takes
+1 s to serve alone and ``MAX_CONCURRENT`` seconds with every slot
+busy, well inside ``QUEUE_TIMEOUT``.
+"""
+
+from collections import Counter
 
 import pytest
 
 from repro.netsim import (
     FAST_ETHERNET,
-    AdmissionConfig,
     Environment,
     HttpError,
     HttpServer,
     Network,
     TransferAborted,
 )
+from repro.netsim.http import (
+    MAX_CONCURRENT,
+    QUEUE_LIMIT,
+    QUEUE_TIMEOUT,
+    RETRY_AFTER,
+    RETRY_JITTER,
+)
 from repro.telemetry import Tracer
 
+#: requests the server holds at once: in flight plus queued
+FULL = MAX_CONCURRENT + QUEUE_LIMIT
+#: the band every shed response's Retry-After falls in
+HINT_BAND = (RETRY_AFTER, RETRY_AFTER * (1.0 + RETRY_JITTER))
 
-def make_http(n_clients=4, tracer=None):
+
+def make_http(n_clients=4, tracer=None, admission_seed=None):
     env = Environment()
     if tracer is not None:
         tracer.attach(env)
@@ -23,6 +43,8 @@ def make_http(n_clients=4, tracer=None):
     for i in range(n_clients):
         network.attach(f"c{i}", FAST_ETHERNET)
     server = HttpServer(network, "www", efficiency=1.0)
+    if admission_seed is not None:
+        server.configure_admission(admission_seed)
     return env, server
 
 
@@ -35,20 +57,9 @@ def fetch(env, server, client, path, results):
         results.append(err)
 
 
-def test_admission_config_validation():
-    with pytest.raises(ValueError, match="max_concurrent"):
-        AdmissionConfig(max_concurrent=0)
-    with pytest.raises(ValueError, match="queue_limit"):
-        AdmissionConfig(max_concurrent=1, queue_limit=-1)
-    with pytest.raises(ValueError, match="queue_timeout"):
-        AdmissionConfig(max_concurrent=1, queue_timeout=0)
-    with pytest.raises(ValueError, match="retry_after"):
-        AdmissionConfig(max_concurrent=1, retry_after=-1)
-
-
 def test_admission_is_off_by_default():
     env, server = make_http()
-    assert server.admission is None
+    assert server.admission_seed is None
     server.publish("/x", 100)
     resp = env.run(until=env.process(server.get("c0", "/x")))
     assert resp.status == 200
@@ -58,64 +69,59 @@ def test_admission_is_off_by_default():
 
 
 def test_cap_bounds_in_flight_and_queues_the_rest():
-    env, server = make_http()
-    server.configure_admission(AdmissionConfig(max_concurrent=2, queue_limit=8))
-    server.publish("/pkg", FAST_ETHERNET * 4)
+    n = MAX_CONCURRENT + 2
+    env, server = make_http(n, admission_seed=0)
+    server.publish("/pkg", FAST_ETHERNET)
     results = []
-    for i in range(4):
+    for i in range(n):
         env.process(fetch(env, server, f"c{i}", "/pkg", results))
     env.run(until=0.5)
-    assert server.in_flight == 2
+    assert server.in_flight == MAX_CONCURRENT
     assert server.queue_depth == 2
     env.run()
-    assert [r.status for r in results] == [200, 200, 200, 200]
+    assert [r.status for r in results] == [200] * n
     assert server.rejected == 0
-    assert server.requests_served == 4
+    assert server.requests_served == n
 
 
 def test_full_queue_sheds_503_with_retry_after():
-    env, server = make_http()
-    server.configure_admission(
-        AdmissionConfig(max_concurrent=1, queue_limit=1, retry_after=9.0)
-    )
-    server.publish("/pkg", FAST_ETHERNET * 10)
+    env, server = make_http(FULL + 1, admission_seed=0)
+    server.publish("/pkg", FAST_ETHERNET)
     results = []
-    for i in range(3):
+    for i in range(FULL + 1):
         env.process(fetch(env, server, f"c{i}", "/pkg", results))
     env.run(until=0.5)
-    # third request found one in flight and one queued
+    # the last request found every slot busy and the queue full
     [shed] = [r for r in results if isinstance(r, HttpError)]
     assert shed.status == 503
     assert "queue-full" in shed.reason
-    assert shed.retry_after == 9.0
+    assert HINT_BAND[0] <= shed.retry_after <= HINT_BAND[1]
     assert shed.server == "www"
     assert server.rejected == 1
     env.run()
-    assert sum(1 for r in results if getattr(r, "status", 0) == 200) == 2
+    assert sum(1 for r in results if getattr(r, "status", 0) == 200) == FULL
 
 
 def test_queue_wait_times_out():
-    env, server = make_http()
-    server.configure_admission(
-        AdmissionConfig(max_concurrent=1, queue_limit=4, queue_timeout=5.0)
-    )
-    server.publish("/pkg", FAST_ETHERNET * 60)  # one transfer takes 60s
+    n = MAX_CONCURRENT + 1
+    env, server = make_http(n, admission_seed=0)
+    # every slot's transfer outlasts the queue wait
+    server.publish("/pkg", FAST_ETHERNET * 60)
     results = []
-    env.process(fetch(env, server, "c0", "/pkg", results))
-    env.process(fetch(env, server, "c1", "/pkg", results))
-    env.run(until=10.0)
+    for i in range(n):
+        env.process(fetch(env, server, f"c{i}", "/pkg", results))
+    env.run(until=QUEUE_TIMEOUT + 5.0)
     [shed] = [r for r in results if isinstance(r, HttpError)]
     assert shed.status == 503
     assert "queue-timeout" in shed.reason
     assert server.rejected == 1
     assert server.queue_depth == 0  # the timed-out slot was removed
     env.run()
-    assert server.requests_served == 1
+    assert server.requests_served == MAX_CONCURRENT
 
 
 def test_slot_released_on_error_paths_too():
-    env, server = make_http()
-    server.configure_admission(AdmissionConfig(max_concurrent=2))
+    env, server = make_http(admission_seed=0)
     results = []
     env.process(fetch(env, server, "c0", "/missing", results))
     env.run()
@@ -124,8 +130,8 @@ def test_slot_released_on_error_paths_too():
 
 
 def test_daemon_death_flushes_the_queue():
-    env, server = make_http()
-    server.configure_admission(AdmissionConfig(max_concurrent=1, queue_limit=4))
+    n = MAX_CONCURRENT + 2
+    env, server = make_http(n, admission_seed=0)
     server.publish("/pkg", FAST_ETHERNET * 60)
     results = []
 
@@ -136,7 +142,7 @@ def test_daemon_death_flushes_the_queue():
         except (HttpError, TransferAborted) as err:
             results.append(err)
 
-    for i in range(3):
+    for i in range(n):
         env.process(fetch_any(f"c{i}"))
 
     def kill():
@@ -146,9 +152,10 @@ def test_daemon_death_flushes_the_queue():
 
     env.process(kill())
     env.run()
-    assert len(results) == 3
-    # the in-flight transfer is reset; both queued slots are flushed 503s
-    [aborted] = [r for r in results if isinstance(r, TransferAborted)]
+    assert len(results) == n
+    # the in-flight transfers are reset; both queued slots are flushed 503s
+    aborted = [r for r in results if isinstance(r, TransferAborted)]
+    assert len(aborted) == MAX_CONCURRENT
     flushed = [r for r in results if isinstance(r, HttpError)]
     assert len(flushed) == 2
     assert all(e.status == 503 and "connection reset" in e.reason
@@ -157,12 +164,12 @@ def test_daemon_death_flushes_the_queue():
 
 
 def test_reconfigure_with_queued_requests_rejected():
-    env, server = make_http()
-    server.configure_admission(AdmissionConfig(max_concurrent=1, queue_limit=4))
+    n = MAX_CONCURRENT + 1
+    env, server = make_http(n, admission_seed=0)
     server.publish("/pkg", FAST_ETHERNET * 60)
     results = []
-    env.process(fetch(env, server, "c0", "/pkg", results))
-    env.process(fetch(env, server, "c1", "/pkg", results))
+    for i in range(n):
+        env.process(fetch(env, server, f"c{i}", "/pkg", results))
 
     def reconfigure():
         yield env.timeout(1.0)
@@ -175,32 +182,28 @@ def test_reconfigure_with_queued_requests_rejected():
 
 def test_queue_depth_gauge_and_reject_counter():
     tracer = Tracer()
-    env, server = make_http(n_clients=8, tracer=tracer)
-    server.configure_admission(
-        AdmissionConfig(max_concurrent=1, queue_limit=3, queue_timeout=120.0)
-    )
-    server.publish("/pkg", FAST_ETHERNET * 5)
+    n = FULL + 2
+    env, server = make_http(n, tracer=tracer, admission_seed=0)
+    server.publish("/pkg", FAST_ETHERNET)
     results = []
-    for i in range(8):
+    for i in range(n):
         env.process(fetch(env, server, f"c{i}", "/pkg", results))
     env.run()
     metrics = tracer.metrics
-    assert metrics.peak("http.queue_depth/www") <= 3
+    assert metrics.peak("http.queue_depth/www") <= QUEUE_LIMIT
     assert metrics.counter("http.rejected/www") == server.rejected > 0
     rejects = tracer.events("http-reject")
     assert len(rejects) == server.rejected
     assert all(e["attrs"]["cause"] == "queue-full" for e in rejects)
     # everyone not shed was eventually served
-    assert server.requests_served == 8 - server.rejected
+    assert server.requests_served == n - server.rejected
 
 
 def test_traced_counters_are_the_servers_own_totals():
     """Served, queue-full, queue-timeout and daemon-kill paths each count once."""
     tracer = Tracer()
-    env, server = make_http(n_clients=5, tracer=tracer)
-    server.configure_admission(
-        AdmissionConfig(max_concurrent=1, queue_limit=1, queue_timeout=5.0)
-    )
+    n = FULL + 3
+    env, server = make_http(n, tracer=tracer, admission_seed=0)
     server.publish("/pkg", FAST_ETHERNET)
     server.publish("/slow", FAST_ETHERNET * 600)
     results = []
@@ -212,24 +215,28 @@ def test_traced_counters_are_the_servers_own_totals():
         except (HttpError, TransferAborted) as err:
             results.append(err)
 
-    env.process(get_at(0.0, "c0", "/pkg"))    # served by t=1
-    env.process(get_at(2.0, "c1", "/slow"))   # holds the only slot
-    env.process(get_at(3.0, "c2", "/pkg"))    # queued, times out at t=8
-    env.process(get_at(4.0, "c3", "/pkg"))    # the queue is full: shed
-    env.process(get_at(10.0, "c4", "/pkg"))   # queued, flushed by the kill
+    clients = iter(f"c{i}" for i in range(n))
+    env.process(get_at(0.0, next(clients), "/pkg"))  # served by t=1
+    for _ in range(MAX_CONCURRENT):  # hold every slot
+        env.process(get_at(2.0, next(clients), "/slow"))
+    for _ in range(QUEUE_LIMIT):  # queued, time out at t=3+QUEUE_TIMEOUT
+        env.process(get_at(3.0, next(clients), "/pkg"))
+    env.process(get_at(4.0, next(clients), "/pkg"))  # the queue is full: shed
+    flushed_at = 3.0 + QUEUE_TIMEOUT + 5.0
+    env.process(get_at(flushed_at, next(clients), "/pkg"))  # queued...
 
-    def kill():
-        yield env.timeout(11.0)
+    def kill():  # ...and flushed by the kill
+        yield env.timeout(flushed_at + 1.0)
         server.running = False
         server.abort_transfers()
 
     env.process(kill())
     env.run()
-    assert len(results) == 5
+    assert len(results) == n
     stats = server.admission_stats()
     assert stats["requests_served"] == 1
-    assert stats["rejected"] == 3
-    assert stats["queue_timeouts"] == 1
+    assert stats["rejected"] == QUEUE_LIMIT + 2
+    assert stats["queue_timeouts"] == QUEUE_LIMIT
     assert tracer.metrics.counters == {
         "http.requests/www": stats["requests_served"],
         "http.bytes/www": stats["bytes_served"],
@@ -238,9 +245,9 @@ def test_traced_counters_are_the_servers_own_totals():
     }
     rejects = tracer.events("http-reject")
     assert len(rejects) == stats["rejected"]
-    assert sorted(e["attrs"]["cause"] for e in rejects) == [
-        "connection reset", "queue-full", "queue-timeout",
-    ]
+    assert Counter(e["attrs"]["cause"] for e in rejects) == {
+        "connection reset": 1, "queue-full": 1, "queue-timeout": QUEUE_LIMIT,
+    }
 
 
 def test_a_server_built_before_the_tracer_is_not_exported():
@@ -255,11 +262,9 @@ def test_a_server_built_before_the_tracer_is_not_exported():
 
 def test_admission_stats_snapshot():
     """The first-class gauge view monitoring agents sample."""
-    env, server = make_http(n_clients=8)
-    server.configure_admission(
-        AdmissionConfig(max_concurrent=2, queue_limit=2, queue_timeout=120.0)
-    )
-    server.publish("/pkg", FAST_ETHERNET * 5)
+    n = FULL + 4
+    env, server = make_http(n, admission_seed=0)
+    server.publish("/pkg", FAST_ETHERNET)
     stats = server.admission_stats()
     assert stats == {
         "in_flight": 0,
@@ -270,18 +275,18 @@ def test_admission_stats_snapshot():
         "bytes_served": 0.0,
     }
     results = []
-    for i in range(8):
+    for i in range(n):
         env.process(fetch(env, server, f"c{i}", "/pkg", results))
     env.run(until=1.0)
     mid = server.admission_stats()
-    assert mid["in_flight"] == 2
-    assert mid["queue_depth"] == 2
+    assert mid["in_flight"] == MAX_CONCURRENT
+    assert mid["queue_depth"] == QUEUE_LIMIT
     assert mid["rejected"] == 4
     env.run()
     done = server.admission_stats()
     assert done["in_flight"] == 0 and done["queue_depth"] == 0
-    assert done["requests_served"] == 4
-    assert done["bytes_served"] == pytest.approx(FAST_ETHERNET * 5 * 4)
+    assert done["requests_served"] == FULL
+    assert done["bytes_served"] == pytest.approx(FAST_ETHERNET * FULL)
     # the snapshot mirrors the first-class properties exactly
     assert done["rejected"] == server.rejected
     assert done["queue_timeouts"] == server.queue_timeouts
@@ -289,85 +294,58 @@ def test_admission_stats_snapshot():
 
 def test_in_flight_gauge_tracks_grants_and_releases():
     tracer = Tracer()
-    env, server = make_http(n_clients=4, tracer=tracer)
-    server.configure_admission(
-        AdmissionConfig(max_concurrent=2, queue_limit=4, queue_timeout=600.0)
-    )
-    server.publish("/pkg", FAST_ETHERNET * 5)
+    n = MAX_CONCURRENT + 2
+    env, server = make_http(n, tracer=tracer, admission_seed=0)
+    server.publish("/pkg", FAST_ETHERNET)
     results = []
-    for i in range(4):
+    for i in range(n):
         env.process(fetch(env, server, f"c{i}", "/pkg", results))
     env.run()
-    assert server.requests_served == 4
+    assert server.requests_served == n
     samples = [v for _, v in tracer.metrics.samples("http.in_flight/www")]
-    assert max(samples) == 2  # the cap was reached...
+    assert max(samples) == MAX_CONCURRENT  # the cap was reached...
     assert samples[-1] == 0   # ...and fully released at the end
 
 
 # -- seeded Retry-After jitter ------------------------------------------------
 
 
-def shed_hints(jitter, seed=0, n=12, retry_after=10.0):
-    """Occupy the single slot, shed n requests, return their hints."""
-    env, server = make_http(n_clients=n + 1)
-    server.configure_admission(
-        AdmissionConfig(
-            max_concurrent=1,
-            queue_limit=0,
-            retry_after=retry_after,
-            retry_jitter=jitter,
-            jitter_seed=seed,
-        )
-    )
+def shed_hints(seed=0, n=12):
+    """Fill every slot and the queue, shed n requests, return their hints."""
+    env, server = make_http(FULL + n, admission_seed=seed)
     server.publish("/slow", FAST_ETHERNET * 600)
-    env.process(server.get("c0", "/slow"))  # pins the only slot
+    for i in range(FULL):
+        env.process(server.get(f"c{i}", "/slow"))
     results = []
     for i in range(n):
-        env.process(fetch(env, server, f"c{i + 1}", "/pkg", results))
+        env.process(fetch(env, server, f"c{FULL + i}", "/pkg", results))
     env.run(until=1.0)
     assert len(results) == n
     assert all(isinstance(r, HttpError) and r.status == 503 for r in results)
     return [r.retry_after for r in results]
 
 
-def test_retry_jitter_validation():
-    with pytest.raises(ValueError, match="retry_jitter"):
-        AdmissionConfig(max_concurrent=1, retry_jitter=-0.1)
-
-
-def test_no_jitter_means_a_fixed_hint():
-    assert set(shed_hints(jitter=0.0)) == {10.0}
-
-
 def test_jitter_spreads_hints_within_the_advertised_band():
-    hints = shed_hints(jitter=0.5, retry_after=10.0)
-    assert all(10.0 <= h <= 15.0 for h in hints)
+    hints = shed_hints()
+    assert all(HINT_BAND[0] <= h <= HINT_BAND[1] for h in hints)
     assert len(set(hints)) > 1  # the herd is actually spread
 
 
 def test_jitter_is_deterministic_in_the_seed():
-    assert shed_hints(jitter=0.5, seed=7) == shed_hints(jitter=0.5, seed=7)
-    assert shed_hints(jitter=0.5, seed=7) != shed_hints(jitter=0.5, seed=8)
+    assert shed_hints(seed=7) == shed_hints(seed=7)
+    assert shed_hints(seed=7) != shed_hints(seed=8)
 
 
 def test_queue_timeout_sheds_carry_jittered_hints_too():
-    env, server = make_http(n_clients=3)
-    server.configure_admission(
-        AdmissionConfig(
-            max_concurrent=1,
-            queue_limit=2,
-            queue_timeout=5.0,
-            retry_after=10.0,
-            retry_jitter=0.5,
-            jitter_seed=3,
-        )
-    )
+    env, server = make_http(MAX_CONCURRENT + 2, admission_seed=3)
     server.publish("/slow", FAST_ETHERNET * 600)
-    env.process(server.get("c0", "/slow"))
+    for i in range(MAX_CONCURRENT):
+        env.process(server.get(f"c{i}", "/slow"))
     results = []
     for i in range(2):
-        env.process(fetch(env, server, f"c{i + 1}", "/pkg", results))
-    env.run(until=20.0)
+        env.process(
+            fetch(env, server, f"c{MAX_CONCURRENT + i}", "/pkg", results))
+    env.run(until=QUEUE_TIMEOUT + 5.0)
     assert len(results) == 2
     assert server.queue_timeouts == 2
-    assert all(10.0 <= r.retry_after <= 15.0 for r in results)
+    assert all(HINT_BAND[0] <= r.retry_after <= HINT_BAND[1] for r in results)

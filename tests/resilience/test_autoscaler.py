@@ -1,26 +1,30 @@
-"""The gauge-driven autoscaler: control law, hysteresis, cooldown, bounds."""
+"""The gauge-driven autoscaler: control law, hysteresis, cooldown, bounds.
 
-import pytest
+The control law is the module's constants: a tick every ``INTERVAL``
+seconds, a hold of ``COOLDOWN`` to ``COOLDOWN * (1 + COOLDOWN_JITTER)``
+seconds after each action, and ``HOLD_TICKS`` calm ticks before a drain.
+"""
 
-from repro.netsim import AdmissionConfig, Environment
-from repro.resilience import Autoscaler, AutoscalerPolicy
+from repro.netsim import Environment
+from repro.netsim.http import MAX_CONCURRENT
+from repro.resilience import Autoscaler
+from repro.resilience.autoscaler import (
+    COOLDOWN,
+    COOLDOWN_JITTER,
+    HOLD_TICKS,
+    INFLIGHT_HIGH_FRAC,
+    INTERVAL,
+    MAX_REPLICAS,
+)
 
-
-class FakeHttp:
-    def __init__(self, admission):
-        self.admission = admission
-
-
-class FakePrimary:
-    def __init__(self, admission):
-        self.http = FakeHttp(admission)
+#: the longest hold after an action
+MAX_HOLD = COOLDOWN * (1.0 + COOLDOWN_JITTER)
 
 
 class FakeReplicaSet:
     """Mimics InstallReplicaSet's scaling surface; records every call."""
 
-    def __init__(self, admission=None):
-        self.primary = FakePrimary(admission)
+    def __init__(self):
         self.n_replicas = 0
         self.calls = []
         self.reaps = 0
@@ -39,38 +43,20 @@ class FakeReplicaSet:
 
 CALM = {"http.queue_depth": 0.0, "http.in_flight": 0.0,
         "net.tx_util": 0.0, "http.rejected": 0.0}
+#: a queue depth that is neither pressure nor calm
+BUSY = 5.0
 
 
-def make_scaler(metrics, policy=None, admission=None):
+def make_scaler(metrics, seed=0):
     env = Environment()
-    rs = FakeReplicaSet(admission=admission)
-    policy = policy or AutoscalerPolicy(
-        interval=10.0, cooldown=0.0, cooldown_jitter=0.0
-    )
-    scaler = Autoscaler(env, rs, lambda: dict(metrics), policy)
+    rs = FakeReplicaSet()
+    scaler = Autoscaler(env, rs, lambda: dict(metrics), seed)
     return env, rs, scaler, metrics
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError, match="interval"):
-        AutoscalerPolicy(interval=0.0)
-    with pytest.raises(ValueError, match="inflight_high_frac"):
-        AutoscalerPolicy(inflight_high_frac=1.5)
-    with pytest.raises(ValueError, match="util_high"):
-        AutoscalerPolicy(util_high=0.0)
-    with pytest.raises(ValueError, match="low_frac"):
-        AutoscalerPolicy(low_frac=1.0)
-    with pytest.raises(ValueError, match="hold_ticks"):
-        AutoscalerPolicy(hold_ticks=0)
-    with pytest.raises(ValueError, match="cooldown"):
-        AutoscalerPolicy(cooldown=-1.0)
-    with pytest.raises(ValueError, match="min_replicas"):
-        AutoscalerPolicy(min_replicas=5, max_replicas=2)
 
 
 def test_queue_pressure_scales_up():
     env, rs, scaler, metrics = make_scaler(dict(CALM, **{"http.queue_depth": 9.0}))
-    env.run(until=10.0)
+    env.run(until=INTERVAL)
     assert rs.n_replicas == 1
     assert scaler.events[-1].action == "scale-up"
     assert "queue_depth" in scaler.events[-1].reason
@@ -79,127 +65,123 @@ def test_queue_pressure_scales_up():
 def test_shed_delta_scales_up_but_flat_rejected_does_not():
     metrics = dict(CALM, **{"http.rejected": 50.0})
     env, rs, scaler, metrics = make_scaler(metrics)
-    env.run(until=10.0)
+    env.run(until=INTERVAL)
     # first tick: rejected jumped 0 -> 50, that is active shedding
     assert rs.n_replicas == 1
-    env.run(until=30.0)
-    # rejected stays at 50: no new sheds, no further scale-up
-    assert rs.n_replicas == 1
+    env.run(until=10 * INTERVAL)
+    # rejected stays at 50: no new sheds, no further scale-up; the calm
+    # ticks after the cooldown drain the replica again
+    assert [e.action for e in scaler.events] == ["scale-up", "scale-down"]
 
 
 def test_util_pressure_scales_up():
     env, rs, scaler, _ = make_scaler(dict(CALM, **{"net.tx_util": 0.95}))
-    env.run(until=10.0)
+    env.run(until=INTERVAL)
     assert rs.n_replicas == 1
     assert "tx_util" in scaler.events[-1].reason
 
 
 def test_inflight_threshold_comes_from_admission_config():
-    admission = AdmissionConfig(max_concurrent=10)
-    metrics = dict(CALM, **{"http.in_flight": 9.0})
-    env, rs, scaler, _ = make_scaler(metrics, admission=admission)
-    env.run(until=10.0)  # 9 >= 0.9 * 10
+    """The in-flight mark is a fraction of the admission cap."""
+    mark = INFLIGHT_HIGH_FRAC * MAX_CONCURRENT
+    env, rs, scaler, _ = make_scaler(dict(CALM, **{"http.in_flight": mark}))
+    env.run(until=INTERVAL)
     assert rs.n_replicas == 1
-    # without an admission config the in-flight signal is ignored
-    env2, rs2, _, _ = make_scaler(dict(metrics))
-    env2.run(until=10.0)
+    assert "in_flight" in scaler.events[-1].reason
+    # just below the mark the in-flight signal is not pressure
+    env2, rs2, _, _ = make_scaler(dict(CALM, **{"http.in_flight": mark - 0.5}))
+    env2.run(until=INTERVAL)
     assert rs2.n_replicas == 0
 
 
 def test_scale_up_respects_max_replicas():
-    policy = AutoscalerPolicy(interval=10.0, cooldown=0.0,
-                              cooldown_jitter=0.0, max_replicas=2)
-    env, rs, scaler, _ = make_scaler(
-        dict(CALM, **{"http.queue_depth": 99.0}), policy=policy
-    )
-    env.run(until=100.0)
-    assert rs.n_replicas == 2
+    env, rs, scaler, _ = make_scaler(dict(CALM, **{"http.queue_depth": 99.0}))
+    env.run(until=INTERVAL + MAX_REPLICAS * (MAX_HOLD + INTERVAL))
+    assert rs.n_replicas == MAX_REPLICAS
+    assert len(scaler.events) == MAX_REPLICAS
 
 
 def test_cooldown_blocks_back_to_back_actions():
-    policy = AutoscalerPolicy(interval=10.0, cooldown=35.0, cooldown_jitter=0.0)
-    env, rs, scaler, _ = make_scaler(
-        dict(CALM, **{"http.queue_depth": 99.0}), policy=policy
-    )
-    env.run(until=40.0)
-    # scale-up at t=10; ticks at 20, 30, 40 fall inside the 35s cooldown
-    assert [e.t for e in scaler.events] == [10.0]
-    env.run(until=50.0)
-    assert [e.t for e in scaler.events] == [10.0, 50.0]
+    env, rs, scaler, _ = make_scaler(dict(CALM, **{"http.queue_depth": 99.0}))
+    env.run(until=INTERVAL + COOLDOWN)
+    # scale-up at the first tick; the ticks inside the cooldown do nothing
+    assert [e.t for e in scaler.events] == [INTERVAL]
+    env.run(until=INTERVAL + MAX_HOLD + INTERVAL)
+    first, second = (e.t for e in scaler.events)
+    assert COOLDOWN <= second - first < MAX_HOLD + INTERVAL
 
 
 def test_cooldown_jitter_is_seeded_and_stretches_the_hold():
     def trajectory(seed):
-        policy = AutoscalerPolicy(interval=10.0, cooldown=20.0,
-                                  cooldown_jitter=0.5, seed=seed)
         env, _, scaler, _ = make_scaler(
-            dict(CALM, **{"http.queue_depth": 99.0}), policy=policy
+            dict(CALM, **{"http.queue_depth": 99.0}), seed=seed
         )
-        env.run(until=200.0)
-        return [e.t for e in scaler.events]
+        env.run(until=400.0)
+        return [e.t for e in scaler.events], scaler._cooldown_until
 
-    a, b = trajectory(1), trajectory(1)
-    assert a == b  # same seed, same decisions
+    (a, hold_a), (b, hold_b) = trajectory(1), trajectory(1)
+    assert (a, hold_a) == (b, hold_b)  # same seed, same decisions
     # jittered cooldowns are never shorter than the base cooldown
-    assert all(t1 - t0 >= 20.0 for t0, t1 in zip(a, a[1:]))
+    assert all(t1 - t0 >= COOLDOWN for t0, t1 in zip(a, a[1:]))
+    assert COOLDOWN < hold_a - a[-1] <= MAX_HOLD
 
 
 def test_drain_requires_consecutive_calm_ticks():
-    policy = AutoscalerPolicy(interval=10.0, cooldown=0.0,
-                              cooldown_jitter=0.0, hold_ticks=3)
     metrics = dict(CALM, **{"http.queue_depth": 9.0})
-    env, rs, scaler, metrics = make_scaler(metrics, policy=policy)
-    env.run(until=10.0)
+    env, rs, scaler, metrics = make_scaler(metrics)
+    env.run(until=INTERVAL)
     assert rs.n_replicas == 1
-    metrics["http.queue_depth"] = 0.0  # pressure gone
-    env.run(until=30.0)  # only 2 calm ticks so far
+    metrics["http.queue_depth"] = BUSY  # no pressure, not calm either
+    t0 = 6 * INTERVAL  # a tick after the cooldown has run out
+    assert t0 > INTERVAL + MAX_HOLD
+    env.run(until=t0)
     assert rs.n_replicas == 1
-    env.run(until=40.0)  # third consecutive calm tick: drain
+    metrics["http.queue_depth"] = 0.0  # calm
+    env.run(until=t0 + (HOLD_TICKS - 1) * INTERVAL)
+    assert rs.n_replicas == 1
+    env.run(until=t0 + HOLD_TICKS * INTERVAL)  # the last calm tick: drain
     assert rs.n_replicas == 0
     assert scaler.events[-1].action == "scale-down"
 
 
 def test_pressure_resets_the_calm_streak():
-    policy = AutoscalerPolicy(interval=10.0, cooldown=0.0,
-                              cooldown_jitter=0.0, hold_ticks=2,
-                              max_replicas=1)
     metrics = dict(CALM, **{"http.queue_depth": 9.0})
-    env, rs, scaler, metrics = make_scaler(metrics, policy=policy)
-    env.run(until=10.0)
+    env, rs, scaler, metrics = make_scaler(metrics)
+    env.run(until=INTERVAL)
     assert rs.n_replicas == 1
     metrics["http.queue_depth"] = 0.0
-    env.run(until=20.0)  # calm tick 1
+    env.run(until=HOLD_TICKS * INTERVAL)  # calm ticks 1 and 2
     metrics["http.queue_depth"] = 9.0
-    env.run(until=30.0)  # pressure: streak resets (already at max, no up)
+    env.run(until=(HOLD_TICKS + 1) * INTERVAL)  # pressure in the cooldown
+    assert len(scaler.events) == 1  # held: no action, the streak resets
     metrics["http.queue_depth"] = 0.0
-    env.run(until=40.0)  # calm tick 1 again
+    t_drain = (2 * HOLD_TICKS + 1) * INTERVAL  # calm 1..HOLD_TICKS again
+    assert t_drain - INTERVAL > INTERVAL + MAX_HOLD  # cooldown over before
+    env.run(until=t_drain - INTERVAL)
     assert rs.n_replicas == 1
-    env.run(until=50.0)  # calm tick 2: now it drains
+    env.run(until=t_drain)  # now it drains
     assert rs.n_replicas == 0
 
 
 def test_drain_respects_min_replicas():
-    policy = AutoscalerPolicy(interval=10.0, cooldown=0.0,
-                              cooldown_jitter=0.0, hold_ticks=1,
-                              min_replicas=0)
-    env, rs, scaler, _ = make_scaler(dict(CALM), policy=policy)
-    env.run(until=100.0)
+    env, rs, scaler, _ = make_scaler(dict(CALM))
+    env.run(until=10 * INTERVAL)
     assert rs.n_replicas == 0  # never drains below the floor
     assert scaler.events == []
 
 
 def test_loop_reaps_drained_replicas_and_stop_retires_it():
     env, rs, scaler, _ = make_scaler(dict(CALM))
-    env.run(until=30.0)
+    env.run(until=3 * INTERVAL)
     assert rs.reaps == 3
     scaler.stop()
-    env.run(until=60.0)
+    env.run(until=6 * INTERVAL)
     assert rs.reaps == 3  # loop is gone
     scaler.stop()  # idempotent
 
 
 def test_missing_gauges_are_a_no_op_tick():
     env, rs, scaler, _ = make_scaler({})
-    env.run(until=50.0)
+    env.run(until=5 * INTERVAL)
     assert rs.n_replicas == 0
     assert scaler.events == []

@@ -9,9 +9,11 @@ land every node installed — deterministically.
 
 import pytest
 
+from repro import build_cluster
+from repro.core.tools import ReinstallCampaign
 from repro.faults import chaos_reinstall
-from repro.netsim import AdmissionConfig
-from repro.resilience import ResilienceOptions, SupervisorPolicy
+from repro.netsim.http import QUEUE_LIMIT
+from repro.resilience import harden_frontend
 from repro.telemetry import Tracer, to_jsonl
 
 
@@ -71,28 +73,25 @@ def test_same_seed_runs_export_identical_telemetry():
 
 
 def test_admission_evidence_under_a_wave_above_the_cap():
-    """Cap below the wave: 503s are shed with Retry-After, the installer
-    honors the hint, the queue stays bounded, and the wave still lands."""
+    """A wave above the cap and the queue: 503s are shed with Retry-After,
+    the installer honors the hint, the queue stays bounded, and the wave
+    still lands."""
     tracer = Tracer()
-    options = ResilienceOptions(
-        supervisor=SupervisorPolicy(),
-        journal=True,
-        admission=AdmissionConfig(
-            max_concurrent=2, queue_limit=2, queue_timeout=10.0,
-            retry_after=8.0,
-        ),
-        breaker=False,  # isolate admission behavior from breaker fast-fails
-    )
-    result = chaos_reinstall(
-        n_nodes=8, plan="none", resilience=options, tracer=tracer
-    )
-    assert result.completion_rate == 1.0
+    # Boot jitter spreads the fetches: a wave of MAX_CONCURRENT +
+    # QUEUE_LIMIT + 2 = 16 nodes is never shed, one of 20 is.
+    sim = build_cluster(n_compute=20, tracer=tracer)
+    sim.integrate_all()
+    http = sim.frontend.install_server.http
+    http.configure_admission(0)
+    harden_frontend(sim.frontend)
+    campaign = ReinstallCampaign(sim.frontend)
+    report = sim.env.run(until=campaign.run(sim.nodes))
+    assert report.completion_rate == 1.0
     metrics = tracer.metrics
-    http = result.resilience.frontend.install_server.http
     assert http.rejected > 0
     assert metrics.counter(f"http.rejected/{http.host}") == http.rejected
     assert metrics.counter("install.retry_after_honored") > 0
-    assert metrics.peak(f"http.queue_depth/{http.host}") <= 2
+    assert metrics.peak(f"http.queue_depth/{http.host}") <= QUEUE_LIMIT
     assert http.in_flight == 0 and http.queue_depth == 0
     rejects = tracer.events("http-reject")
     assert len(rejects) == http.rejected
@@ -105,7 +104,7 @@ def test_zero_overhead_defaults_match_the_stock_run():
         tracer = Tracer()
         chaos_reinstall(
             n_nodes=4, plan="none",
-            resilience=ResilienceOptions(admission=None) if harden else None,
+            resilience=harden,
             tracer=tracer,
         )
         return tracer

@@ -1,12 +1,22 @@
-"""ServiceSupervisor: probing, backoff restarts, budget, escalation."""
+"""ServiceSupervisor: probing, backoff restarts, budget, escalation.
+
+Probes come every ``PROBE_INTERVAL`` seconds; the k-th restart of an
+incident waits ``RESTART_BACKOFF * BACKOFF_FACTOR**k`` seconds, stretched
+by up to ``JITTER``, and a service is left degraded after
+``RESTART_BUDGET`` restarts.
+"""
 
 import pytest
 
 from repro.netsim import Environment
-from repro.resilience import (
-    ServiceOutcome,
-    ServiceSupervisor,
-    SupervisorPolicy,
+from repro.resilience import ServiceOutcome, ServiceSupervisor
+from repro.resilience.supervisor import (
+    BACKOFF_FACTOR,
+    JITTER,
+    MAX_BACKOFF,
+    PROBE_INTERVAL,
+    RESTART_BACKOFF,
+    RESTART_BUDGET,
 )
 from repro.telemetry import Tracer
 
@@ -45,29 +55,18 @@ class StubbornService(FakeService):
         self.repairs += 1
 
 
-NO_JITTER = dict(probe_interval=10.0, restart_backoff=5.0, jitter=0.0)
+def jittered(base):
+    """The band a backoff of ``base`` seconds is drawn from."""
+    return pytest.approx(base * (1.0 + JITTER / 2), abs=base * JITTER / 2)
 
 
-def make_supervisor(policy=None, **services):
+def make_supervisor(**services):
     env = Environment()
-    sup = ServiceSupervisor(env, policy or SupervisorPolicy(**NO_JITTER))
+    sup = ServiceSupervisor(env)
     for name, svc in services.items():
         sup.register(name, svc)
     sup.start()
     return env, sup
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError, match="probe_interval"):
-        SupervisorPolicy(probe_interval=0)
-    with pytest.raises(ValueError, match="restart_backoff"):
-        SupervisorPolicy(restart_backoff=-1)
-    with pytest.raises(ValueError, match="backoff_factor"):
-        SupervisorPolicy(backoff_factor=0.5)
-    with pytest.raises(ValueError, match="jitter"):
-        SupervisorPolicy(jitter=-0.1)
-    with pytest.raises(ValueError, match="restart_budget"):
-        SupervisorPolicy(restart_budget=0)
 
 
 def test_duplicate_registration_rejected():
@@ -81,7 +80,7 @@ def test_duplicate_registration_rejected():
 def test_healthy_service_is_only_probed():
     svc = FakeService()
     env, sup = make_supervisor(dhcpd=svc)
-    env.run(until=55.0)
+    env.run(until=5 * PROBE_INTERVAL + 5.0)
     report = sup.report()
     assert report.probes == 5
     assert report.restarts == []
@@ -99,9 +98,9 @@ def test_faulted_service_is_repaired_with_backoff():
     [rec] = report.restarts
     assert rec.service == "httpd"
     assert rec.attempt == 1
-    assert rec.backoff == pytest.approx(5.0)
-    # first failed probe at t=10, restart lands one backoff later
-    assert rec.t == pytest.approx(15.0)
+    assert rec.backoff == jittered(RESTART_BACKOFF)
+    # the first failed probe queues the restart one backoff later
+    assert rec.t == pytest.approx(PROBE_INTERVAL + rec.backoff)
     assert report.outcomes["httpd"] is ServiceOutcome.RECOVERED
 
 
@@ -116,42 +115,32 @@ def test_dead_but_unfaulted_service_is_started_not_repaired():
 
 def test_backoff_grows_exponentially_and_caps():
     svc = StubbornService()
-    policy = SupervisorPolicy(
-        probe_interval=10.0,
-        restart_backoff=5.0,
-        backoff_factor=2.0,
-        max_backoff=15.0,
-        jitter=0.0,
-        restart_budget=4,
-    )
-    env, sup = make_supervisor(policy, httpd=svc)
+    env, sup = make_supervisor(httpd=svc)
     svc.fail()
-    env.run(until=500.0)
+    env.run(until=1000.0)
     backoffs = [rec.backoff for rec in sup.report().restarts]
-    # 5, 10, then clamped to max_backoff
-    assert backoffs == pytest.approx([5.0, 10.0, 15.0, 15.0])
+    bases = [min(RESTART_BACKOFF * BACKOFF_FACTOR**k, MAX_BACKOFF)
+             for k in range(RESTART_BUDGET)]
+    assert backoffs == [jittered(base) for base in bases]
 
 
 def test_budget_exhaustion_escalates_to_degraded():
     svc = StubbornService()
-    policy = SupervisorPolicy(
-        probe_interval=10.0, restart_backoff=1.0, jitter=0.0, restart_budget=3
-    )
     env = Environment()
     tracer = Tracer().attach(env)
-    sup = ServiceSupervisor(env, policy)
+    sup = ServiceSupervisor(env)
     sup.register("httpd", svc)
     sup.start()
     svc.fail()
-    env.run(until=400.0)
+    env.run(until=1000.0)
     report = sup.report()
-    assert len(report.restarts) == 3  # budget, then hands off
+    assert len(report.restarts) == RESTART_BUDGET  # budget, then hands off
     assert report.outcomes["httpd"] is ServiceOutcome.DEGRADED
     assert report.degraded == ["httpd"]
-    assert svc.repairs == 3
+    assert svc.repairs == RESTART_BUDGET
     [event] = tracer.events("supervisor-degraded")
     assert event["name"] == "httpd"
-    assert tracer.metrics.counter("supervisor.restarts") == 3
+    assert tracer.metrics.counter("supervisor.restarts") == RESTART_BUDGET
 
 
 def test_healthy_probe_resets_the_failure_count():
@@ -163,7 +152,7 @@ def test_healthy_probe_resets_the_failure_count():
     env.run(until=120.0)  # repaired again
     backoffs = [rec.backoff for rec in sup.report().restarts]
     # second incident starts from the base backoff, not 2x
-    assert backoffs == pytest.approx([5.0, 5.0])
+    assert backoffs == [jittered(RESTART_BACKOFF)] * 2
     assert all(rec.attempt == 1 for rec in sup.report().restarts)
 
 
@@ -173,7 +162,8 @@ def test_service_healing_during_backoff_skips_the_restart():
     svc.fail()
 
     def heal():
-        yield env.timeout(12.0)  # probe at t=10 queued a restart for t=15
+        # the first probe queued a restart at least one backoff later
+        yield env.timeout(PROBE_INTERVAL + RESTART_BACKOFF / 2)
         svc.repair()
 
     env.process(heal())
@@ -183,26 +173,22 @@ def test_service_healing_during_backoff_skips_the_restart():
 
 
 def test_jitter_is_deterministic_per_seed():
-    def run(seed):
+    def run():
         svc = FakeService()
-        policy = SupervisorPolicy(
-            probe_interval=10.0, restart_backoff=5.0, jitter=0.5, seed=seed
-        )
-        env, sup = make_supervisor(policy, httpd=svc)
+        env, sup = make_supervisor(httpd=svc)
         svc.fail()
         env.run(until=60.0)
         return [rec.backoff for rec in sup.report().restarts]
 
-    assert run(1) == run(1)
-    assert run(1) != run(2)
-    assert all(5.0 <= b <= 7.5 for b in run(1))
+    assert run() == run()
+    assert run() == [jittered(RESTART_BACKOFF)]
 
 
 def test_on_restart_hook_runs_before_revival():
     svc = FakeService()
     seen = []
     env = Environment()
-    sup = ServiceSupervisor(env, SupervisorPolicy(**NO_JITTER))
+    sup = ServiceSupervisor(env)
     sup.register("httpd", svc, on_restart=lambda s: seen.append(s.running))
     sup.start()
     svc.fail()
@@ -214,7 +200,7 @@ def test_on_restart_hook_runs_before_revival():
 def test_stop_halts_probing():
     svc = FakeService()
     env, sup = make_supervisor(httpd=svc)
-    env.run(until=25.0)
+    env.run(until=2 * PROBE_INTERVAL + 5.0)
     sup.stop()
     assert not sup.running
     svc.fail()
