@@ -214,7 +214,6 @@ def run_storm(
             replica_set,
             monitoring.aggregator,
             frontend.machine.hostid,
-            seed=opts.seed,
         )
 
     # Root span for the whole storm: fault injections parent on it

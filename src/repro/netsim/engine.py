@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from contextlib import contextmanager
+from heapq import heappush
 from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 
 from ..telemetry import NULL_TRACER
@@ -103,7 +104,16 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        self.env._schedule(self)
+        env = self.env
+        if env._instrumented:
+            env._schedule(self)
+            return self
+        # Environment._schedule at delay 0, inlined: every process
+        # bootstrap, wake and flow completion comes through here.
+        self._scheduled = True
+        if self._cancelled:
+            env._n_cancelled += 1
+        heappush(env._queue, (env._now, next(env._seq), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -222,6 +232,10 @@ class AnyOf(_Condition):
 
 
 ProcessGenerator = Generator[Event, Any, Any]
+
+#: allocates an event without running its constructor (see
+#: :meth:`Environment.timeout`)
+_new_event = object.__new__
 
 
 class Process(Event):
@@ -366,7 +380,8 @@ class Environment:
     :func:`instrumented` block is active, in which case it returns that
     block's subclass (a sanitized environment).  To build
     one explicitly, construct the subclass itself.  Instrumentation adds
-    **zero** code to the default scheduling and dispatch paths.
+    no code to the default dispatch path, and to scheduling only the
+    ``_instrumented`` class-flag test in :meth:`Event.succeed`.
     """
 
     __slots__ = (
@@ -379,6 +394,10 @@ class Environment:
         "events_dispatched",
         "tracer",
     )
+
+    #: whether every event must reach the queue through :meth:`_schedule`;
+    #: only an :class:`InstrumentedEnvironment` sets it
+    _instrumented = False
 
     def __new__(cls, *args: Any, **kwargs: Any):
         if cls is Environment and _AMBIENT_CLASS is not None:
@@ -415,7 +434,27 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+        """``Timeout(self, delay, value)``, built and queued in one frame.
+
+        The engine's most frequent event skips the constructor chain and
+        :meth:`_schedule`; an instrumented environment overrides this
+        with the constructor, so its ``_schedule`` still sees the timer.
+        """
+        # Negated, so that NaN is refused too.
+        if not delay >= 0:
+            raise SimulationError(
+                f"timeout delay must be non-negative, got {delay!r}")
+        event = _new_event(Timeout)
+        event.env = self
+        event.callbacks = []
+        event._value = value
+        event._ok = True
+        event._triggered = True
+        event._scheduled = True
+        event._cancelled = False
+        event.delay = delay
+        heappush(self._queue, (self._now + delay, next(self._seq), event))
+        return event
 
     def slotted_timeout(self, delay: float) -> Timeout:
         """A shared timer: waiters due at the same instant share one event.
@@ -571,11 +610,18 @@ class InstrumentedEnvironment(Environment):
     Subclasses observe scheduling and dispatch by overriding
     ``_schedule`` and ``step``; :meth:`run` drives that ``step()`` with
     the base loop's exact semantics, trading raw dispatch speed for
-    observability.  Build one explicitly, or for a whole region with
-    :func:`instrumented`.
+    observability.  Every event reaches ``_schedule``: the class flag
+    turns off :meth:`Event.succeed`'s inline push, and :meth:`timeout`
+    builds its timer through the constructor.  Build one explicitly, or
+    for a whole region with :func:`instrumented`.
     """
 
     __slots__ = ()
+
+    _instrumented = True
+
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
+        return Timeout(self, delay, value)
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         step = self.step

@@ -21,7 +21,10 @@ groups keep their rates.  Between recomputations every flow progresses
 linearly, and the earliest completion across all components is tracked
 in a lazy min-heap instead of an O(flows) scan, so completion times can
 still be scheduled exactly and the simulation stays deterministic at
-10k-node scale.
+10k-node scale.  The heap holds one entry per component, keyed by its
+earliest member: a refill pushes one entry, not one per member, and a
+wakeup pops whole components in the order, and up to the same flow,
+that one entry per flow would give.
 
 Most components are **symmetric**: every member has the same cap and
 crosses, position by position, either the same link or one with the
@@ -34,9 +37,9 @@ the rounds would give; every other component runs the rounds.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
+from heapq import heapify, heappop, heappush
 from operator import attrgetter
 from typing import Any, Iterable, Optional
 
@@ -124,7 +127,7 @@ class Flow:
         "_span",
         "_seq",
         "_last_credit",
-        "_eta_gen",
+        "_eta",
         "_comp",
     )
 
@@ -152,8 +155,9 @@ class Flow:
         self._seq = next(network._flow_seq_counter)
         #: per-flow credit anchor: the instant ``remaining`` was last true
         self._last_credit = network.env.now
-        #: generation counter invalidating stale completion-heap entries
-        self._eta_gen = 0
+        #: completion instant at its component's last refresh (inf while
+        #: its rate is below ``_EPS``: then it has no completion in view)
+        self._eta = math.inf
         #: the bottleneck component this flow belongs to while it is live
         self._comp: Optional[_Component] = None
 
@@ -179,18 +183,23 @@ class _Component:
     ``flows`` is insertion-ordered and holds the members in start
     (``_seq``) order.  Every live flow on a member's link is itself a
     member, so ``len(link._flows)`` counts the members on ``link``.
+    ``_token`` names the component's one live completion-heap entry
+    (``None`` without one); a refresh replaces it, and a departure, a
+    merge or a split clears it.
     """
 
-    __slots__ = ("flows",)
+    __slots__ = ("flows", "_token")
 
     def __init__(self, flows: dict[Flow, None]):
         self.flows = flows
+        self._token: Optional[int] = None
         for flow in flows:
             flow._comp = self
 
 
 def _merge(a: _Component, b: _Component) -> _Component:
     """One component for the members of two that a new flow bridges."""
+    a._token = b._token = None
     return _Component(dict.fromkeys(sorted([*a.flows, *b.flows], key=_flow_seq)))
 
 
@@ -258,6 +267,26 @@ def _symmetric_increment(active: list[Flow]) -> Optional[float]:
     return inc
 
 
+def _first_failing(comp: _Component, now: float) -> Optional[tuple[float, int]]:
+    """``(eta, seq)`` of the earliest member of ``comp`` that a wakeup at
+    ``now`` cannot finish, or ``None`` when it can finish all of them.
+
+    A member can finish when the dust test can pass once it is credited:
+    ``remaining - rate * (now - anchor) <= _EPS + rate * 1e-9``, that is
+    ``eta <= now + 1e-9 + _EPS / rate`` (``rate == inf`` gives
+    ``eta == anchor``).  A member with no completion in view (``eta`` is
+    inf) is not a candidate at all.
+    """
+    first = None
+    for f in comp.flows:
+        eta = f._eta
+        if eta != math.inf and eta > now + 1e-9 + _EPS / f.rate:
+            key = (eta, f._seq)
+            if first is None or key < first:
+                first = key
+    return first
+
+
 class TransferAborted(Exception):
     """The flow was cancelled before completion (e.g. node power-cycled)."""
 
@@ -267,13 +296,15 @@ class FlowNetwork:
 
     Every live flow points at its bottleneck component, kept current by
     :meth:`transfer` and :meth:`_detach`, and a change recomputes only
-    the components on the links it touches.  The test suite keeps a
-    full-recompute subclass as a differential oracle: it finds every
-    component from the live flow set alone by breadth-first search and
-    refills all of them on every change, with a per-flow progressive
-    fill and an all-links utilization sampler.  The two must produce
-    bit-identical rates, completion times and ``link.util/*`` gauge
-    series.
+    the components on the links it touches.  Each refilled component
+    gets one completion-heap entry (:meth:`_refresh`), which a wakeup
+    pops (:meth:`_pop_due`).  The test suite keeps a full-recompute
+    subclass as a differential oracle: it finds every component from
+    the live flow set alone by breadth-first search and refills all of
+    them on every change, with a per-flow progressive fill, an
+    all-links utilization sampler and a completion heap of one entry
+    per flow.  The two must produce bit-identical rates, completion
+    times and ``link.util/*`` gauge series.
     """
 
     __slots__ = (
@@ -282,9 +313,9 @@ class FlowNetwork:
         "_flow_seq_counter",
         "_dirty",
         "_eta_heap",
+        "_tokens",
         "_wakeup",
         "_wakeup_time",
-        "_wakeup_gen",
         "_bytes_moved",
         "_util_traced",
         "_util_touched",
@@ -300,13 +331,18 @@ class FlowNetwork:
         # Links whose flow set or capacity changed since the last
         # reallocation (dict-as-set, marked in deterministic op order).
         self._dirty: dict[Link, None] = {}
-        # Lazy min-heap of (eta, flow_seq, eta_gen, flow, rel, anchor):
-        # the next completion instant per live flow.  Entries whose gen
-        # no longer matches flow._eta_gen are skipped at pop time.
-        self._eta_heap: list[tuple[float, int, int, Flow, float, float]] = []
+        # Lazy min-heap of (eta, seq, token, component, flow, rel,
+        # anchor): one entry per component, keyed by its earliest member
+        # (`flow`, start order `seq`) and carrying that member's delay
+        # `rel` from `anchor`, the refresh instant.  An entry whose token
+        # is no longer its component's is skipped at pop time.
+        self._eta_heap: list[
+            tuple[float, int, int, _Component, Flow, float, float]
+        ] = []
+        self._tokens = itertools.count()
+        # The pending wakeup Timeout and the completion instant it is for.
         self._wakeup: Optional[Event] = None
         self._wakeup_time = math.inf
-        self._wakeup_gen = 0
         self._bytes_moved = 0.0
         self._util_traced: dict[Link, float] = {}
         # Links to sample at the next fill; None while tracing is off.
@@ -456,8 +492,11 @@ class FlowNetwork:
         self._flows.pop(flow, None)
         for link in flow.path:
             link._flows.pop(flow, None)
-        flow._eta_gen += 1  # invalidate any pending completion-heap entry
-        members = flow._comp.flows
+        comp = flow._comp
+        # Its heap entry may be keyed by this flow.  Whatever is left of
+        # the component is refreshed by the reallocation that follows.
+        comp._token = None
+        members = comp.flows
         flow._comp = None
         del members[flow]
         if not members:
@@ -470,26 +509,35 @@ class FlowNetwork:
                 return
         _split(members)
 
-    def _credit(self, flows: Iterable[Flow]) -> None:
+    def _credit(self, flows: Iterable[Flow], sweep: bool = False) -> list[Flow]:
         """Credit ``flows`` with bytes moved since each one's last credit.
 
         Every flow carries its own anchor (``_last_credit``).  A
         reallocation credits every member of each touched component, so
         within a component the anchors advance in lockstep and the float
         arithmetic below is unchanged from the legacy global advance.
+
+        Returns the flows that are done, in the order of ``flows``: those
+        whose credit leaves less than a nanosecond of work (snapped to
+        zero), and those already credited at this instant that have none
+        left.  A wakeup ``sweep`` gives those the nanosecond too, which
+        also finishes an infinite-rate flow (``_EPS + inf``).
         """
         now = self.env._now
         inf = math.inf
         bytes_moved = self._bytes_moved
+        finished = []
         for flow in flows:
             dt = now - flow._last_credit
+            rate = flow.rate
+            remaining = flow.remaining
             if dt <= 0:
                 if dt < 0:
                     raise SimulationError("simulation time went backwards")
+                if remaining <= (_EPS + rate * 1e-9 if sweep else _EPS):
+                    finished.append(flow)
                 continue
             flow._last_credit = now
-            rate = flow.rate
-            remaining = flow.remaining
             if rate == inf:
                 moved = remaining
             else:
@@ -505,11 +553,13 @@ class FlowNetwork:
                 bytes_moved += remaining
                 moved += remaining
                 remaining = 0.0
+                finished.append(flow)
             flow.remaining = remaining
             if moved:
                 for link in flow.path:
                     link.bytes_carried += moved
         self._bytes_moved = bytes_moved
+        return finished
 
     def _closure(self) -> tuple[list[Flow], list[list[Flow]]]:
         """Bottleneck components on the dirty link set.
@@ -542,10 +592,11 @@ class FlowNetwork:
         """Incremental max-min fair recomputation.
 
         Credits and refills only the components on the dirty link set,
-        completes anything that drained, refreshes those
-        flows' completion-heap entries, samples the touched links'
-        utilization when tracing, and arranges the next wakeup.
-        Untouched bottleneck groups keep their rates.
+        completes anything that drained, refreshes those components'
+        completion-heap entries, samples the touched links' utilization
+        when tracing, and arranges the next wakeup.  Untouched
+        bottleneck groups keep their rates.  A wakeup sweep finishes
+        anything within a nanosecond of done (see :meth:`_credit`).
         """
         self._epoch += 1
         epoch = self._epoch
@@ -559,18 +610,7 @@ class FlowNetwork:
         if not affected and not comps:
             self._schedule_wakeup()
             return
-        self._credit(affected)
-        if _wakeup_sweep:
-            # Wakeup sweeps use the legacy rich predicate: anything with
-            # under a nanosecond of work left (or on an infinite-rate
-            # path) completes now instead of scheduling a dust wakeup.
-            finished = [
-                f
-                for f in affected
-                if f.remaining <= _EPS + f.rate * 1e-9 or math.isinf(f.rate)
-            ]
-        else:
-            finished = [f for f in affected if f.remaining <= _EPS]
+        finished = self._credit(affected, _wakeup_sweep)
         if finished:
             flows = self._flows
             for f in finished:
@@ -593,30 +633,63 @@ class FlowNetwork:
                     self._touch(affected)
                 self._reallocate()
                 return
-            # A rate must never be assigned to a detached flow.  Every
-            # flow left in a snapshot has work left: the loop above
-            # completed any that had none.
-            comps = [[f for f in comp if f in flows] for comp in comps]
-            affected = [f for f in affected if f in flows]
+            # A rate must never be assigned to a detached flow: the loop
+            # above completed every finished flow, so drop each one from
+            # the snapshot (`affected` may be its one group itself).
+            for f in finished:
+                affected.remove(f)
+                for comp in comps:
+                    if comp is not affected and f in comp:
+                        comp.remove(f)
+                        break
         for comp in comps:
             if comp:
                 self._fill(comp)
-        # Refresh completion etas for everything we credited.
-        now = self.env._now
-        heap = self._eta_heap
-        for f in affected:
-            f._eta_gen += 1
-            rate = f.rate
-            if rate > _EPS:
-                rel = f.remaining / rate
-                if rel < 0.0:
-                    rel = 0.0
-                heapq.heappush(heap, (now + rel, f._seq, f._eta_gen, f, rel, now))
-        # A credited flow still live means its component was refilled:
-        # sample then, exactly at the fills of the dirty components.
-        if affected and tracing:
-            self._record_utilization()
+        if affected:
+            self._refresh(affected)
+            # A credited flow still live means its component was
+            # refilled: sample then, exactly at the dirty components' fills.
+            if tracing:
+                self._record_utilization()
         self._schedule_wakeup()
+
+    def _refresh(self, flows: list[Flow]) -> None:
+        """Re-key the completion heap for ``flows``, just credited and filled.
+
+        ``flows`` are whole live components in start order.  Each member
+        keeps its completion instant in ``_eta``, and each component gets
+        one heap entry, keyed by its member with the smallest
+        ``(eta, seq)``: the instant the per-flow entries' minimum would
+        give, with that member's own ``rel`` and ``anchor``.  A
+        component whose every rate is below ``_EPS`` gets none.
+        """
+        first = flows[0]._comp
+        if len(first.flows) == len(flows):
+            comps: Iterable[_Component] = (first,)
+        else:
+            comps = dict.fromkeys([f._comp for f in flows])
+        now = self.env._now
+        inf = math.inf
+        heap = self._eta_heap
+        for comp in comps:
+            key = None
+            key_eta = inf
+            for f in comp.flows:
+                rate = f.rate
+                if rate > _EPS:
+                    rel = f.remaining / rate
+                    eta = now + rel
+                    if eta < key_eta:  # start order breaks ties
+                        key, key_eta, key_rel = f, eta, rel
+                    f._eta = eta
+                else:
+                    f._eta = inf
+            if key is None:
+                comp._token = None
+                continue
+            token = next(self._tokens)
+            comp._token = token
+            heappush(heap, (key_eta, key._seq, token, comp, key, key_rel, now))
 
     def _fill(self, active: list[Flow]) -> None:
         """Max-min water fill of one bottleneck component.
@@ -780,114 +853,123 @@ class FlowNetwork:
             flow._span = None
         flow.done.succeed(flow)
 
+    def _next_completion(self) -> Optional[tuple]:
+        """The live completion-heap entry due first, or ``None``.
+
+        Entries the components have since re-keyed or dropped are
+        popped on the way, and the heap is compacted once they make up
+        most of it.  Any entry's first item is its completion instant
+        and its last two are the ``rel`` and ``anchor`` it was computed
+        from.
+        """
+        heap = self._eta_heap
+        while heap and heap[0][3]._token != heap[0][2]:
+            heappop(heap)
+        if len(heap) > 64 and len(heap) > 4 * (len(self._flows) + 1):
+            heap[:] = [entry for entry in heap if entry[3]._token == entry[2]]
+            heapify(heap)
+        return heap[0] if heap else None
+
     def _schedule_wakeup(self) -> None:
         """Arrange to wake at the earliest flow-completion instant.
 
-        Completion instants live in a lazy min-heap: a flow's entry is
-        refreshed (generation-bumped) whenever its component is
-        recomputed, so the heap top — after skipping superseded
-        generations — is the next completion across all components,
-        without the legacy O(flows) scan.
+        Completion instants live in a lazy min-heap with one entry per
+        component, keyed by its earliest member and re-keyed whenever the
+        component is refilled, so the heap top, after skipping re-keyed
+        entries, is the next completion across all components without an
+        O(flows) scan.
 
-        Two further mechanisms keep recompute() storms (fault flapping)
-        from growing the event heap without bound, where the old
+        Two further rules keep recompute() storms (fault flapping) from
+        growing the event heap without bound, where the old
         clear-the-callbacks approach leaked one dead Timeout per call:
 
-        * a new Timeout is pushed only when the needed wake time is
-          *earlier* than the pending one — an early (spurious) wakeup
-          just recomputes and reschedules;
-        * a superseded wakeup is cancelled through
-          :meth:`Environment.cancel`, whose lazy-deletion-with-compaction
-          keeps dead entries a bounded fraction of the queue.  The
-          generation counter is belt-and-braces against a wakeup caught
-          mid-dispatch, where cancellation can no longer intercept it.
+        * a pending wakeup is kept when it is not later than the needed
+          instant; an early (spurious) wakeup just recomputes and
+          reschedules;
+        * a later one is cancelled through :meth:`Environment.cancel`,
+          whose lazy-deletion-with-compaction keeps dead entries a
+          bounded fraction of the queue, and a new Timeout is pushed.
         """
-        heap = self._eta_heap
-        while heap and heap[0][2] != heap[0][3]._eta_gen:
-            heapq.heappop(heap)
-        if len(heap) > 64 and len(heap) > 4 * (len(self._flows) + 1):
-            live = [entry for entry in heap if entry[2] == entry[3]._eta_gen]
-            heap[:] = live
-            heapq.heapify(heap)
-        if not heap:
+        entry = self._next_completion()
+        if entry is None:
             # Nothing can complete; let any pending wakeup fire spuriously.
             return
-        eta, _seq, _gen, _flow, rel, anchor = heap[0]
-        due = eta
-        if (
-            self._wakeup is not None
-            and self._wakeup._scheduled
-            and self._wakeup_time <= due * (1 + 1e-12) + 1e-9
-        ):
-            return
-        if self._wakeup is not None and self._wakeup._scheduled:
-            self.env.cancel(self._wakeup)
-        self._wakeup_gen += 1
-        gen = self._wakeup_gen
+        due = entry[0]
+        wakeup = self._wakeup
+        if wakeup is not None:
+            if self._wakeup_time <= due:
+                return
+            self.env.cancel(wakeup)
         now = self.env._now
-        if anchor == now:
+        if entry[-1] == now:
             # The top entry was anchored at this very instant; reuse its
             # relative delay so the scheduled time is bit-identical to
             # computing remaining/rate directly.
-            delay = rel
+            delay = entry[-2]
         else:
-            delay = eta - now
+            delay = due - now
             if delay < 0.0:
                 delay = 0.0
-        wake = self.env.timeout(delay)
-        self._wakeup = wake
+        wakeup = self.env.timeout(delay)
+        wakeup.callbacks.append(self._on_wakeup)
+        self._wakeup = wakeup
         self._wakeup_time = due
-        wake.callbacks.append(lambda _event, gen=gen: self._on_wakeup(gen))
 
-    def _on_wakeup(self, gen: int) -> None:
-        if gen != self._wakeup_gen:
-            return  # superseded by an earlier wakeup; nothing to do
-        self._wakeup = None
-        self._wakeup_time = math.inf
-        now = self.env._now
+    def _pop_due(self, now: float) -> bool:
+        """Pop the components that have a member due at ``now``.
+
+        A flow is due when :func:`_first_failing`'s test passes for it.
+        Flow by flow, the candidates are every flow before the first one
+        in ``(eta, seq)`` order that fails; a component is dirtied when
+        its earliest member, its heap key, is one of them.  So entries
+        are popped in key order, and the loop stops before one whose key
+        member fails, or whose key lies beyond the first failing member
+        of a component already popped (computed only when a further
+        entry needs it).  Returns whether anything was popped.
+        """
         heap = self._eta_heap
         dirty = self._dirty
-        candidates = 0
+        n_popped = 0
+        popped = None  # last popped component, not yet folded into `stop`
+        stop = None  # (eta, seq) of the first failing member popped so far
         while heap:
-            eta, _seq, egen, flow, _rel, _anchor = heap[0]
-            if egen != flow._eta_gen:
-                heapq.heappop(heap)
+            eta, seq, token, comp, flow, _rel, _anchor = heap[0]
+            if comp._token != token:
+                heappop(heap)
                 continue
-            # Candidate iff the dust predicate can pass once credited:
-            # remaining - rate*(now - anchor) <= _EPS + rate*1e-9, i.e.
-            # eta <= now + 1e-9 + _EPS/rate (rate == inf gives eta == anchor).
+            if popped is not None:
+                bound = _first_failing(popped, now)
+                if bound is not None and (stop is None or bound < stop):
+                    stop = bound
+                popped = None
+            if stop is not None and (eta, seq) >= stop:
+                break
             if eta > now + 1e-9 + _EPS / flow.rate:
                 break
-            heapq.heappop(heap)
-            flow._eta_gen += 1
-            candidates += 1
-            for link in flow.path:
-                dirty[link] = None
-        if candidates:
+            heappop(heap)
+            # Any link of the component names it in the next closure.
+            dirty[flow.path[0]] = None
+            popped = comp
+            n_popped += 1
+        return n_popped > 0
+
+    def _on_wakeup(self, _event: Event) -> None:
+        self._wakeup = None
+        if self._pop_due(self.env._now):
             self._reallocate(_wakeup_sweep=True)
             return
         # Spurious early wake (a kept, slightly-early timer): mirror the
         # legacy engine — credit everything, complete any dust, and
         # reschedule from the freshly split remainders.
         flows = list(self._flows)
-        self._credit(flows)
-        finished = [
-            f
-            for f in flows
-            if f.remaining <= _EPS + f.rate * 1e-9 or math.isinf(f.rate)
-        ]
+        finished = self._credit(flows, sweep=True)
         if finished:
+            dirty = self._dirty
             for f in finished:
                 for link in f.path:
                     dirty[link] = None
             self._reallocate(_wakeup_sweep=True)
             return
-        for f in flows:
-            f._eta_gen += 1
-            rate = f.rate
-            if rate > _EPS:
-                rel = f.remaining / rate
-                if rel < 0.0:
-                    rel = 0.0
-                heapq.heappush(heap, (now + rel, f._seq, f._eta_gen, f, rel, now))
+        if flows:
+            self._refresh(flows)
         self._schedule_wakeup()

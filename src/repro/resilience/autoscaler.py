@@ -13,15 +13,13 @@ replicate, from the same Ganglia-style gauges an operator would watch:
 The control law is deliberately boring and deterministic: scale *up*
 one replica when any pressure signal crosses its high-water mark, scale
 *down* (drain) one replica only after ``HOLD_TICKS`` consecutive calm
-ticks, and after every action hold a seeded cooldown so decisions
-cannot oscillate with the sampling phase.  All randomness flows from
-the autoscaler's ``seed``, so the same run always produces the same
-:class:`ScaleEvent` trajectory.
+ticks, and after every action hold a ``COOLDOWN`` so decisions cannot
+oscillate with the sampling phase.  It draws no random numbers, so the
+same gauges always produce the same :class:`ScaleEvent` trajectory.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,10 +43,9 @@ SHED_HIGH = 1.0
 LOW_FRAC = 0.3
 #: consecutive calm ticks required before draining one replica
 HOLD_TICKS = 3
-#: seconds of enforced inaction after any scale action
+#: seconds of enforced inaction after any scale action: the ticks that
+#: fall within it, the one at its end included, take no action
 COOLDOWN = 45.0
-#: cooldown is stretched by up to this fraction, seeded
-COOLDOWN_JITTER = 0.25
 MIN_REPLICAS = 0
 MAX_REPLICAS = 8
 
@@ -78,16 +75,16 @@ class Autoscaler:
         env,
         replica_set,
         gauges: Callable[[], dict],
-        seed: int = 0,
     ):
         self.env = env
         self.replica_set = replica_set
         self.gauges = gauges
         self.events: list[ScaleEvent] = []
-        self._rng = random.Random(("autoscaler", seed).__repr__())
         self._last_rejected = 0.0
         self._calm_ticks = 0
-        self._cooldown_until = 0.0
+        #: ticks left in the cooldown; counted, not timed, so float
+        #: rounding of the tick instants cannot move its end
+        self._held_ticks = 0
         self._proc = env.process(self._run(), name="autoscaler")
 
     # -- wiring ------------------------------------------------------------
@@ -98,7 +95,6 @@ class Autoscaler:
         replica_set,
         aggregator,
         frontend_host: str,
-        seed: int = 0,
     ) -> "Autoscaler":
         """Drive the scaler from the monitoring aggregator's last packet,
         whose metrics dict it reads in place and never writes."""
@@ -107,7 +103,7 @@ class Autoscaler:
             packet = aggregator.last_packet(frontend_host)
             return {} if packet is None else packet.metrics
 
-        return cls(env, replica_set, gauges, seed)
+        return cls(env, replica_set, gauges)
 
     @property
     def n_replicas(self) -> int:
@@ -156,7 +152,8 @@ class Autoscaler:
         )
         self._calm_ticks = self._calm_ticks + 1 if calm else 0
 
-        if self.env.now < self._cooldown_until:
+        if self._held_ticks:
+            self._held_ticks -= 1
             return
         if reasons and self.n_replicas < MAX_REPLICAS:
             self._action(
@@ -189,8 +186,7 @@ class Autoscaler:
         )
         with tracer.context(span):
             mutate()
-        hold = COOLDOWN * (1.0 + COOLDOWN_JITTER * self._rng.random())
-        self._cooldown_until = self.env.now + hold
+        self._held_ticks = int(COOLDOWN // INTERVAL)
         event = ScaleEvent(self.env.now, action, self.n_replicas, reason)
         self.events.append(event)
         if span is not None:

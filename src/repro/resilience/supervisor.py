@@ -39,7 +39,6 @@ __all__ = [
 PROBE_INTERVAL = 15.0
 RESTART_BACKOFF = 5.0
 BACKOFF_FACTOR = 2.0
-MAX_BACKOFF = 120.0
 #: Fractional jitter on each backoff: delay *= 1 + JITTER*U(0,1), drawn
 #: from an RNG seeded with ``SEED``, so runs stay deterministic.
 JITTER = 0.25
@@ -185,9 +184,8 @@ class ServiceSupervisor:
 
     def _restart(self, entry: _Entry):
         tracer = self.env.tracer
-        backoff = min(
-            RESTART_BACKOFF * BACKOFF_FACTOR**entry.failures, MAX_BACKOFF
-        )
+        # At most RESTART_BUDGET restarts: the base backoff ends at 80 s.
+        backoff = RESTART_BACKOFF * BACKOFF_FACTOR**entry.failures
         backoff *= 1.0 + JITTER * self._rng.random()
         # The restart is a span (not an event) so the service lifecycle
         # events it causes — repair/start below — parent on it, and a

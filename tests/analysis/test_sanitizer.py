@@ -1,9 +1,11 @@
 """The schedule-perturbation sanitizer: planted race, planted wall-clock
 and RNG reads, and the sanitized environment itself."""
 
+import json
 import random
 import time
 from datetime import datetime
+from pathlib import Path
 from random import random as from_random_import_random
 from time import time as from_time_import_time
 
@@ -76,11 +78,24 @@ def test_default_environment_is_untouched():
     instrumented branch reaches the default path."""
     env = Environment()
     assert type(env) is Environment
-    for name in ("_schedule", "step", "run"):
+    for name in ("_schedule", "step", "run", "timeout"):
         method = getattr(env, name).__func__
         assert method is vars(Environment)[name]
         assert method.__qualname__ == f"Environment.{name}"
     assert env.tracer is NULL_TRACER
+
+
+def test_sanitized_reinstall_schedules_every_event_through_the_hook():
+    """The base engine queues timers and triggered events inline; an
+    instrumented environment still sees every one through ``_schedule``
+    (a bypassing event would dispatch with no scheduling site), and the
+    sanitized reinstall prints the manifest's digest."""
+    run = run_scenario("reinstall", 1, nodes=8, record_stacks=False)
+    assert run.dispatch_log
+    assert all(rec.site != "<unknown>" for rec in run.dispatch_log)
+    manifest = Path(__file__).parents[1] / "core" / "golden" / "manifest.json"
+    rows = json.loads(manifest.read_text(encoding="utf-8"))
+    assert run.digest == rows["reinstall 8 0"]
 
 
 def test_explicit_sanitize_swaps_class():

@@ -9,12 +9,16 @@ agree bit for bit.
 It finds the components from scratch: a breadth-first walk over the
 live flows and their links, ignoring the components the network keeps
 alive across reallocations.  It also keeps the reference versions of
-the two per-reallocation passes that the network makes incremental: a
+the per-reallocation passes that the network makes incremental: a
 progressive fill that raises each flow's own rate round by round and
-counts each link's flows itself, and a utilization sampler that
-re-reads every link any flow has crossed on every fill.
+counts each link's flows itself, a utilization sampler that re-reads
+every link any flow has crossed on every fill, and a completion heap
+with one entry per flow, which a wakeup pops flow by flow up to the
+first one that cannot finish (the network keeps one entry per
+component and stops on the same flow).
 """
 
+import heapq
 import math
 
 from repro.netsim import FlowNetwork
@@ -48,7 +52,52 @@ def walk_components(seeds, seen_flows, seen_links):
 
 
 class FullRecomputeNetwork(FlowNetwork):
-    __slots__ = ()
+    __slots__ = ("_entry",)
+
+    def __init__(self, env):
+        super().__init__(env)
+        #: each flow's live completion-heap entry
+        self._entry: dict[Flow, tuple] = {}
+
+    def _detach(self, flow: Flow) -> None:
+        super()._detach(flow)
+        self._entry.pop(flow, None)
+
+    def _refresh(self, flows: list[Flow]) -> None:
+        """One ``(eta, seq, n, flow, rel, anchor)`` entry per flow."""
+        now = self.env._now
+        for f in flows:
+            self._entry.pop(f, None)
+            rate = f.rate
+            if rate > _EPS:
+                rel = f.remaining / rate
+                if rel < 0.0:
+                    rel = 0.0
+                entry = (now + rel, f._seq, next(self._tokens), f, rel, now)
+                self._entry[f] = entry
+                heapq.heappush(self._eta_heap, entry)
+
+    def _next_completion(self):
+        heap = self._eta_heap
+        while heap and self._entry.get(heap[0][3]) is not heap[0]:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    def _pop_due(self, now: float) -> bool:
+        """Pop every flow due at ``now`` up to the first one that is not."""
+        candidates = 0
+        while (entry := self._next_completion()) is not None:
+            eta, _seq, _n, flow, _rel, _anchor = entry
+            # Candidate iff the dust test can pass once credited:
+            # remaining - rate*(now - anchor) <= _EPS + rate*1e-9.
+            if eta > now + 1e-9 + _EPS / flow.rate:
+                break
+            heapq.heappop(self._eta_heap)
+            del self._entry[flow]
+            candidates += 1
+            for link in flow.path:
+                self._dirty[link] = None
+        return candidates > 0
 
     def _closure(self):
         """Every bottleneck component, walked from the live flow set.

@@ -12,6 +12,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.netsim import (
     Environment,
@@ -22,8 +24,10 @@ from repro.netsim import (
     Process,
     Timeout,
 )
+from repro.netsim import flows as flows_module
 from repro.netsim.engine import Environment as _Env
 from repro.netsim.flows import _Component
+from repro.scenarios import reinstall_point
 from repro.telemetry import NULL_TRACER, Tracer
 from repro.telemetry.tracer import Span
 
@@ -160,6 +164,55 @@ def test_incremental_matches_full_recompute_on_fill_corners(seed):
     assert incr == full
 
 
+@st.composite
+def dust_window_scripts(draw):
+    """Capped flows on two links, each due within nanoseconds of 2 s.
+
+    Flows start at 0 or 0.5 s with a cap of 0.1, 1 or 10 B/s, which is
+    their rate while their links (1000 or 15 B/s) have room, and a size
+    that ends them at 2 s plus a multiple of 0.5 ns.  So one wakeup finds
+    several members of one asymmetric component inside the dust window
+    (1 ns plus ``_EPS / rate``, wider for a slower flow) and others just
+    outside it, in several components at once.
+    """
+    caps = [draw(st.sampled_from([1000.0, 15.0])) for _ in range(2)]
+    ops = []
+    for _ in range(draw(st.integers(min_value=2, max_value=7))):
+        path = draw(st.sampled_from([(0,), (1,), (0, 1)]))
+        rate = draw(st.sampled_from([0.1, 1.0, 10.0]))
+        start = draw(st.sampled_from([0.0, 0.5]))
+        finish = 2.0 + draw(st.integers(min_value=-8, max_value=24)) * 5e-10
+        ops.append((start, "start", (path, rate * (finish - start), rate)))
+    ops.sort(key=lambda op: op[0])
+    return caps, ops
+
+
+#: a wakeup at 2 s pops link 0's component (a 10 B/s flow due then and
+#: a 1 B/s one 0.5 ns later) and stops at its 10 B/s member due 2 ns
+#: late, before link 1's 0.1 B/s flow, due 5 ns late but in its window
+DUST_WINDOW_EXAMPLE = (
+    [1000.0, 1000.0],
+    [
+        (0.0, "start", ((0,), 10.0 * 2.0, 10.0)),
+        (0.0, "start", ((0,), 1.0 * (2.0 + 5e-10), 1.0)),
+        (0.0, "start", ((0,), 10.0 * (2.0 + 2e-9), 10.0)),
+        (0.0, "start", ((1,), 0.1 * (2.0 + 5e-9), 0.1)),
+    ],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(script=dust_window_scripts())
+@example(script=DUST_WINDOW_EXAMPLE)
+def test_dust_window_finishes_match_the_per_flow_heap(script):
+    """The network's one heap entry per component, and its wakeup's
+    stop rule, finish the same flows at the same instants as the
+    oracle's one entry per flow."""
+    caps, ops = script
+    incr = _run_world(FlowNetwork, caps, ops)
+    assert incr == _run_world(FullRecomputeNetwork, caps, ops)
+
+
 def test_utilization_matches_full_recompute_when_tracing_pauses():
     """Links that drain or fill while tracing is off are sampled at the
     first fill after tracing resumes, even when that fill is elsewhere."""
@@ -290,6 +343,36 @@ def test_recompute_storm_keeps_event_queue_bounded():
     assert len(env._queue) < 200  # 2000 reschedules, bounded residue
     # The completion heap is lazily compacted on the same principle.
     assert len(net._eta_heap) <= max(64, 4 * (len(net._flows) + 1)) + 1
+
+
+def test_table1_point_pushes_one_heap_entry_per_refreshed_component(monkeypatch):
+    """A refresh pushes at most one completion-heap entry per component
+    it re-keys, on a 32-node Table I point (one entry per credited flow
+    made 13.5 pushes per reallocation on the Table I sweep)."""
+    pushes = []
+    totals = {"pushes": 0, "components": 0, "flows": 0}
+    real_push, real_refresh = flows_module.heappush, FlowNetwork._refresh
+
+    def push(heap, entry):
+        pushes.append(entry)
+        real_push(heap, entry)
+
+    def refresh(self, flows):
+        pushes.clear()
+        real_refresh(self, flows)
+        components = dict.fromkeys(f._comp for f in flows)
+        assert len(pushes) <= len(components)
+        assert all(entry[3] in components for entry in pushes)
+        totals["pushes"] += len(pushes)
+        totals["components"] += len(components)
+        totals["flows"] += len(flows)
+
+    monkeypatch.setattr(flows_module, "heappush", push)
+    monkeypatch.setattr(FlowNetwork, "_refresh", refresh)
+    _reports, minutes, _bytes = reinstall_point(32)
+    assert minutes == 15.875584758662914  # the same bits as one per flow
+    assert 0 < totals["pushes"] <= totals["components"]
+    assert totals["components"] * 4 < totals["flows"]
 
 
 def test_flows_through_matches_path_scan():

@@ -1,8 +1,8 @@
 """The gauge-driven autoscaler: control law, hysteresis, cooldown, bounds.
 
 The control law is the module's constants: a tick every ``INTERVAL``
-seconds, a hold of ``COOLDOWN`` to ``COOLDOWN * (1 + COOLDOWN_JITTER)``
-seconds after each action, and ``HOLD_TICKS`` calm ticks before a drain.
+seconds, a hold of ``COOLDOWN`` seconds after each action (the tick at
+its end held too), and ``HOLD_TICKS`` calm ticks before a drain.
 """
 
 from repro.netsim import Environment
@@ -10,15 +10,14 @@ from repro.netsim.http import MAX_CONCURRENT
 from repro.resilience import Autoscaler
 from repro.resilience.autoscaler import (
     COOLDOWN,
-    COOLDOWN_JITTER,
     HOLD_TICKS,
     INFLIGHT_HIGH_FRAC,
     INTERVAL,
     MAX_REPLICAS,
 )
 
-#: the longest hold after an action
-MAX_HOLD = COOLDOWN * (1.0 + COOLDOWN_JITTER)
+#: from an action to the next possible one: the first tick after the hold
+GAP = (COOLDOWN // INTERVAL + 1) * INTERVAL
 
 
 class FakeReplicaSet:
@@ -47,10 +46,10 @@ CALM = {"http.queue_depth": 0.0, "http.in_flight": 0.0,
 BUSY = 5.0
 
 
-def make_scaler(metrics, seed=0):
+def make_scaler(metrics):
     env = Environment()
     rs = FakeReplicaSet()
-    scaler = Autoscaler(env, rs, lambda: dict(metrics), seed)
+    scaler = Autoscaler(env, rs, lambda: dict(metrics))
     return env, rs, scaler, metrics
 
 
@@ -96,7 +95,7 @@ def test_inflight_threshold_comes_from_admission_config():
 
 def test_scale_up_respects_max_replicas():
     env, rs, scaler, _ = make_scaler(dict(CALM, **{"http.queue_depth": 99.0}))
-    env.run(until=INTERVAL + MAX_REPLICAS * (MAX_HOLD + INTERVAL))
+    env.run(until=INTERVAL + MAX_REPLICAS * GAP)
     assert rs.n_replicas == MAX_REPLICAS
     assert len(scaler.events) == MAX_REPLICAS
 
@@ -106,24 +105,20 @@ def test_cooldown_blocks_back_to_back_actions():
     env.run(until=INTERVAL + COOLDOWN)
     # scale-up at the first tick; the ticks inside the cooldown do nothing
     assert [e.t for e in scaler.events] == [INTERVAL]
-    env.run(until=INTERVAL + MAX_HOLD + INTERVAL)
+    env.run(until=INTERVAL + GAP)
     first, second = (e.t for e in scaler.events)
-    assert COOLDOWN <= second - first < MAX_HOLD + INTERVAL
+    assert second - first == GAP
 
 
-def test_cooldown_jitter_is_seeded_and_stretches_the_hold():
-    def trajectory(seed):
-        env, _, scaler, _ = make_scaler(
-            dict(CALM, **{"http.queue_depth": 99.0}), seed=seed
-        )
-        env.run(until=400.0)
-        return [e.t for e in scaler.events], scaler._cooldown_until
-
-    (a, hold_a), (b, hold_b) = trajectory(1), trajectory(1)
-    assert (a, hold_a) == (b, hold_b)  # same seed, same decisions
-    # jittered cooldowns are never shorter than the base cooldown
-    assert all(t1 - t0 >= COOLDOWN for t0, t1 in zip(a, a[1:]))
-    assert COOLDOWN < hold_a - a[-1] <= MAX_HOLD
+def test_cooldown_is_a_fixed_45_s_hold():
+    """Every hold is ``COOLDOWN`` (45 s): under steady pressure each
+    action is followed by the first tick after it (60 s), and the tick
+    exactly 45 s on is held."""
+    assert COOLDOWN == 45.0 and GAP == 60.0
+    env, _, scaler, _ = make_scaler(dict(CALM, **{"http.queue_depth": 99.0}))
+    env.run(until=400.0)
+    times = [e.t for e in scaler.events]
+    assert times == [INTERVAL + k * GAP for k in range(7)]  # 15, 75, .., 375
 
 
 def test_drain_requires_consecutive_calm_ticks():
@@ -133,7 +128,7 @@ def test_drain_requires_consecutive_calm_ticks():
     assert rs.n_replicas == 1
     metrics["http.queue_depth"] = BUSY  # no pressure, not calm either
     t0 = 6 * INTERVAL  # a tick after the cooldown has run out
-    assert t0 > INTERVAL + MAX_HOLD
+    assert t0 > INTERVAL + COOLDOWN
     env.run(until=t0)
     assert rs.n_replicas == 1
     metrics["http.queue_depth"] = 0.0  # calm
@@ -156,7 +151,7 @@ def test_pressure_resets_the_calm_streak():
     assert len(scaler.events) == 1  # held: no action, the streak resets
     metrics["http.queue_depth"] = 0.0
     t_drain = (2 * HOLD_TICKS + 1) * INTERVAL  # calm 1..HOLD_TICKS again
-    assert t_drain - INTERVAL > INTERVAL + MAX_HOLD  # cooldown over before
+    assert t_drain - INTERVAL > INTERVAL + COOLDOWN  # cooldown over before
     env.run(until=t_drain - INTERVAL)
     assert rs.n_replicas == 1
     env.run(until=t_drain)  # now it drains

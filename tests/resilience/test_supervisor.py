@@ -13,7 +13,6 @@ from repro.resilience import ServiceOutcome, ServiceSupervisor
 from repro.resilience.supervisor import (
     BACKOFF_FACTOR,
     JITTER,
-    MAX_BACKOFF,
     PROBE_INTERVAL,
     RESTART_BACKOFF,
     RESTART_BUDGET,
@@ -113,14 +112,16 @@ def test_dead_but_unfaulted_service_is_started_not_repaired():
     assert svc.starts == 1 and svc.repairs == 0
 
 
-def test_backoff_grows_exponentially_and_caps():
+def test_backoff_grows_exponentially_through_the_budget():
+    """One restart per failure, each base backoff doubling: 5 s to 80 s
+    over the budget of five, then the service is left degraded."""
     svc = StubbornService()
     env, sup = make_supervisor(httpd=svc)
     svc.fail()
     env.run(until=1000.0)
     backoffs = [rec.backoff for rec in sup.report().restarts]
-    bases = [min(RESTART_BACKOFF * BACKOFF_FACTOR**k, MAX_BACKOFF)
-             for k in range(RESTART_BUDGET)]
+    bases = [RESTART_BACKOFF * BACKOFF_FACTOR**k for k in range(RESTART_BUDGET)]
+    assert bases[-1] == 80.0
     assert backoffs == [jittered(base) for base in bases]
 
 
