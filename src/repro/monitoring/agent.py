@@ -107,8 +107,12 @@ class MetricAgent:
         installing = machine.state is MachineState.INSTALLING
         metrics["load"] = load
         # cpu proxy: anaconda pegs a CPU while installing; otherwise the
-        # running user processes spread over the cores.
-        metrics["cpu"] = 1.0 if installing else min(load / self._n_cpus, 1.0)
+        # running user processes spread over the cores (clamped to 1).
+        if installing:
+            metrics["cpu"] = 1.0
+        else:
+            cpu = load / self._n_cpus
+            metrics["cpu"] = 1.0 if cpu > 1.0 else cpu
         metrics["packages"] = len(machine.rpmdb)
         metrics["installs"] = machine.install_count
         # ``_value_`` is the member's value without the ``.value``
@@ -155,18 +159,22 @@ class MetricAgent:
 
     # -- the daemon loop ----------------------------------------------------
     def _loop(self):
-        env = self.machine.env
+        machine = self.machine
+        env = machine.env
+        rng = self.rng
         # Unsynchronized daemons: each starts at a random phase so 32
         # agents don't all broadcast on the same simulated instant.
-        yield env.timeout(self.rng.uniform(0.0, self.interval))
+        yield env.timeout(rng.uniform(0.0, self.interval))
+        # Each tick's wobble is ``rng.uniform(-wobble, wobble)``, spelled
+        # out as ``a + (b - a) * random()``, the same float, without the
+        # ``uniform`` frame; ``visible`` is read inline too.
         wobble = 0.05 * self.interval
+        span = wobble - -wobble
         while True:
-            if self.visible:
+            if machine.state in _VISIBLE_STATES:
                 packet = self.sample()
-                heard = self.group.send(self.machine.mac, packet)
+                heard = self.group.send(machine.mac, packet)
                 self.packets_sent += 1
                 if heard:
                     self.packets_heard += 1
-            yield env.timeout(
-                self.interval + self.rng.uniform(-wobble, wobble)
-            )
+            yield env.timeout(self.interval + (-wobble + span * rng.random()))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..netsim import Environment, MulticastGroup
-from ..services.base import Service
+from ..services.base import Service, ServiceState
 from .agent import MetricPacket
 from .rrd import RoundRobinStore
 
@@ -77,7 +77,8 @@ class MetricAggregator(Service):
 
     # -- the receive path ---------------------------------------------------
     def _receive(self, src: str, packet: MetricPacket, t: float) -> None:
-        if not self.running:
+        # ``running`` without the property call: every packet comes here.
+        if self.state is not ServiceState.RUNNING:
             return  # a dead gmetad hears nothing
         self.packets_received += 1
         self._last[packet.host] = packet

@@ -57,6 +57,10 @@ class AlertRule:
     the fire/clear edge detection.  Rules may keep internal state
     between ticks (counters, last-seen values) — it must derive only
     from the aggregator view, never from wall time or unseeded RNG.
+
+    Every tick reads every host's last packet, so the built-in rules
+    read a host's dicts by membership and subscript rather than with
+    ``dict.get``, and compare rather than call ``max``.
     """
 
     kind = "abstract"
@@ -80,7 +84,7 @@ class NodeDownRule(AlertRule):
         conditions: dict[str, tuple[str, float]] = {}
         last = agg.snapshot()
         for host in agg.expected_hosts():
-            packet = last.get(host)
+            packet = last[host] if host in last else None
             age = math.inf if packet is None else now - packet.t
             if age > limit:
                 if packet is None:
@@ -134,16 +138,21 @@ class InstallStuckRule(AlertRule):
     def check(self, agg, now: float) -> dict[str, tuple[str, float]]:
         conditions: dict[str, tuple[str, float]] = {}
         installing: dict[str, None] = {}
+        since = self._since
         for host, packet in agg.snapshot().items():
             labels = packet.labels
-            if labels.get("state") != "installing":
+            if "state" not in labels or labels["state"] != "installing":
                 continue
             installing[host] = None
-            token = (labels.get("phase", ""),
-                     packet.metrics.get("install.done_pkgs", 0.0))
-            seen = self._since.get(host)
+            metrics = packet.metrics
+            token = (
+                labels["phase"] if "phase" in labels else "",
+                metrics["install.done_pkgs"]
+                if "install.done_pkgs" in metrics else 0.0,
+            )
+            seen = since[host] if host in since else None
             if seen is None or seen[0] != token:
-                self._since[host] = (token, packet.t)
+                since[host] = (token, packet.t)
                 continue
             stuck_for = now - seen[1]
             if stuck_for > self.threshold:
@@ -172,9 +181,10 @@ class ShedRateRule(AlertRule):
     def check(self, agg, now: float) -> dict[str, tuple[str, float]]:
         conditions: dict[str, tuple[str, float]] = {}
         for host, packet in agg.snapshot().items():
-            total = packet.metrics.get("http.rejected")
-            if total is None:
+            metrics = packet.metrics
+            if "http.rejected" not in metrics:  # the frontend's gmond only
                 continue
+            total = metrics["http.rejected"]
             delta = total - self._last.get(host, 0.0)
             self._last[host] = total
             if delta >= self.min_sheds:
@@ -199,15 +209,17 @@ class LinkSaturationRule(AlertRule):
 
     def check(self, agg, now: float) -> dict[str, tuple[str, float]]:
         conditions: dict[str, tuple[str, float]] = {}
+        streaks = self._streak
         for host, packet in agg.snapshot().items():
             metrics = packet.metrics
-            util = max(metrics.get("net.tx_util", 0.0),
-                       metrics.get("net.rx_util", 0.0))
+            tx = metrics["net.tx_util"] if "net.tx_util" in metrics else 0.0
+            rx = metrics["net.rx_util"] if "net.rx_util" in metrics else 0.0
+            util = rx if rx > tx else tx  # max(tx, rx)
             if util >= self.threshold:
-                streak = self._streak.get(host, 0) + 1
+                streak = streaks[host] + 1 if host in streaks else 1
             else:
                 streak = 0
-            self._streak[host] = streak
+            streaks[host] = streak
             if streak >= self.sustain:
                 conditions[host] = (
                     f"NIC at {100 * util:.0f}% for {streak} samples", util

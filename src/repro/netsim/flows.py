@@ -26,13 +26,19 @@ earliest member: a refill pushes one entry, not one per member, and a
 wakeup pops whole components in the order, and up to the same flow,
 that one entry per flow would give.
 
-Most components are **symmetric**: every member has the same cap and
-crosses, position by position, either the same link or one with the
-same capacity and flow count.  Table I's installs are: each crosses the
-install server's shared uplink, then its own NIC.  The water fill's
-first round then treats every member alike and freezes them all, so a
-symmetric component gets that one rate in closed form, the same float
-the rounds would give; every other component runs the rounds.
+Most components keep a **shape**: one cap shared by every member and,
+for each path position, either the one link every member crosses there
+or *private* links (each member crosses its own, which carries only
+that member, all of one capacity).  Table I's installs have one: each
+crosses the install server's shared uplink, then its own NIC.  A
+component is born with its first flow's path as its shape, a join keeps
+it after an O(path) check of the joining flow, a departure cannot break
+it, and a merge, a split or a capacity change (:meth:`recompute`)
+leaves the component without one.  The water fill's first round treats
+every member of a shaped component alike and freezes them all, so its
+refill is one pass: the rate, computed once from the first member's
+path, is the float the rounds would give, and the same loop re-keys the
+completion heap.  Components without a shape run the rounds.
 """
 
 from __future__ import annotations
@@ -89,15 +95,16 @@ class Link:
         """
         if self.capacity is None:
             return 0.0
-        # Explicit loop, no genexpr/isinf frames: monitoring agents call
-        # this for every NIC on every sample tick.
+        # Explicit loop and clamp, no genexpr, isinf or min calls:
+        # monitoring agents call this for every NIC on every sample tick.
         inf = math.inf
         used = 0.0
         for f in self._flows:
             rate = f.rate
             if rate != inf:
                 used += rate
-        return min(used / self.capacity, 1.0)
+        util = used / self.capacity
+        return 1.0 if util > 1.0 else util
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         cap = "inf" if self.capacity is None else f"{self.capacity:.0f}B/s"
@@ -123,7 +130,6 @@ class Flow:
         "started_at",
         "finished_at",
         "label",
-        "_completion_seq",
         "_span",
         "_seq",
         "_last_credit",
@@ -149,7 +155,6 @@ class Flow:
         self.started_at = network.env.now
         self.finished_at: Optional[float] = None
         self.label = label
-        self._completion_seq = 0
         self._span = None  # telemetry span, when tracing is enabled
         #: start order, used to sort component members deterministically
         self._seq = next(network._flow_seq_counter)
@@ -186,25 +191,74 @@ class _Component:
     ``_token`` names the component's one live completion-heap entry
     (``None`` without one); a refresh replaces it, and a departure, a
     merge or a split clears it.
+
+    ``shape``, unless ``None``, holds one entry per path position: the
+    link every member crosses there, or ``None`` where the position is
+    *private*, each member crossing its own link, which carries only
+    that member and has the capacity the first member's link there has.
+    Every member then has ``cap`` as its ``max_rate`` and a path of
+    ``len(shape)`` links.  A component born with one flow takes that
+    flow's path as its shape; a join keeps it or drops it
+    (:func:`_keep_shape`); a departure leaves it true; a merge or a split
+    starts without one, and :meth:`FlowNetwork.recompute` drops it.
     """
 
-    __slots__ = ("flows", "_token")
+    __slots__ = ("flows", "_token", "shape", "cap")
 
-    def __init__(self, flows: dict[Flow, None]):
+    def __init__(
+        self,
+        flows: dict[Flow, None],
+        shape: Optional[list[Optional[Link]]] = None,
+        cap: Optional[float] = None,
+    ):
         self.flows = flows
         self._token: Optional[int] = None
+        self.shape = shape
+        self.cap = cap
         for flow in flows:
             flow._comp = self
 
 
+def _keep_shape(comp: _Component, flow: Flow) -> None:
+    """Keep ``comp``'s shape across ``flow``'s join, or drop it.
+
+    ``flow`` is already a member and on its links, so one pass over its
+    path decides.  At a shared position it must cross the shared link.
+    Anywhere else its link must carry only ``flow`` and have the first
+    member's capacity there; a shared link it does not cross turns
+    private only while that link carries one member, which happens only
+    when ``flow`` is the second member and does not cross it elsewhere.
+    """
+    shape = comp.shape
+    path = flow.path
+    if flow.max_rate != comp.cap or len(path) != len(shape):
+        comp.shape = None
+        return
+    first = next(iter(comp.flows)).path
+    for i, link in enumerate(path):
+        shared = shape[i]
+        if link is shared:
+            continue
+        if (
+            len(link._flows) != 1
+            or link.capacity != first[i].capacity
+            or (shared is not None and len(shared._flows) != 1)
+        ):
+            comp.shape = None
+            return
+        shape[i] = None
+
+
 def _merge(a: _Component, b: _Component) -> _Component:
-    """One component for the members of two that a new flow bridges."""
+    """One component, without a shape, for the members of two that a new
+    flow bridges."""
     a._token = b._token = None
     return _Component(dict.fromkeys(sorted([*a.flows, *b.flows], key=_flow_seq)))
 
 
 def _split(members: dict[Flow, None]) -> None:
-    """Re-walk ``members`` into the components they now form.
+    """Re-walk ``members`` into the components they now form, each
+    without a shape.
 
     Breadth-first over shared links, seeded in start order; the sets
     are membership filters only, never iterated.
@@ -227,44 +281,6 @@ def _split(members: dict[Flow, None]) -> None:
                         part.append(other)
         part.sort(key=_flow_seq)
         _Component(dict.fromkeys(part))
-
-
-def _symmetric_increment(active: list[Flow]) -> Optional[float]:
-    """Round 1's increment when that round treats every member alike.
-
-    That holds when every member has the first member's ``max_rate``
-    and path length and, position by position, crosses the first
-    member's own link or one with the same capacity and the same
-    number of flows: a link's share and whether it saturates depend on
-    just those two numbers.  The increment is then the smallest
-    ``capacity / len(link._flows)`` on the first member's path and the
-    members' cap (``inf`` when nothing bounds it).  ``None`` when the
-    component is not symmetric.
-    """
-    first = active[0]
-    cap = first.max_rate
-    path = first.path
-    width = len(path)
-    for f in active:
-        if f.max_rate != cap or len(f.path) != width:
-            return None
-    inc = math.inf if cap is None else cap
-    # One position at a time: measured twice as fast as zipping each
-    # member's path against the first one's.
-    for i, mine in enumerate(path):
-        capacity = mine.capacity
-        n = len(mine._flows)
-        for f in active:
-            link = f.path[i]
-            if link is not mine and (
-                link.capacity != capacity or len(link._flows) != n
-            ):
-                return None
-        if capacity is not None:
-            share = float(capacity) / n
-            if share < inc:
-                inc = share
-    return inc
 
 
 def _first_failing(comp: _Component, now: float) -> Optional[tuple[float, int]]:
@@ -296,8 +312,8 @@ class FlowNetwork:
 
     Every live flow points at its bottleneck component, kept current by
     :meth:`transfer` and :meth:`_detach`, and a change recomputes only
-    the components on the links it touches.  Each refilled component
-    gets one completion-heap entry (:meth:`_refresh`), which a wakeup
+    the components on the links it touches.  Each refill gives its
+    component one completion-heap entry (:meth:`_fill`), which a wakeup
     pops (:meth:`_pop_due`).  The test suite keeps a full-recompute
     subclass as a differential oracle: it finds every component from
     the live flow set alone by breadth-first search and refills all of
@@ -366,12 +382,15 @@ class FlowNetwork:
         trace context from whatever caused the transfer (an HTTP GET, a
         monitoring push) down to the wire.
         """
+        path = tuple(path)
+        if not path:
+            raise ValueError("transfer path must cross at least one link")
         # Negated comparisons, so that NaN is rejected too.
         if not size >= 0:
             raise ValueError(f"transfer size must be non-negative, got {size!r}")
         if max_rate is not None and not max_rate > 0:
             raise ValueError(f"max_rate must be positive, got {max_rate!r}")
-        flow = Flow(self, tuple(path), size, max_rate, label)
+        flow = Flow(self, path, size, max_rate, label)
         tracer = self.env.tracer
         if tracer.enabled:
             # The narrowest link on the path is the flow's best-case
@@ -402,7 +421,7 @@ class FlowNetwork:
         # Join the components the path touches.  All flows on a link
         # share one component, so the link's first flow names it.
         comp = None
-        for link in flow.path:
+        for link in path:
             for other in link._flows:
                 if comp is None:
                     comp = other._comp
@@ -410,15 +429,18 @@ class FlowNetwork:
                     comp = _merge(comp, other._comp)
                 break
         if comp is None:
-            _Component({flow: None})
+            # Born alone: its own path is its shape.
+            _Component({flow: None}, list(path), max_rate)
         else:
             comp.flows[flow] = None  # the highest _seq: order is kept
             flow._comp = comp
         self._flows[flow] = None
         dirty = self._dirty
-        for link in flow.path:
+        for link in path:
             link._flows[flow] = None
             dirty[link] = None
+        if comp is not None and comp.shape is not None:
+            _keep_shape(comp, flow)
         self._reallocate()
         return flow
 
@@ -462,11 +484,16 @@ class FlowNetwork:
         Link capacities are read only when rates are allocated, so fault
         injection (degrading a NIC mid-transfer) must credit progress at
         the old rates and then redistribute.  ``links`` are the changed
-        links; only their components are recomputed.
+        links; only their components are recomputed, and they lose their
+        shapes (a shape records capacities).  Every capacity change made
+        while flows are live must come through here.
         """
         dirty = self._dirty
         for link in links:
             dirty[link] = None
+            for flow in link._flows:
+                flow._comp.shape = None
+                break
         self._reallocate()
 
     # -- internals ----------------------------------------------------------
@@ -591,10 +618,10 @@ class FlowNetwork:
     def _reallocate(self, _wakeup_sweep: bool = False) -> None:
         """Incremental max-min fair recomputation.
 
-        Credits and refills only the components on the dirty link set,
-        completes anything that drained, refreshes those components'
-        completion-heap entries, samples the touched links' utilization
-        when tracing, and arranges the next wakeup.  Untouched
+        Credits and refills only the components on the dirty link set
+        (each refill re-keys its component's completion-heap entry),
+        completes anything that drained, samples the touched links'
+        utilization when tracing, and arranges the next wakeup.  Untouched
         bottleneck groups keep their rates.  A wakeup sweep finishes
         anything within a nanosecond of done (see :meth:`_credit`).
         """
@@ -645,12 +672,10 @@ class FlowNetwork:
         for comp in comps:
             if comp:
                 self._fill(comp)
-        if affected:
-            self._refresh(affected)
-            # A credited flow still live means its component was
-            # refilled: sample then, exactly at the dirty components' fills.
-            if tracing:
-                self._record_utilization()
+        # A credited flow still live means its component was refilled:
+        # sample then, exactly at the dirty components' fills.
+        if affected and tracing:
+            self._record_utilization()
         self._schedule_wakeup()
 
     def _refresh(self, flows: list[Flow]) -> None:
@@ -661,7 +686,9 @@ class FlowNetwork:
         one heap entry, keyed by its member with the smallest
         ``(eta, seq)``: the instant the per-flow entries' minimum would
         give, with that member's own ``rel`` and ``anchor``.  A
-        component whose every rate is below ``_EPS`` gets none.
+        component whose every rate is below ``_EPS`` gets none.  A
+        shaped component's refill computes the same entry in its own
+        pass (:meth:`_fill`).
         """
         first = flows[0]._comp
         if len(first.flows) == len(flows):
@@ -692,7 +719,8 @@ class FlowNetwork:
             heappush(heap, (key_eta, key._seq, token, comp, key, key_rel, now))
 
     def _fill(self, active: list[Flow]) -> None:
-        """Max-min water fill of one bottleneck component.
+        """Max-min water fill of one bottleneck component, then its
+        completion-heap entry.
 
         Every flow starts at 0.0 and each round raises all unfrozen
         flows by the same increment, so they share one float, ``level``.
@@ -707,22 +735,27 @@ class FlowNetwork:
         raising every flow's own rate round by round (the test suite
         keeps that progressive fill as its oracle).  A round that
         freezes every flow left ends the fill without updating the
-        per-link counts.
+        per-link counts, and :meth:`_refresh` then re-keys the heap.
 
-        A *symmetric* component skips the rounds, because its first
-        round ends the fill.  :func:`_symmetric_increment` gives that
-        round's increment ``inc``, which raises every member to
-        ``0.0 + inc == inc``.  Then every member reaches the cap, or
-        every member crosses a link that saturates, or none does and the
-        numerical corner freezes them all at ``level`` (Table I's
-        100 Mbit links at 37 or 45 flows are that corner:
-        ``C - (C / k) * k`` exceeds ``_EPS``).  So the rounds end with
-        every member at its ``max_rate`` when ``inc >= max_rate - _EPS``
-        and at ``inc`` otherwise, and the closed form assigns exactly
-        those floats.
+        A *shaped* component skips the rounds and is refilled in one
+        pass.  Every member sees, position by position, a link of the
+        same capacity and flow count (the shared link, or a private one
+        carrying only itself), so round 1 raises every member by the
+        smallest ``capacity / len(link._flows)`` on the first member's
+        path and the cap, to ``0.0 + inc == inc``.  Then every member
+        reaches the cap, or every member crosses a link that saturates,
+        or none does and the numerical corner freezes them all at
+        ``level`` (Table I's 100 Mbit links at 37 or 45 flows are that
+        corner: ``C - (C / k) * k`` exceeds ``_EPS``).  So the rounds end
+        with every member at the cap when ``inc >= cap - _EPS`` and at
+        ``inc`` otherwise (``inf`` when nothing bounds it), and the pass
+        assigns exactly that float; the same loop computes each member's
+        ``rel``, ``eta`` and the ``(eta, seq)`` key as :meth:`_refresh`
+        does.
 
         ``active`` is the live part of one component snapshot, in
-        flow-start order.  It holds every live flow on every link its
+        flow-start order; a shaped component never splits, so for one
+        it is every member.  It holds every live flow on every link its
         members cross, even after a completion has split the component,
         so a link's unfrozen count starts at ``len(link._flows)``.  A
         link listed twice on one path carries the flow once, matching
@@ -730,15 +763,42 @@ class FlowNetwork:
         dicts, never hash sets, so nothing downstream can pick up
         hash-seed jitter.
         """
-        inc = _symmetric_increment(active)
-        if inc is not None:
-            cap = active[0].max_rate
+        first = active[0]
+        comp = first._comp
+        if comp.shape is not None:
+            cap = comp.cap
+            inc = math.inf if cap is None else cap
+            for link in first.path:
+                capacity = link.capacity
+                if capacity is not None:
+                    share = float(capacity) / len(link._flows)
+                    if share < inc:
+                        inc = share
             if cap is not None and inc >= cap - _EPS:
+                inc = cap
+            now = self.env._now
+            key = None
+            key_eta = math.inf
+            if inc > _EPS:
                 for f in active:
-                    f.rate = f.max_rate
+                    f.rate = inc
+                    rel = f.remaining / inc
+                    eta = now + rel
+                    if eta < key_eta:  # start order breaks ties
+                        key, key_eta, key_rel = f, eta, rel
+                    f._eta = eta
             else:
                 for f in active:
                     f.rate = inc
+                    f._eta = math.inf
+            if key is None:
+                comp._token = None
+                return
+            token = next(self._tokens)
+            comp._token = token
+            heappush(
+                self._eta_heap, (key_eta, key._seq, token, comp, key, key_rel, now)
+            )
             return
         unfrozen = dict.fromkeys(active)
         headroom: dict[Link, float] = {}
@@ -769,7 +829,7 @@ class FlowNetwork:
                 # and has no cap: give them an effectively unbounded rate.
                 for f in unfrozen:
                     f.rate = math.inf
-                return
+                break
             if inc < 0.0:
                 inc = 0.0
             level += inc
@@ -792,9 +852,9 @@ class FlowNetwork:
                 # Numerical corner: freeze everything to guarantee progress.
                 for f in unfrozen:
                     f.rate = level
-                return
+                break
             if len(frozen) == len(unfrozen):
-                return
+                break
             for f in frozen:
                 del unfrozen[f]
                 for link in dict.fromkeys(f.path):
@@ -803,6 +863,7 @@ class FlowNetwork:
                         del count[link]
                     elif n is not None:
                         count[link] = n - 1
+        self._refresh(active)
 
     def _touch(self, flows: list[Flow]) -> None:
         """Queue the links whose utilization a reallocation may change.
@@ -845,6 +906,14 @@ class FlowNetwork:
 
     def _complete(self, flow: Flow) -> None:
         self._detach(flow)
+        if flow.rate == math.inf:
+            # Its bytes land in no time, so a credit at the instant its
+            # rate became infinite moved none of them: count them here.
+            moved = flow.remaining
+            if moved:
+                self._bytes_moved += moved
+                for link in flow.path:
+                    link.bytes_carried += moved
         flow.remaining = 0.0
         flow.rate = 0.0
         flow.finished_at = self.env.now

@@ -8,14 +8,15 @@ agree bit for bit.
 
 It finds the components from scratch: a breadth-first walk over the
 live flows and their links, ignoring the components the network keeps
-alive across reallocations.  It also keeps the reference versions of
-the per-reallocation passes that the network makes incremental: a
-progressive fill that raises each flow's own rate round by round and
-counts each link's flows itself, a utilization sampler that re-reads
-every link any flow has crossed on every fill, and a completion heap
-with one entry per flow, which a wakeup pops flow by flow up to the
-first one that cannot finish (the network keeps one entry per
-component and stops on the same flow).
+alive across reallocations, and never reads a component's shape.  It
+also keeps the reference versions of the per-reallocation passes that
+the network makes incremental: a progressive fill that raises each
+flow's own rate round by round and counts each link's flows itself, on
+every component, shaped or not; a utilization sampler that re-reads
+every link any flow has crossed on every fill; and a completion heap
+with one entry per flow, keyed from the flow's own credit anchor, which
+a wakeup pops flow by flow up to the first one that cannot finish (the
+network keeps one entry per component and stops on the same flow).
 """
 
 import heapq
@@ -64,16 +65,21 @@ class FullRecomputeNetwork(FlowNetwork):
         self._entry.pop(flow, None)
 
     def _refresh(self, flows: list[Flow]) -> None:
-        """One ``(eta, seq, n, flow, rel, anchor)`` entry per flow."""
-        now = self.env._now
+        """One ``(eta, seq, n, flow, rel, anchor)`` entry per flow.
+
+        Each entry is keyed from the flow's own credit anchor, so
+        re-keying a flow whose component was refilled but not credited
+        (see :meth:`_fill`) gives the entry it already has.
+        """
         for f in flows:
             self._entry.pop(f, None)
             rate = f.rate
             if rate > _EPS:
+                anchor = f._last_credit
                 rel = f.remaining / rate
                 if rel < 0.0:
                     rel = 0.0
-                entry = (now + rel, f._seq, next(self._tokens), f, rel, now)
+                entry = (anchor + rel, f._seq, next(self._tokens), f, rel, anchor)
                 self._entry[f] = entry
                 heapq.heappush(self._eta_heap, entry)
 
@@ -115,7 +121,8 @@ class FullRecomputeNetwork(FlowNetwork):
         return affected, comps
 
     def _fill(self, active: list[Flow]) -> None:
-        """Progressive filling of one bottleneck component.
+        """Progressive filling of one bottleneck component, then its
+        completion-heap entries (:meth:`_refresh`).
 
         All unconstrained flows are raised in lockstep until a link
         saturates or a flow hits its own ``max_rate``; those flows
@@ -188,6 +195,7 @@ class FullRecomputeNetwork(FlowNetwork):
 
         for f in active:
             f.rate = rate[f]
+        self._refresh(active)
 
     def _record_utilization(self) -> None:
         """Sample every constrained link's utilization gauge (on change)."""

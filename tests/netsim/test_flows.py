@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.netsim import Environment, Flow, FlowNetwork, Link, TransferAborted
-from repro.netsim.flows import _EPS, _symmetric_increment
+from repro.netsim.flows import _EPS
 
 from .full_recompute import FullRecomputeNetwork
 
@@ -122,6 +122,36 @@ def test_fully_unconstrained_flow_completes_instantly():
     flow = net.transfer([backplane], 10_000.0)
     env.run(until=flow.done)
     assert env.now == pytest.approx(0.0)
+
+
+def test_unconstrained_flow_counts_its_bytes():
+    # An infinite-rate flow finishes at the instant it starts, where a
+    # credit moves nothing: its size is counted when it completes.
+    env, net = make_net()
+    free = Link("free", None)
+    flow = net.transfer([free], 100.0)
+    env.run()
+    assert flow.finished_at == 0.0
+    assert net.bytes_moved == free.bytes_carried == 100.0
+    # Next to a finite-rate flow, whose arithmetic is unchanged.
+    nic = Link("nic", 10.0)
+    slow = net.transfer([nic], 50.0)
+    net.transfer([Link("free2", None)], 25.0)
+    env.run()
+    assert slow.finished_at == 5.0
+    assert net.bytes_moved == 175.0
+    assert nic.bytes_carried == 50.0
+
+
+def test_empty_path_is_refused():
+    # An empty path touches no link, so no fill would ever give the flow
+    # a rate and it would stay pending forever.
+    env, net = make_net()
+    with pytest.raises(ValueError):
+        net.transfer([], 100.0)
+    with pytest.raises(ValueError):
+        net.transfer((), 0.0)
+    assert net.active_flows == 0
 
 
 def test_zero_byte_transfer_completes_immediately():
@@ -376,7 +406,7 @@ def test_incremental_change_preserves_other_components_rates():
     assert fb.finished_at == pytest.approx(25.0)
 
 
-# -- the symmetric closed form against the reference fill --------------------
+# -- shaped components against the reference fill -----------------------
 
 #: Table I's install path: every node's fetch crosses the install
 #: service's link and the frontend's tx, both shared, then its own rx,
@@ -418,6 +448,19 @@ def assert_same_rates(flows, oracle):
     assert [repr(f.rate) for f in flows] == [repr(f.rate) for f in oracle]
 
 
+def assert_shaped(flows):
+    """The flows form one component whose shape holds, per position,
+    the link they all cross there, or ``None`` where each crosses its
+    own link, and whose cap is their common ``max_rate``."""
+    comp = flows[0]._comp
+    assert all(f._comp is comp for f in flows)
+    assert comp.shape == [
+        links[0] if all(link is links[0] for link in links) else None
+        for links in zip(*(f.path for f in flows))
+    ]
+    assert comp.cap == flows[0].max_rate
+
+
 def twice():
     service = Link("service", TABLE1_LINK)
     return [(service, Link(f"node{i}.rx", TABLE1_LINK), service) for i in range(4)]
@@ -440,7 +483,7 @@ def cap_near_share(k, offset):
 ])
 def test_symmetric_fill_matches_reference(paths, caps, rate):
     flows, oracle = fill_both(paths, caps)
-    assert _symmetric_increment(flows) is not None
+    assert_shaped(flows)
     assert_same_rates(flows, oracle)
     assert [f.rate for f in flows] == [rate] * len(flows)
 
@@ -487,8 +530,13 @@ def longer_path():
                  id="member-cap"),
 ])
 def test_asymmetric_fill_takes_the_rounds(paths, caps, rates):
+    # Without the last flow the component keeps a shape; that flow's
+    # join drops it, and the rounds give the reference's rates.
+    before, _ = fill_both(lambda: paths()[:-1], caps[:-1])
+    assert_shaped(before)
     flows, oracle = fill_both(paths, caps)
-    assert _symmetric_increment(flows) is None
+    assert all(f._comp is flows[0]._comp for f in flows)
+    assert flows[0]._comp.shape is None
     assert_same_rates(flows, oracle)
     assert [f.rate for f in flows] == pytest.approx(rates)
 
@@ -505,8 +553,8 @@ capacity = st.one_of(st.none(), st.floats(min_value=1e-3, max_value=1e10))
 )
 def test_random_symmetric_fill_matches_reference(k, shared, private, cap):
     """k flows that cross the same shared links, then private links of
-    the same capacities, form one symmetric component and fill like the
+    the same capacities, form one shaped component and fill like the
     reference."""
     flows, oracle = fill_both(star(k, shared, private), [cap] * k)
-    assert _symmetric_increment(flows) is not None
+    assert_shaped(flows)
     assert_same_rates(flows, oracle)

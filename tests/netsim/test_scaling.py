@@ -346,29 +346,41 @@ def test_recompute_storm_keeps_event_queue_bounded():
 
 
 def test_table1_point_pushes_one_heap_entry_per_refreshed_component(monkeypatch):
-    """A refresh pushes at most one completion-heap entry per component
-    it re-keys, on a 32-node Table I point (one entry per credited flow
-    made 13.5 pushes per reallocation on the Table I sweep)."""
+    """A refill or a refresh pushes at most one completion-heap entry
+    per component it re-keys, on a 32-node Table I point (one entry per
+    credited flow made 13.5 pushes per reallocation on the Table I
+    sweep).  A shaped component's refill re-keys it in the same pass;
+    any other refill re-keys through ``_refresh``, counted with it."""
     pushes = []
     totals = {"pushes": 0, "components": 0, "flows": 0}
-    real_push, real_refresh = flows_module.heappush, FlowNetwork._refresh
+    depth = [0]
+    real_push = flows_module.heappush
 
     def push(heap, entry):
         pushes.append(entry)
         real_push(heap, entry)
 
-    def refresh(self, flows):
-        pushes.clear()
-        real_refresh(self, flows)
-        components = dict.fromkeys(f._comp for f in flows)
-        assert len(pushes) <= len(components)
-        assert all(entry[3] in components for entry in pushes)
-        totals["pushes"] += len(pushes)
-        totals["components"] += len(components)
-        totals["flows"] += len(flows)
+    def rekeying(real):
+        def wrapper(self, flows):
+            depth[0] += 1
+            try:
+                real(self, flows)
+            finally:
+                depth[0] -= 1
+            if depth[0]:
+                return  # a refill's own refresh: the refill counts it
+            components = dict.fromkeys(f._comp for f in flows)
+            assert len(pushes) <= len(components)
+            assert all(entry[3] in components for entry in pushes)
+            totals["pushes"] += len(pushes)
+            totals["components"] += len(components)
+            totals["flows"] += len(flows)
+            pushes.clear()
+        return wrapper
 
     monkeypatch.setattr(flows_module, "heappush", push)
-    monkeypatch.setattr(FlowNetwork, "_refresh", refresh)
+    for name in ("_fill", "_refresh"):
+        monkeypatch.setattr(FlowNetwork, name, rekeying(getattr(FlowNetwork, name)))
     _reports, minutes, _bytes = reinstall_point(32)
     assert minutes == 15.875584758662914  # the same bits as one per flow
     assert 0 < totals["pushes"] <= totals["components"]
