@@ -2,7 +2,14 @@
 
 from .clusterdb import ClusterDatabase, DatabaseError, NodeRow
 from .journal import DatabaseJournal, JournalError
-from .reports import dhcp_bindings, report_dhcpd, report_hosts, report_pbs_nodes
+from .reports import (
+    GeneratedConfigs,
+    dhcp_bindings,
+    generate_configs,
+    report_dhcpd,
+    report_hosts,
+    report_pbs_nodes,
+)
 from .schema import DEFAULT_APPLIANCES, DEFAULT_MEMBERSHIPS, SCHEMA
 
 __all__ = [
@@ -11,7 +18,9 @@ __all__ = [
     "DatabaseJournal",
     "JournalError",
     "NodeRow",
+    "GeneratedConfigs",
     "dhcp_bindings",
+    "generate_configs",
     "report_dhcpd",
     "report_hosts",
     "report_pbs_nodes",

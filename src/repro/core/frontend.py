@@ -41,10 +41,7 @@ from ..services import (
 from .database import (
     ClusterDatabase,
     DatabaseJournal,
-    dhcp_bindings,
-    report_dhcpd,
-    report_hosts,
-    report_pbs_nodes,
+    generate_configs,
 )
 from .distribution import Distribution, RocksDist
 from .kickstart import (
@@ -303,15 +300,14 @@ class RocksFrontend:
 
     def regenerate_configs(self) -> None:
         """Rebuild every database-derived config and restart services (§6.4)."""
-        self.dhcp.load_bindings(dhcp_bindings(self.db), report_dhcpd(self.db))
+        configs = generate_configs(self.db)
+        self.dhcp.load_bindings(configs.dhcp_bindings, configs.dhcpd_conf)
         self.dhcp.restart()
-        self.hosts_file = report_hosts(self.db)
-        pbs_nodes = report_pbs_nodes(self.db)
+        self.hosts_file = configs.hosts
         registered = set(self.pbs.nodes())
-        for line in pbs_nodes.splitlines():
-            name = line.split()[0]
-            if name not in registered:
-                self.pbs.register_node(name)
+        for node in configs.compute_nodes:
+            if node.name not in registered:
+                self.pbs.register_node(node.name)
         self.config_regenerations += 1
 
     # -- users -----------------------------------------------------------------------------------

@@ -142,7 +142,8 @@ class MetricAgent:
             labels.update(extra_labels)
 
         packet = MetricPacket(
-            host=machine.hostid,
+            # ``hostid`` without the property call
+            host=machine.name or machine.mac,
             addr=machine.mac,
             t=env.now,
             seq=self._seq,

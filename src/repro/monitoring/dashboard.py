@@ -11,7 +11,6 @@ the interchange form a real gmetad serves on its TCP port.
 from __future__ import annotations
 
 from typing import Optional
-from xml.sax.saxutils import quoteattr
 
 from .aggregator import MetricAggregator
 
@@ -81,6 +80,11 @@ def to_ganglia_xml(
     agg: MetricAggregator, cluster_name: str = "rocks"
 ) -> str:
     """The cluster state in the spirit of Ganglia's XML wire format."""
+    # Imported here: ``xml.sax.saxutils`` imports ``urllib.request`` and
+    # with it ``http.client``, ``email`` and ``ssl``, which a monitored
+    # run that never dumps XML would load for nothing.
+    from xml.sax.saxutils import quoteattr
+
     now = agg.env.now
     lines = [
         '<?xml version="1.0" encoding="ISO-8859-1"?>',

@@ -264,7 +264,11 @@ class RoundRobinStore:
         """
         if self._closed:
             raise RuntimeError("the store is closed")
-        packets = self._pending.setdefault(host, [])
+        pending = self._pending
+        if host in pending:
+            packets = pending[host]
+        else:
+            packets = pending[host] = []
         packets.append((t, metrics))
         if len(packets) >= self._FOLD_PACKETS:
             self._fold()

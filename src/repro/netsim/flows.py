@@ -116,7 +116,8 @@ class Flow:
 
     ``max_rate`` caps the flow below its fair share — this models a
     receiver that cannot consume faster than it installs packages.
-    ``done`` is an engine Event that triggers when the last byte lands.
+    ``done`` is an engine Event that triggers, with no value, when the
+    last byte lands.
     """
 
     __slots__ = (
@@ -135,6 +136,7 @@ class Flow:
         "_last_credit",
         "_eta",
         "_comp",
+        "__weakref__",
     )
 
     def __init__(
@@ -145,21 +147,22 @@ class Flow:
         max_rate: Optional[float],
         label: str,
     ):
+        env = network.env
         self.network = network
         self.path = path
         self.size = float(size)
         self.remaining = float(size)
         self.max_rate = max_rate
         self.rate = 0.0
-        self.done: Event = network.env.event()
-        self.started_at = network.env.now
+        self.done: Event = Event(env)
+        self.started_at = env._now
         self.finished_at: Optional[float] = None
         self.label = label
         self._span = None  # telemetry span, when tracing is enabled
         #: start order, used to sort component members deterministically
         self._seq = next(network._flow_seq_counter)
         #: per-flow credit anchor: the instant ``remaining`` was last true
-        self._last_credit = network.env.now
+        self._last_credit = env._now
         #: completion instant at its component's last refresh (inf while
         #: its rate is below ``_EPS``: then it has no completion in view)
         self._eta = math.inf
@@ -201,9 +204,15 @@ class _Component:
     flow's path as its shape; a join keeps it or drops it
     (:func:`_keep_shape`); a departure leaves it true; a merge or a split
     starts without one, and :meth:`FlowNetwork.recompute` drops it.
+
+    ``misfit`` is the member whose join dropped the shape, or the one a
+    later attempt to rebuild it stopped at; once it has left, the next
+    refill rebuilds the shape from the members (:func:`_regain_shape`).
+    It is ``None`` while there is a shape, and in a component a merge, a
+    split or a capacity change left without one: those are not rebuilt.
     """
 
-    __slots__ = ("flows", "_token", "shape", "cap")
+    __slots__ = ("flows", "_token", "shape", "cap", "misfit")
 
     def __init__(
         self,
@@ -215,12 +224,14 @@ class _Component:
         self._token: Optional[int] = None
         self.shape = shape
         self.cap = cap
+        self.misfit: Optional[Flow] = None
         for flow in flows:
             flow._comp = self
 
 
-def _keep_shape(comp: _Component, flow: Flow) -> None:
-    """Keep ``comp``'s shape across ``flow``'s join, or drop it.
+def _keep_shape(comp: _Component, flow: Flow) -> bool:
+    """Whether ``comp``'s shape holds with ``flow`` a member, turning
+    positions private as it goes; on ``False`` the caller drops it.
 
     ``flow`` is already a member and on its links, so one pass over its
     path decides.  At a shared position it must cross the shared link.
@@ -232,8 +243,7 @@ def _keep_shape(comp: _Component, flow: Flow) -> None:
     shape = comp.shape
     path = flow.path
     if flow.max_rate != comp.cap or len(path) != len(shape):
-        comp.shape = None
-        return
+        return False
     first = next(iter(comp.flows)).path
     for i, link in enumerate(path):
         shared = shape[i]
@@ -244,9 +254,26 @@ def _keep_shape(comp: _Component, flow: Flow) -> None:
             or link.capacity != first[i].capacity
             or (shared is not None and len(shared._flows) != 1)
         ):
-            comp.shape = None
-            return
+            return False
         shape[i] = None
+    return True
+
+
+def _regain_shape(comp: _Component) -> None:
+    """Rebuild ``comp``'s shape now that its misfit has left.
+
+    The first member's path is the shape, and every later member joins
+    it as in :func:`_keep_shape`, so the shape holds exactly when the
+    members, as they stand, would have kept one.  Otherwise the member
+    that did not fit becomes the misfit to wait for.
+    """
+    members = iter(comp.flows)
+    first = next(members)
+    comp.shape, comp.cap, comp.misfit = list(first.path), first.max_rate, None
+    for flow in members:
+        if not _keep_shape(comp, flow):
+            comp.shape, comp.misfit = None, flow
+            return
 
 
 def _merge(a: _Component, b: _Component) -> _Component:
@@ -412,8 +439,8 @@ class FlowNetwork:
                 bottleneck=bottleneck.name if bottleneck is not None else "",
             )
         if size == 0:
-            flow.finished_at = self.env.now
-            flow.done.succeed(flow)
+            flow.finished_at = self.env._now
+            flow.done.succeed()
             if flow._span is not None:
                 flow._span.end(outcome="done")
                 flow._span = None
@@ -439,8 +466,8 @@ class FlowNetwork:
         for link in path:
             link._flows[flow] = None
             dirty[link] = None
-        if comp is not None and comp.shape is not None:
-            _keep_shape(comp, flow)
+        if comp is not None and comp.shape is not None and not _keep_shape(comp, flow):
+            comp.shape, comp.misfit = None, flow
         self._reallocate()
         return flow
 
@@ -765,7 +792,11 @@ class FlowNetwork:
         """
         first = active[0]
         comp = first._comp
-        if comp.shape is not None:
+        shape = comp.shape
+        if shape is None and comp.misfit is not None and comp.misfit._comp is not comp:
+            _regain_shape(comp)
+            shape = comp.shape
+        if shape is not None:
             cap = comp.cap
             inc = math.inf if cap is None else cap
             for link in first.path:
@@ -916,11 +947,14 @@ class FlowNetwork:
                     link.bytes_carried += moved
         flow.remaining = 0.0
         flow.rate = 0.0
-        flow.finished_at = self.env.now
+        flow.finished_at = self.env._now
         if flow._span is not None:
             flow._span.end(outcome="done")
             flow._span = None
-        flow.done.succeed(flow)
+        # No value: the flow holds its event, so an event holding the
+        # flow would make each finished transfer a cycle for the
+        # collector.
+        flow.done.succeed()
 
     def _next_completion(self) -> Optional[tuple]:
         """The live completion-heap entry due first, or ``None``.

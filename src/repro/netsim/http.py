@@ -255,14 +255,20 @@ class HttpServer:
         tracer span) threads trace context: the request's ``http`` span —
         and everything under it — parents on the caller.
         """
-        path = self._norm(path)
-        env = self.network.env
+        documents, cgi = self._documents, self._cgi
+        if path not in documents and path not in cgi:
+            # A mounted path is normalised already, and normalising one
+            # gives it back: only a miss can need it.
+            path = self._norm(path)
+        network = self.network
+        env = network.env
         log = self.log
         t0 = env.now if log is not None else 0.0
+        tracer = env.tracer
         span = (
-            env.tracer.span("http", path, parent=parent,
-                            client=client, server=self.host)
-            if env.tracer.enabled
+            tracer.span("http", path, parent=parent,
+                        client=client, server=self.host)
+            if tracer.enabled
             else None
         )
         admitted = False
@@ -276,23 +282,36 @@ class HttpServer:
                     raise HttpError(
                         503, f"server {self.host} not running", server=self.host
                     )
-                if not self.network.reachable(self.host, client):
+                # The wire path, found while the route is checked.  It is
+                # looked up again if time passes (a wait in the accept
+                # queue) or other code runs (a CGI handler) before the
+                # transfer starts: either could take an endpoint down.
+                wire_path = network.route(self.host, client)
+                if wire_path is None:
                     raise HttpError(
                         504,
                         f"no route from {client} to {self.host}",
                         server=self.host,
                     )
                 if self.admission_seed is not None:
-                    # May suspend in the accept queue; raises a 503 with a
-                    # Retry-After hint when the request is shed.  With
-                    # admission off this branch adds zero sim events.
-                    yield from self._admit(client, path, span)
+                    if self._in_flight < MAX_CONCURRENT and not self._accept_queue:
+                        # A free slot, claimed without suspending: with
+                        # no queue to wait in this adds zero sim events.
+                        self._in_flight += 1
+                        if tracer.enabled:
+                            self._gauge_in_flight()
+                    else:
+                        # May suspend in the accept queue; raises a 503
+                        # with a Retry-After hint when the request is shed.
+                        yield from self._admit(client, path, span)
+                        wire_path = None
                     admitted = True
                 body: Any = None
-                if path in self._cgi:
-                    body, size = self._cgi[path](client, path)
-                elif path in self._documents:
-                    size = self._documents[path]
+                if path in cgi:
+                    body, size = cgi[path](client, path)
+                    wire_path = None
+                elif path in documents:
+                    size = documents[path]
                 else:
                     raise HttpError(
                         404, f"{path} not found on {self.host}", server=self.host
@@ -300,8 +319,9 @@ class HttpServer:
             except HttpError as err:
                 outcome, status = "error", err.status
                 raise
-            wire_path = self.network.path(self.host, client)
-            flow = self.network.flows.transfer(
+            if wire_path is None:
+                wire_path = network.path(self.host, client)
+            flow = network.flows.transfer(
                 (self.service_link,) + wire_path,
                 size,
                 max_rate=max_rate,
@@ -319,8 +339,12 @@ class HttpServer:
                 outcome = "reset"
                 raise
             totals = self._totals
-            totals["requests"] = totals.get("requests", 0) + 1
-            totals["bytes"] = totals.get("bytes", 0.0) + size
+            if "requests" in totals:  # set together, on the first success
+                totals["requests"] += 1
+                totals["bytes"] += size
+            else:
+                totals["requests"] = 1
+                totals["bytes"] = 0.0 + size
             outcome = "ok"
             return HttpResponse(200, path, size, body=body, server=self.host)
         except Interrupt:
@@ -344,18 +368,16 @@ class HttpServer:
 
     # -- admission control --------------------------------------------------
     def _admit(self, client: str, path: str, span=None):
-        """Claim an in-flight slot, queueing (bounded) when at capacity.
+        """Wait in the bounded accept queue for an in-flight slot.
 
-        Raises ``HttpError(503)`` with a Retry-After hint when the accept
-        queue is full, the queue wait times out, or the daemon dies while
-        the request is parked.  Time parked in the queue is traced as an
-        ``http-queue`` span under ``span`` (the request's ``http`` span).
+        :meth:`get` claims a free slot itself and comes here only at
+        capacity.  Raises ``HttpError(503)`` with a Retry-After hint when
+        the accept queue is full, the queue wait times out, or the daemon
+        dies while the request is parked.  Time parked in the queue is
+        traced as an ``http-queue`` span under ``span`` (the request's
+        ``http`` span).
         """
         env = self.network.env
-        if self._in_flight < MAX_CONCURRENT and not self._accept_queue:
-            self._in_flight += 1
-            self._gauge_in_flight()
-            return
         if len(self._accept_queue) >= QUEUE_LIMIT:
             raise self._reject(client, path, "queue-full",
                                "at capacity (queue-full)")
@@ -441,9 +463,10 @@ class HttpServer:
             self._in_flight += 1
             promoted = True
             slot.succeed()
-        self._gauge_in_flight()
-        if promoted:
-            self._gauge_queue_depth()
+        if self.network.env.tracer.enabled:
+            self._gauge_in_flight()
+            if promoted:
+                self._gauge_queue_depth()
 
     def _flush_accept_queue(self, reason: str) -> None:
         """Fail every queued request (the daemon died while they waited)."""
@@ -527,13 +550,6 @@ class LoadBalancer:
             self._rr_next -= 1
         self._rr_next %= len(self.servers)
 
-    def _rotation(self) -> list[HttpServer]:
-        """This request's candidate order; advances the pointer by one."""
-        n = len(self.servers)
-        start = self._rr_next % n
-        self._rr_next = (start + 1) % n
-        return [self.servers[(start + k) % n] for k in range(n)]
-
     def get(
         self, client: str, path: str, max_rate: Optional[float] = None,
         parent=None,
@@ -544,7 +560,14 @@ class LoadBalancer:
         """
         last_error: Optional[HttpError] = None
         avoided = 0
-        for server in self._rotation():
+        # This request's candidate order, from the pointer on, is a copy:
+        # backends may join or leave while it is in flight.  The pointer
+        # advances by one.
+        servers = self.servers
+        n = len(servers)
+        start = self._rr_next % n
+        self._rr_next = (start + 1) % n
+        for server in servers[start:] + servers[:start]:
             if not server.running or not server.network.reachable(
                 server.host, client
             ):

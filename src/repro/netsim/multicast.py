@@ -59,6 +59,10 @@ class MulticastGroup:
         self.address = address
         # host name -> callback; insertion-ordered for determinism.
         self._subscribers: dict[str, Receiver] = {}
+        # Its items, the snapshot each send delivers to: rebuilt on every
+        # join and leave, so a callback that changes membership changes
+        # the next send's listeners, not this one's.
+        self._receivers: tuple[tuple[str, Receiver], ...] = ()
         self.packets_sent = 0
         self.packets_delivered = 0
         self.packets_dropped = 0
@@ -67,9 +71,11 @@ class MulticastGroup:
     def join(self, host: str, receive: Receiver) -> None:
         """Subscribe ``host`` (by network name); one callback per host."""
         self._subscribers[host] = receive
+        self._receivers = tuple(self._subscribers.items())
 
     def leave(self, host: str) -> None:
         self._subscribers.pop(host, None)
+        self._receivers = tuple(self._subscribers.items())
 
     @property
     def n_subscribers(self) -> int:
@@ -96,17 +102,17 @@ class MulticastGroup:
         # through here.
         hosts = network._hosts
         self.packets_sent += 1
-        sender = hosts.get(src)
-        if sender is None or not sender.up:
+        if src not in hosts or not hosts[src].up:
             self.packets_dropped += len(self._subscribers)
             return 0
+        sender = hosts[src]
         now = network.env.now
         delivered = 0
-        for host, receive in list(self._subscribers.items()):
-            listener = hosts.get(host)
-            if listener is None or not listener.up:
+        for host, receive in self._receivers:
+            if host not in hosts or not hosts[host].up:
                 self.packets_dropped += 1
                 continue
+            listener = hosts[host]
             if host != src:
                 listener.rx.bytes_carried += nbytes
             delivered += 1

@@ -145,12 +145,24 @@ class Network:
 
     def path(self, src: str, dst: str) -> tuple[Link, ...]:
         """Links a byte crosses from ``src`` to ``dst``: sender tx, receiver rx."""
-        a, b = self.host(src), self.host(dst)
+        hosts = self._hosts
+        if src not in hosts or dst not in hosts:
+            self.host(dst if src in hosts else src)  # raises the KeyError
+        a, b = hosts[src], hosts[dst]
         if not a.up:
             raise HostDown(src)
         if not b.up:
             raise HostDown(dst)
         return (a.tx, b.rx)
+
+    def route(self, src: str, dst: str) -> Optional[tuple[Link, ...]]:
+        """:meth:`path`, or ``None`` where :meth:`reachable` is false."""
+        hosts = self._hosts
+        if src in hosts and dst in hosts:
+            a, b = hosts[src], hosts[dst]
+            if a.up and b.up:
+                return (a.tx, b.rx)
+        return None
 
     def send(
         self,

@@ -11,6 +11,7 @@ This wraps the full stack — hardware, frontend, services, insert-ethers
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -71,26 +72,31 @@ class RocksCluster:
                 running.stop()
             self.insert_ethers = ie.start()
         db = self.frontend.db
+        env = self.env
+        peek = env.peek
+        inf = math.inf
         named = []
         for machine in self.nodes:
-            if db.has_mac(machine.mac):
+            mac = machine.mac
+            if db.has_mac(mac):
                 continue
             seen = db.total_changes
             machine.power_on()
-            deadline = self.env.now + per_node_deadline
+            deadline = env.now + per_node_deadline
             while True:
                 # Only a written row can bring the MAC in, whoever writes
                 # it: re-query after a step that changed the database.
-                if db.total_changes != seen:
-                    seen = db.total_changes
-                    if db.has_mac(machine.mac):
+                changes = db.total_changes
+                if changes != seen:
+                    seen = changes
+                    if db.has_mac(mac):
                         break
-                if self.env.peek() == float("inf") or self.env.now > deadline:
+                if peek() == inf or env.now > deadline:
                     raise SimulationError(
-                        f"{machine.mac} was never integrated (is dhcpd/"
+                        f"{mac} was never integrated (is dhcpd/"
                         "syslog running and insert-ethers listening?)"
                     )
-                self.env.step()
+                env.step()
             named.append(machine.hostid)
         if wait_until_up:
             # One barrier over every pending boot, not a serial per-host
@@ -106,10 +112,10 @@ class RocksCluster:
                 # deadline.  A timer would draw a sanitizer tie-break
                 # key; stepping schedules nothing, so the same events
                 # dispatch as under run(until=barrier).
-                barrier = AllOf(self.env, pending)
-                deadline = self.env.now + per_node_deadline
+                barrier = AllOf(env, pending)
+                deadline = env.now + per_node_deadline
                 while not barrier.triggered:
-                    if self.env.peek() > deadline:
+                    if peek() > deadline:
                         stuck = ", ".join(
                             f"{m.hostid} ({m.state.name})"
                             for m in self.nodes
@@ -119,7 +125,7 @@ class RocksCluster:
                             f"not UP {per_node_deadline:g} s after "
                             f"integration: {stuck}"
                         )
-                    self.env.step()
+                    env.step()
         return named
 
     # -- the management primitive (§5): reinstall ---------------------------------------

@@ -142,53 +142,71 @@ class GuardedSource:
         self._host = getattr(source, "host", None)
         balancer = getattr(source, "should_avoid", "missing")
         if balancer != "missing" and self._host is None:
-            source.should_avoid = (
-                lambda server: not self.breaker(server.host).allow()
-            )
+            source.should_avoid = self._avoid
 
     def breaker(self, server: str) -> CircuitBreaker:
-        br = self._breakers.get(server)
-        if br is None:
-            br = CircuitBreaker(
+        try:
+            return self._breakers[server]
+        except KeyError:
+            br = self._breakers[server] = CircuitBreaker(
                 self.env,
                 server,
                 failure_threshold=self.failure_threshold,
                 reset_timeout=self.reset_timeout,
             )
-            self._breakers[server] = br
-        return br
+            return br
 
     def breakers(self) -> dict[str, CircuitBreaker]:
         return dict(self._breakers)
 
+    def _avoid(self, server) -> bool:
+        """The balancer's hook: pass over a backend its breaker refuses."""
+        return not self.breaker(server.host).allow()
+
     # -- InstallSource protocol -------------------------------------------
+    # Each fetch asks the breaker first, then builds the source's request
+    # and hands it to _guard.  The installer runs the returned generator
+    # at once, so this is the instant the request starts.  Trace context
+    # is forwarded only when present, so duck-typed sources without a
+    # ``parent`` kwarg keep working untraced.
     def fetch_kickstart(self, client: str, parent=None) -> Generator:
-        # Trace context is forwarded only when present, so duck-typed
-        # sources without a ``parent`` kwarg keep working untraced.
-        traced = {} if parent is None else {"parent": parent}
-        return self._guard(
-            lambda: self.source.fetch_kickstart(client, **traced)
-        )
+        if self._host is not None:
+            self._refuse_while_open()
+        if parent is None:
+            return self._guard(self.source.fetch_kickstart(client))
+        return self._guard(self.source.fetch_kickstart(client, parent=parent))
 
     def fetch_package(self, client, dist_name, pkg, max_rate=None,
                       parent=None) -> Generator:
-        traced = {} if parent is None else {"parent": parent}
-        return self._guard(lambda: self.source.fetch_package(
-            client, dist_name, pkg, max_rate=max_rate, **traced
-        ))
-
-    def _guard(self, make_request):
         if self._host is not None:
-            br = self.breaker(self._host)
-            if not br.allow():
-                raise HttpError(
-                    503,
-                    f"circuit open for {self._host}",
-                    retry_after=br.retry_after(),
-                    server=self._host,
-                )
+            self._refuse_while_open()
+        if parent is None:
+            request = self.source.fetch_package(
+                client, dist_name, pkg, max_rate=max_rate
+            )
+        else:
+            request = self.source.fetch_package(
+                client, dist_name, pkg, max_rate=max_rate, parent=parent
+            )
+        return self._guard(request)
+
+    def _refuse_while_open(self) -> None:
+        """Fast-fail a single-server source's request while its breaker
+        is open: a synthetic 503, before any simulated traffic."""
+        br = self.breaker(self._host)
+        if not br.allow():
+            raise HttpError(
+                503,
+                f"circuit open for {self._host}",
+                retry_after=br.retry_after(),
+                server=self._host,
+            )
+
+    def _guard(self, request: Generator):
+        """Run ``request``, feeding its outcome to the answering
+        backend's breaker."""
         try:
-            response = yield from make_request()
+            response = yield from request
         except HttpError as err:
             server = err.server or self._host
             if server:
@@ -198,7 +216,7 @@ class GuardedSource:
                     # A 4xx proves the server is alive and answering.
                     self.breaker(server).record_success()
             raise
-        except (TransferAborted, HostDown) as err:
+        except (TransferAborted, HostDown):
             if self._host:
                 self.breaker(self._host).record_failure()
             raise

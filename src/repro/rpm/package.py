@@ -130,7 +130,9 @@ class Package:
     def evr(self) -> EVR:
         return EVR(self.version, self.release, self.epoch)
 
-    @property
+    # ``nvr`` and ``filename`` are read on every package fetch; the
+    # fields they format are frozen, so each is formatted once.
+    @functools.cached_property
     def nvr(self) -> str:
         return f"{self.name}-{self.version}-{self.release}"
 
@@ -139,7 +141,7 @@ class Package:
         e = f"{self.epoch}:" if self.epoch else ""
         return f"{self.name}-{e}{self.version}-{self.release}.{self.arch}"
 
-    @property
+    @functools.cached_property
     def filename(self) -> str:
         ext = "src.rpm" if self.is_source else f"{self.arch}.rpm"
         return f"{self.name}-{self.version}-{self.release}.{ext}"

@@ -5,6 +5,12 @@ import pytest
 
 from repro import build_cluster
 from repro.cluster import MachineState, PowerState
+from repro.core.database import (
+    dhcp_bindings,
+    report_dhcpd,
+    report_hosts,
+    report_pbs_nodes,
+)
 from repro.core.tools import (
     CrashCart,
     EkvConsole,
@@ -73,6 +79,36 @@ def test_configs_regenerated_on_insert(sim):
     assert f.dhcp.n_bindings == 5  # frontend + 4 computes
     assert "compute-0-3" in f.hosts_file
     assert set(f.pbs.nodes()) == {f"compute-0-{i}" for i in range(4)}
+
+
+def test_regenerated_configs_equal_the_reports():
+    # Each insert's regeneration writes what the public reports print,
+    # and reads the nodes table once for all of them.
+    sim = build_cluster(n_compute=8)
+    f = sim.frontend
+    loaded = []
+    load_bindings = f.dhcp.load_bindings
+
+    def record(bindings, config_text=""):
+        loaded.append((bindings == dhcp_bindings(f.db),
+                       config_text == report_dhcpd(f.db)))
+        load_bindings(bindings, config_text)
+
+    f.dhcp.load_bindings = record
+    sim.integrate_all()
+    assert loaded == [(True, True)] * 8
+    assert f.hosts_file == report_hosts(f.db)
+    assert f.pbs.nodes() == sorted(
+        line.split()[0] for line in report_pbs_nodes(f.db).splitlines()
+    )
+    assert len(f.pbs.nodes()) == 8
+    del f.dhcp.load_bindings  # the recorder reads the table itself
+    reads = []
+    nodes, compute_nodes = f.db.nodes, f.db.compute_nodes
+    f.db.nodes = lambda *a: reads.append("nodes") or nodes(*a)
+    f.db.compute_nodes = lambda: reads.append("compute") or compute_nodes()
+    f.regenerate_configs()
+    assert reads == ["nodes"]
 
 
 def test_insert_ethers_ignores_known_macs(sim):

@@ -1,6 +1,9 @@
 """The power-restore install storm driver and its canonical SLO report."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +17,23 @@ def small_storm(**kw):
     defaults = dict(n_nodes=6, seed=11, deadline=2.0 * 3600.0)
     defaults.update(kw)
     return StormOptions(**defaults)
+
+
+def test_the_storm_packages_load_no_http_client():
+    # ``run_storm`` imports monitoring while it runs, so what monitoring
+    # imports is storm time: the XML dump's quoting helper, which drags
+    # in ``urllib.request``, is imported only when a dump is made.
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    script = (
+        "import sys, repro.load, repro.monitoring; "
+        "print(sorted({'urllib.request', 'http.client', 'email', 'ssl'}"
+        " & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)), check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_options_validation():

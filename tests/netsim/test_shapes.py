@@ -117,6 +117,19 @@ def run_world(network_cls, script):
     ("send", 0, 0, 100.0, 1), ("send", 1, 1, 100.0, 1),
     ("send", 1, 2, 100.0, 1), ("send", 1, 0, 100.0, 1), ("run", 30.0),
 ])
+# An uncapped join drops the shape, and a join with another cap enters
+# the shapeless component.  The uncapped flow's departure cannot bring
+# the shape back while the other misfit stays; its departure does, a
+# join keeps it, and a second flow on one client NIC drops it again.
+# Then an uncapped flow that finishes on its own between capped joins.
+@example(script=[
+    ("send", 0, 0, 100.0, 0), ("send", 0, 1, 100.0, 0),
+    ("send", 0, 2, 20.0, 1), ("send", 0, 3, 100.0, 2), ("run", 2.0),
+    ("cancel", 2), ("run", 3.0), ("cancel", 3), ("send", 0, 2, 60.0, 0),
+    ("run", 2.0), ("send", 0, 0, 50.0, 0), ("run", 30.0),
+    ("send", 1, 1, 90.0, 0), ("send", 1, 2, 4.0, 1), ("send", 1, 3, 90.0, 0),
+    ("run", 30.0),
+])
 # A member's NIC degrades mid-transfer, then recovers.
 @example(script=[
     ("send", 0, 0, 100.0, 0), ("send", 0, 1, 100.0, 0), ("run", 2.0),
@@ -157,6 +170,33 @@ def test_shape_follows_joins_departures_and_capacity_changes():
     assert bridge._comp.shape is None
     env.run()
     assert net.active_flows == 0
+
+
+def test_shape_is_regained_once_its_misfit_leaves():
+    env = Environment()
+    network = Network(env)
+    for name in SERVERS + CLIENTS:
+        network.attach(name, NIC)
+    s0 = network.host("s0")
+    a = network.send("s0", "n0", 100.0, max_rate=7.5)
+    network.send("s0", "n1", 100.0, max_rate=7.5)
+    comp = a._comp
+    # An uncapped join drops the shape and is the misfit to wait for.
+    uncapped = network.send("s0", "n2", 100.0)
+    assert comp.shape is None and comp.misfit is uncapped
+    # A capped join into the shapeless component changes nothing.
+    network.send("s0", "n3", 100.0, max_rate=7.5)
+    assert comp.shape is None and comp.misfit is uncapped
+    # Its departure's refill rebuilds the shape from the members.
+    uncapped.done.callbacks.append(lambda _ev: None)
+    uncapped.cancel()
+    assert comp.shape == [s0.tx, None] and comp.cap == 7.5
+    assert comp.misfit is None
+    # A second flow on one client NIC drops it again.
+    second = network.send("s0", "n0", 100.0, max_rate=7.5)
+    assert comp.shape is None and comp.misfit is second
+    env.run()
+    assert network.flows.active_flows == 0
 
 
 def test_table1_point_computes_a_shape_per_born_component(monkeypatch):

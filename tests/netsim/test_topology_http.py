@@ -198,6 +198,38 @@ def test_http_path_normalisation():
     assert resp.status == 200
 
 
+def test_route_is_the_path_where_reachable_and_none_elsewhere(net):
+    _env, network = net
+    network.attach("a", FAST_ETHERNET)
+    network.attach("b", FAST_ETHERNET)
+    assert network.route("a", "b") == network.path("a", "b")
+    assert network.route("a", "nonesuch") is None
+    network.set_host_up("b", False)
+    assert network.route("a", "b") is None and not network.reachable("a", "b")
+    with pytest.raises(HostDown):
+        network.path("a", "b")
+
+
+def test_a_client_lost_in_a_cgi_handler_fails_the_transfer():
+    # The route found at the request's start is looked up again after the
+    # handler ran, so the client it took down is not sent a byte.
+    env, network, server = make_http()
+
+    def handler(client, path):
+        network.set_host_up(client, False)
+        return "body", 10.0
+
+    server.register_cgi("/ks", handler)
+
+    def go():
+        with pytest.raises(HostDown):
+            yield from server.get("node", "/ks")
+        return True
+
+    assert env.run(until=env.process(go()))
+    assert network.flows.active_flows == 0 and server.requests_served == 0
+
+
 def test_publish_rejects_a_nan_size():
     _, _, server = make_http()
     with pytest.raises(ValueError, match="nan"):

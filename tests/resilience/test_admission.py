@@ -14,6 +14,7 @@ import pytest
 from repro.netsim import (
     FAST_ETHERNET,
     Environment,
+    HostDown,
     HttpError,
     HttpServer,
     Network,
@@ -161,6 +162,33 @@ def test_daemon_death_flushes_the_queue():
     assert all(e.status == 503 and "connection reset" in e.reason
                for e in flushed)
     assert server.queue_depth == 0
+
+
+def test_a_client_lost_while_queued_fails_when_its_slot_comes():
+    # The route is looked up again once the queue wait ends, so a client
+    # that went down meanwhile gets no transfer, and its slot is freed.
+    n = MAX_CONCURRENT + 1
+    env, server = make_http(n, admission_seed=0)
+    server.publish("/pkg", FAST_ETHERNET)
+    results = []
+    for i in range(n - 1):
+        env.process(fetch(env, server, f"c{i}", "/pkg", results))
+    lost = []
+
+    def queued():
+        try:
+            yield from server.get(f"c{n - 1}", "/pkg")
+        except HostDown as err:
+            lost.append(err)
+
+    env.process(queued())
+    env.run(until=0.5)
+    assert server.queue_depth == 1
+    server.network.set_host_up(f"c{n - 1}", False)
+    env.run()
+    assert len(lost) == 1 and len(results) == n - 1
+    assert server.in_flight == 0 and server.queue_depth == 0
+    assert server.requests_served == n - 1
 
 
 def test_reconfigure_with_queued_requests_rejected():

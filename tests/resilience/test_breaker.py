@@ -173,6 +173,39 @@ def test_guarded_source_counts_4xx_as_proof_of_life():
     assert guarded.breaker("www").state is BreakerState.CLOSED
 
 
+def test_guarded_source_forwards_trace_context_only_when_given():
+    env = Environment()
+
+    class PackageSource:
+        """A duck-typed source: one fetch takes no ``parent``."""
+
+        host = "www"
+
+        def __init__(self):
+            self.calls = []
+
+        def fetch_package(self, client, dist_name, pkg, max_rate=None):
+            self.calls.append((client, dist_name, pkg, max_rate))
+            return self._serve()
+
+        def fetch_kickstart(self, client, parent=None):
+            self.calls.append((client, parent))
+            return self._serve()
+
+        def _serve(self):
+            yield env.timeout(1.0)
+            return HttpResponse(200, "/p", 10, server="www")
+
+    source = PackageSource()
+    guarded = GuardedSource(env, source)
+    resp = env.run(until=env.process(
+        guarded.fetch_package("node", "d", "pkg", max_rate=7.5)))
+    assert resp.status == 200
+    env.run(until=env.process(guarded.fetch_kickstart("node", parent="span")))
+    assert source.calls == [("node", "d", "pkg", 7.5), ("node", "span")]
+    assert guarded.breaker("www").state is BreakerState.CLOSED
+
+
 def test_guarded_load_balancer_routes_around_open_backend():
     env = Environment()
     network = Network(env)
